@@ -6,6 +6,11 @@ couple after matched filtering; the connected components of the violation
 graph are the code's symbol groups, and the real matched-filter Gram H^T H is
 block-diagonal along exactly that partition.
 
+:func:`equivalent_channel` is the package's single equivalent-channel
+implementation: one einsum over the real expansions of the dispersion
+matrices that takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike. The
+simulator, the detectors and the Gram checks all call it.
+
 Symbol/rail indices are 1-based everywhere (rails 1..K are the real parts of
 the K complex symbols, rails K+1..2K the imaginary parts), matching the
 reports and JSON emitted by the CLI.
@@ -15,8 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .linalg import real_expansion
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import CodeDefinition
@@ -118,48 +121,54 @@ def skew_symmetry_check(a_p, a_q, tol: float = QO_TOL) -> SkewSymmetryReport:
     )
 
 
+def real_expansion(a) -> np.ndarray:
+    """Return the real block form [[Re, -Im], [Im, Re]] of a complex matrix.
+
+    The map is a ring homomorphism: the expansion of a product equals the
+    product of the expansions, and det(expansion) == |det|^2.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
 def expansion_stack(code: "CodeDefinition") -> np.ndarray:
     """(2K, 2T, 2Nt) stack of the real expansions of the dispersion matrices."""
     return np.array([real_expansion(a) for a in code.dispersion])
 
 
 def as_channel(h) -> np.ndarray:
-    """Coerce a channel to complex (Nt, Nr); 1-D input becomes a column."""
+    """Coerce a channel to complex (Nt, Nr) or (n, Nt, Nr); 1-D input
+    becomes a column."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 1:
         h = h[:, None]
-    if h.ndim != 2:
-        raise ValueError(f"channel must be (Nt, Nr), got shape {h.shape}")
+    if h.ndim not in (2, 3):
+        raise ValueError(
+            f"channel must be (Nt, Nr) or (n, Nt, Nr), got shape {h.shape}"
+        )
     return h
 
 
-def channel_rails(h) -> np.ndarray:
-    """Stack a complex (Nt, Nr) channel into real rails of shape (2Nt, Nr)."""
-    h = as_channel(h)
-    return np.vstack([h.real, h.imag])
-
-
-def equivalent_channel(code: "CodeDefinition", h) -> np.ndarray:
-    """Real equivalent channel H of shape (2T*Nr, 2K).
+def equivalent_channel(code: "CodeDefinition", h,
+                       stack: np.ndarray = None) -> np.ndarray:
+    """Real equivalent channel H of shape (2T*Nr, 2K), or (n, 2T*Nr, 2K)
+    for a batch of channels.
 
     Column p stacks, per receive antenna, the real expansion of A_p applied
-    to that antenna's stacked channel rails; the received vector layout is
-    (Re r_i, Im r_i) blocks of length T per antenna i.
+    to that antenna's stacked channel rails (Re h, Im h); the received
+    vector layout is (Re r_i, Im r_i) blocks of length T per antenna i.
+    ``stack`` is the code's :func:`expansion_stack`, computed when omitted.
     """
     h = as_channel(h)
-    if h.shape[0] != code.nt:
+    if h.shape[-2] != code.nt:
         raise ValueError(
-            f"channel has {h.shape[0]} transmit rows, code expects {code.nt}"
+            f"channel has {h.shape[-2]} transmit rows, code expects {code.nt}"
         )
-    return equivalent_channel_from_stack(expansion_stack(code), h)
-
-
-def equivalent_channel_from_stack(stack: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Equivalent channel from a precomputed real-expansion stack."""
-    rails = channel_rails(h)  # (2Nt, Nr)
-    cols = np.einsum("ptm,mi->itp", stack, rails)  # (Nr, 2T, 2K)
-    nr = rails.shape[1]
-    return cols.reshape(nr * stack.shape[1], stack.shape[0])
+    if stack is None:
+        stack = expansion_stack(code)
+    rails = np.concatenate([h.real, h.imag], axis=-2)       # (..., 2Nt, Nr)
+    cols = np.einsum("ptm,...mi->...itp", stack, rails)     # (..., Nr, 2T, 2K)
+    return cols.reshape(*h.shape[:-2], h.shape[-1] * 2 * code.T, 2 * code.K)
 
 
 @dataclass(frozen=True)

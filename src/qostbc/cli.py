@@ -62,6 +62,8 @@ def _parse_snr(text: str):
     if len(parts) != 3:
         raise UsageError(f"snr grid {text!r} is not start:step:stop")
     start, step, stop = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise UsageError(f"snr grid {text!r} is not finite")
     if step <= 0 or stop < start:
         raise UsageError(f"snr grid {text!r} is not increasing")
     grid = []
@@ -368,13 +370,15 @@ def run_verification():
         code = catalog.build(name)
         for _ in range(40):
             h = simulate.draw_channel(rng, code.nt, 1)
-            bits = rng.integers(0, 2, code.K * qam4.bits_per_symbol)
+            bits = rng.integers(0, 2, (1, code.K * qam4.bits_per_symbol))
             s = qam4.modulate(bits)
             rho = 10.0
-            r = simulate.transmit(code, s, h, rho, rng)
-            g = decoder.grouped_ml_detect(code, qam4, h, r, rho)
-            e = decoder.exhaustive_ml_detect(code, qam4, h, r, rho)
-            agree = agree and np.array_equal(g.real_symbols, e.real_symbols)
+            H = analysis.equivalent_channel(code, h[None])
+            noise = rng.standard_normal((1, H.shape[1])) * math.sqrt(0.5)
+            r = simulate.transmit(code, H, s, rho, noise)
+            g = decoder.detect_from_equivalent_batch(code, qam4, H, r, rho)
+            e = decoder.exhaustive_ml_detect(code, qam4, h, r[0], rho)
+            agree = agree and np.array_equal(g[0], e)
     yield "grouped vs exhaustive ML", agree, "160 trials"
 
     # modem round trip

@@ -1,41 +1,41 @@
 """Maximum-likelihood detection: grouped (block-diagonal Gram) and exhaustive.
 
-The grouped detector computes the real equivalent channel H, the matched
-filter z = H^T r and the Gram G = H^T H. Because G is block-diagonal along
-the code's symbol grouping, the ML metric separates and each group's rails
-are detected independently by enumerating that group's PAM candidates:
+:func:`detect_from_equivalent_batch` is the one grouped detector. It takes a
+batch of real equivalent channels H (from :func:`equivalent_channel_batch`,
+the package's single equivalent-channel function) and received vectors r,
+forms the matched filter z = H^T r and the Gram G = H^T H, and, because G is
+block-diagonal along the code's symbol grouping, detects each group's rails
+independently by enumerating that group's PAM candidates:
 
     minimise  sqrt(rho/Nt) * s_g^T G_gg s_g - 2 z_g^T s_g
 
-which shares its argmin with the exact per-group ML metric. The exhaustive
-detector minimises the full residual ||r - sqrt(rho/Nt) H s||^2 over every
-codeword and exists as the oracle. Both break metric ties toward the
-lexicographically smallest candidate (candidates are enumerated over
-ascending PAM levels), so their decisions are comparable event by event.
+which shares its argmin with the exact per-group ML metric. A single block
+is a batch of one. The exhaustive detector minimises the full residual
+||r - sqrt(rho/Nt) H s||^2 over every codeword of one block and exists as
+the oracle. Both break metric ties toward the lexicographically smallest
+candidate (candidates are enumerated over ascending PAM levels), so their
+decisions are comparable event by event.
 
 The closed-form per-group metrics of the four-antenna mixed and rotated
 codes are implemented from the matched-filter terms of the code matrices
-and cross-checked against the generic detector in the tests.
+and cross-checked against the grouped detector in the tests.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import as_channel, equivalent_channel, expansion_stack
+from .analysis import equivalent_channel
 from .catalog import CodeDefinition
 from .modem import Constellation
 
 #: candidate budget guard for the exhaustive oracle
 EXHAUSTIVE_BUDGET = 10 ** 6
 
-
-@dataclass(frozen=True)
-class DetectionResult:
-    real_symbols: np.ndarray
-    group_metrics: tuple
+#: the equivalent channel under the name the batched pipeline uses
+#: (``bench/run.py`` times it as ``decoder.equivalent_channel_batch``)
+equivalent_channel_batch = equivalent_channel
 
 
 def group_candidates(constellation: Constellation, size: int) -> np.ndarray:
@@ -44,70 +44,23 @@ def group_candidates(constellation: Constellation, size: int) -> np.ndarray:
     return np.array(list(itertools.product(levels, repeat=size)))
 
 
-def grouped_ml_detect(code: CodeDefinition, constellation: Constellation,
-                      h, received, rho: float) -> DetectionResult:
-    """Group-wise ML detection of one received block.
-
-    ``h`` is the complex (Nt, Nr) channel, ``received`` the real stacked
-    vector of length 2*T*Nr, ``rho`` the SNR of the transmission model.
-    """
-    r = np.asarray(received, dtype=np.float64)
-    h = as_channel(h)
-    if r.shape != (2 * code.T * h.shape[1],):
-        raise ValueError(
-            f"received vector has shape {r.shape}, expected "
-            f"({2 * code.T * h.shape[1]},)"
-        )
-    H = equivalent_channel(code, h)
-    gram = H.T @ H
-    z = H.T @ r
-    factor = math.sqrt(rho / code.nt)
-
-    decided = np.empty(2 * code.K)
-    metrics = []
-    for group in code.grouping:
-        idx = [p - 1 for p in group]
-        cands = group_candidates(constellation, len(group))
-        sub = gram[np.ix_(idx, idx)]
-        vals = factor * np.einsum("ci,ij,cj->c", cands, sub, cands) \
-            - 2.0 * cands @ z[idx]
-        k = int(np.argmin(vals))
-        decided[idx] = cands[k]
-        metrics.append(float(vals[k]))
-    return DetectionResult(real_symbols=decided, group_metrics=tuple(metrics))
-
-
-def grouped_ml_detect_batch(code: CodeDefinition, constellation: Constellation,
-                            h_batch: np.ndarray, received_batch: np.ndarray,
-                            rho: float,
-                            stack: np.ndarray = None) -> np.ndarray:
-    """Vectorised grouped detection over a batch of independent blocks.
-
-    ``h_batch`` has shape (n, Nt, Nr) and ``received_batch`` (n, 2*T*Nr);
-    returns decided rails of shape (n, 2K). Decisions are identical to
-    :func:`grouped_ml_detect` applied row by row.
-    """
-    if stack is None:
-        stack = expansion_stack(code)
-    H = equivalent_channel_batch(code, h_batch, stack)
-    return detect_from_equivalent_batch(code, constellation, H,
-                                        received_batch, rho)
-
-
-def equivalent_channel_batch(code: CodeDefinition, h_batch: np.ndarray,
-                             stack: np.ndarray) -> np.ndarray:
-    """Equivalent channels (n, 2*T*Nr, 2K) for a batch of (Nt, Nr) channels."""
-    n, _, nr = h_batch.shape
-    rails = np.concatenate([h_batch.real, h_batch.imag], axis=1)  # (n, 2Nt, Nr)
-    cols = np.einsum("ptm,bmi->bitp", stack, rails)               # (n, Nr, 2T, 2K)
-    return cols.reshape(n, nr * 2 * code.T, 2 * code.K)
-
-
 def detect_from_equivalent_batch(code: CodeDefinition,
                                  constellation: Constellation,
                                  H: np.ndarray, received_batch: np.ndarray,
                                  rho: float) -> np.ndarray:
-    """Grouped detection given precomputed equivalent channels."""
+    """Grouped ML detection of a batch of independent blocks.
+
+    ``H`` holds the equivalent channels, shape (n, 2*T*Nr, 2K), and
+    ``received_batch`` the stacked received vectors, shape (n, 2*T*Nr);
+    ``rho`` is the SNR of the transmission model. Returns the decided rails,
+    shape (n, 2K). Each row's decision depends only on that row.
+    """
+    received_batch = np.asarray(received_batch, dtype=np.float64)
+    if received_batch.shape != H.shape[:2]:
+        raise ValueError(
+            f"received batch has shape {received_batch.shape}, expected "
+            f"{H.shape[:2]}"
+        )
     n = H.shape[0]
     gram = np.einsum("btp,btq->bpq", H, H)
     z = np.einsum("btp,bt->bp", H, received_batch)
@@ -126,22 +79,23 @@ def detect_from_equivalent_batch(code: CodeDefinition,
 
 def exhaustive_ml_detect(code: CodeDefinition, constellation: Constellation,
                          h, received, rho: float,
-                         budget: int = EXHAUSTIVE_BUDGET) -> DetectionResult:
-    """Oracle ML: minimise the residual over all M^K codewords."""
+                         budget: int = EXHAUSTIVE_BUDGET) -> np.ndarray:
+    """Oracle ML for one block: minimise the residual over all M^K codewords.
+
+    ``h`` is the complex (Nt, Nr) channel and ``received`` the stacked
+    vector of length 2*T*Nr; returns the decided rails (2K,).
+    """
     count = constellation.order ** code.K
     if count > budget:
         raise ValueError(
             f"exhaustive search over {count} codewords exceeds budget {budget}"
         )
     r = np.asarray(received, dtype=np.float64)
-    H = equivalent_channel(code, as_channel(h))
+    H = equivalent_channel(code, h)
     cands = group_candidates(constellation, 2 * code.K)
     resid = r[None, :] - math.sqrt(rho / code.nt) * cands @ H.T
     vals = np.einsum("ct,ct->c", resid, resid)
-    k = int(np.argmin(vals))
-    return DetectionResult(
-        real_symbols=cands[k], group_metrics=(float(vals[k]),)
-    )
+    return cands[int(np.argmin(vals))]
 
 
 # --------------------------------------------------------------------------

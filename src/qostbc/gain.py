@@ -13,7 +13,6 @@ Searches enumerate integer multiplier patterns and scale by d_min at report
 time (the determinant is homogeneous of degree 2*Nt in the deltas).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from . import transforms
 from .catalog import CodeDefinition, build
-from .linalg import determinant
 from .modem import Constellation, make_qam
 
 #: a minimum determinant below this is treated as rank-deficient (no diversity)
@@ -29,6 +27,9 @@ FULL_DIVERSITY_TOL = 1e-9
 
 #: largest pattern count the exhaustive scopes will enumerate
 PATTERN_BUDGET = 10_000_000
+
+#: largest number of patterns enumerated and scored at once
+PATTERN_CHUNK = 65536
 
 #: the two-rail groups of the four-antenna family, in closed-form pair order
 PAIRS_4ANT = ((1, 4), (2, 3), (5, 8), (6, 7))
@@ -52,9 +53,7 @@ def distance_det(code: CodeDefinition, deltas) -> float:
         raise ValueError(
             f"error pattern has shape {d.shape}, expected ({2 * code.K},)"
         )
-    dc = np.einsum("p,ptn->tn", d, code.dispersion)
-    value = determinant(dc.conj().T @ dc)
-    return float(value.real)
+    return float(_batched_dets(code.dispersion, d[None])[0])
 
 
 def q4lt_det_closed_form(deltas, theta: float) -> float:
@@ -110,28 +109,48 @@ def _multipliers(constellation: Constellation) -> np.ndarray:
     return np.arange(-top, top + 1)
 
 
-def _group_patterns(n_rails: int, group, mult) -> np.ndarray:
-    """All nonzero integer patterns supported on one group, lexicographic."""
-    pats = np.array(
-        [p for p in itertools.product(mult, repeat=len(group))
-         if any(v != 0 for v in p)],
-        dtype=np.float64,
-    )
-    full = np.zeros((len(pats), n_rails))
-    full[:, [r - 1 for r in group]] = pats
-    return full
+def _patterns(mult: np.ndarray, n_rails: int, rails=None):
+    """Yield the nonzero multiplier patterns supported on ``rails``.
+
+    ``rails`` lists 0-based rail indices (all ``n_rails`` by default); the
+    first listed rail varies slowest. Patterns come as float rows of width
+    ``n_rails`` in lexicographic order, decoded from mixed-radix indices in
+    chunks of at most PATTERN_CHUNK rows, one column at a time.
+    """
+    rails = range(n_rails) if rails is None else rails
+    base = len(mult)
+    total = base ** len(rails)
+    zero = total // 2  # every digit at the middle multiplier, 0
+    for lo in range(0, total, PATTERN_CHUNK):
+        index = np.arange(lo, min(lo + PATTERN_CHUNK, total))
+        index = index[index != zero]
+        rows = np.zeros((len(index), n_rails))
+        for rail in reversed(rails):
+            index, digit = np.divmod(index, base)
+            rows[:, rail] = mult[digit]
+        yield rows
 
 
-def _batched_dets(stack: np.ndarray, coeffs: np.ndarray,
-                  chunk: int = 65536) -> np.ndarray:
+def _batched_dets(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Gram determinants of sum_p coeffs[r, p] * A_p for every row r."""
     out = np.empty(len(coeffs))
-    for lo in range(0, len(coeffs), chunk):
-        c = coeffs[lo:lo + chunk]
+    for lo in range(0, len(coeffs), PATTERN_CHUNK):
+        c = coeffs[lo:lo + PATTERN_CHUNK]
         dc = np.einsum("rp,ptn->rtn", c, stack)
         gram = np.einsum("rtm,rtn->rmn", dc.conj(), dc)
-        out[lo:lo + chunk] = np.linalg.det(gram).real
+        out[lo:lo + PATTERN_CHUNK] = np.linalg.det(gram).real
     return out
+
+
+def _min_pattern(stack: np.ndarray, chunks):
+    """Smallest determinant over pattern chunks and its first argmin row."""
+    best_val, best_pat = math.inf, None
+    for coeffs in chunks:
+        dets = _batched_dets(stack, coeffs)
+        k = int(np.argmin(dets))
+        if dets[k] < best_val:
+            best_val, best_pat = float(dets[k]), coeffs[k]
+    return best_val, best_pat
 
 
 @dataclass(frozen=True)
@@ -168,19 +187,8 @@ def min_det_search(code: CodeDefinition, constellation: Constellation,
         count = len(mult) ** n - 1
         if count > budget:
             raise PatternBudgetError(count, budget)
-        best_val, best_pat = math.inf, None
-        stack = code.dispersion
-        buf = []
-        for pat in itertools.product(mult, repeat=n):
-            if any(v != 0 for v in pat):
-                buf.append(pat)
-            if len(buf) == 65536:
-                best_val, best_pat = _scan(stack, np.array(buf, float),
-                                           best_val, best_pat)
-                buf = []
-        if buf:
-            best_val, best_pat = _scan(stack, np.array(buf, float),
-                                       best_val, best_pat)
+        best_val, best_pat = _min_pattern(code.dispersion,
+                                          _patterns(mult, n))
         return MinDetReport(
             scope="full",
             min_det=best_val * scale,
@@ -193,13 +201,13 @@ def min_det_search(code: CodeDefinition, constellation: Constellation,
 
     per_group = []
     for group in code.grouping:
-        coeffs = _group_patterns(n, group, mult)
-        dets = _batched_dets(code.dispersion, coeffs)
-        k = int(np.argmin(dets))
+        val, pat = _min_pattern(
+            code.dispersion, _patterns(mult, n, [r - 1 for r in group])
+        )
         per_group.append(GroupMinimum(
             group=tuple(group),
-            min_det=float(dets[k]) * scale,
-            argmin=coeffs[k] * constellation.d_min,
+            min_det=val * scale,
+            argmin=pat * constellation.d_min,
         ))
     best = min(per_group, key=lambda g: (g.min_det, tuple(g.argmin)))
     return MinDetReport(
@@ -208,18 +216,6 @@ def min_det_search(code: CodeDefinition, constellation: Constellation,
         argmin=best.argmin,
         per_group=tuple(per_group),
     )
-
-
-def _scan(stack, coeffs, best_val, best_pat):
-    dets = _batched_dets(stack, coeffs)
-    k = int(np.argmin(dets))
-    if dets[k] < best_val or (
-        dets[k] == best_val
-        and best_pat is not None
-        and tuple(coeffs[k]) < tuple(best_pat)
-    ):
-        return float(dets[k]), coeffs[k]
-    return best_val, best_pat
 
 
 @dataclass(frozen=True)
@@ -263,10 +259,13 @@ def theta_grid_search(constellation: Constellation, step_deg: float = 0.01,
     evaluated numerically (batched Gram determinants on the base dispersion
     stack; the pair mixing only rotates the error coefficients).
     """
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"angle step {step_deg} must be positive and finite")
     base = build("Q4")
     mult = _multipliers(constellation)
     coeffs = np.vstack([
-        _group_patterns(8, group, mult) for group in PAIRS_4ANT
+        rows for group in PAIRS_4ANT
+        for rows in _patterns(mult, 8, [r - 1 for r in group])
     ])
     scale = constellation.d_min ** 8
     thetas = np.arange(lo_deg, hi_deg + step_deg / 2, step_deg)
@@ -337,10 +336,21 @@ def _det_factor_forms(sub_stack: np.ndarray):
     return forms
 
 
-def _form_min_dets(forms: np.ndarray, coeffs: np.ndarray) -> float:
-    """Minimum factored determinant over coefficient rows."""
-    q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
-    return float((np.prod(q, axis=1) ** 2).min())
+def _subset_min_det(sub_stack: np.ndarray):
+    """Return ``coeffs -> min det`` over coefficient rows of a rail subset.
+
+    The function evaluates the subset's factor forms when it has them and
+    falls back to batched determinants on ``sub_stack`` otherwise.
+    """
+    forms = _det_factor_forms(sub_stack)
+    if forms is None:
+        return lambda coeffs: float(_batched_dets(sub_stack, coeffs).min())
+
+    def min_det(coeffs: np.ndarray) -> float:
+        q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
+        return float((np.prod(q, axis=1) ** 2).min())
+
+    return min_det
 
 
 def _t8_objective(constellation: Constellation):
@@ -355,29 +365,15 @@ def _t8_objective(constellation: Constellation):
     base = build("T8")
     mult = _multipliers(constellation)
     scale = constellation.d_min ** (2 * base.nt)
-    stack = base.dispersion
     groups = []
     for group in base.grouping:
         idx = np.array([r - 1 for r in group])
-        pats = np.array(
-            [p for p in itertools.product(mult, repeat=len(group))
-             if any(v != 0 for v in p)],
-            dtype=np.float64,
-        )
-        forms = _det_factor_forms(stack[idx])
-        groups.append((idx, pats, forms))
+        pats = np.vstack(list(_patterns(mult, len(group))))
+        groups.append((pats, _subset_min_det(base.dispersion[idx])))
 
     def objective(angles) -> float:
         mix = transforms.givens_4d(list(angles))
-        worst = math.inf
-        for idx, pats, forms in groups:
-            rot = pats @ mix
-            if forms is not None:
-                worst = min(worst, _form_min_dets(forms, rot))
-            else:
-                full = np.zeros((len(rot), 2 * base.K))
-                full[:, idx] = rot
-                worst = min(worst, _batched_dets(stack, full).min())
+        worst = min(min_det(pats @ mix) for pats, min_det in groups)
         worst *= scale
         if worst <= FULL_DIVERSITY_TOL:
             return 0.0
@@ -425,6 +421,8 @@ def search_t8_angles(starts: int = 64, seed: int = 0, sweeps: int = 3,
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     objective = _t8_objective(make_qam(4))
     half_pi = math.pi / 2
 
@@ -483,26 +481,20 @@ def search_t8_cr_steps(coarse_deg: float = 2.5,
     top_deg = 30.0 - fine_deg  # keep 3d strictly inside [0, 90) degrees
 
     # rotating a family's symbols merges its real and imaginary rail groups;
-    # precompute each merged group's factor forms and pattern set
+    # precompute the merged groups' pattern set and min-det functions
     merged = []
-    mult = _multipliers(qam)
+    pats = np.vstack(list(_patterns(_multipliers(qam), 8)))
     for family in families:
         rails = tuple(sorted(family + tuple(8 + q for q in family)))
         idx = np.array([r - 1 for r in rails])
-        pats = np.array(
-            [p for p in itertools.product(mult, repeat=8)
-             if any(v != 0 for v in p)],
-            dtype=np.float64,
-        )
-        forms = _det_factor_forms(base.dispersion[idx])
         pos = {r: i for i, r in enumerate(rails)}
-        merged.append((family, rails, idx, pats, forms, pos))
+        merged.append((family, pos, _subset_min_det(base.dispersion[idx])))
     scale = qam.d_min ** (2 * base.nt)
 
     def evaluate(d1: float, d2: float):
         angles = {}
         worst = math.inf
-        for (family, rails, idx, pats, forms, pos), step in zip(merged, (d1, d2)):
+        for (family, pos, min_det), step in zip(merged, (d1, d2)):
             rot_map = np.eye(8)
             for k, sym in enumerate(family):
                 angles[sym] = k * step
@@ -511,13 +503,7 @@ def search_t8_cr_steps(coarse_deg: float = 2.5,
                 rot_map[i, i] = rot_map[j, j] = c
                 rot_map[i, j] = s
                 rot_map[j, i] = -s
-            coeffs = pats @ rot_map
-            if forms is not None:
-                worst = min(worst, _form_min_dets(forms, coeffs))
-            else:
-                full = np.zeros((len(coeffs), 2 * base.K))
-                full[:, idx] = coeffs
-                worst = min(worst, _batched_dets(base.dispersion, full).min())
+            worst = min(worst, min_det(pats @ rot_map))
         worst *= scale
         zeta = 0.0 if worst <= FULL_DIVERSITY_TOL else _zeta(worst, base.nt, base.T)
         return zeta, tuple(angles[s] for s in range(1, 9))

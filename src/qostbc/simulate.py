@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import equivalent_channel, expansion_stack
 from .catalog import CodeDefinition, build
-from .decoder import detect_from_equivalent_batch, equivalent_channel_batch
+from .decoder import detect_from_equivalent_batch
 from .modem import Constellation, make_qam, modulation_name
 
 #: codewords simulated per deterministic chunk
@@ -43,15 +43,16 @@ def draw_channel(rng: np.random.Generator, nt: int, nr: int = 1) -> np.ndarray:
             + 1j * rng.standard_normal((nt, nr))) / math.sqrt(2.0)
 
 
-def transmit(code: CodeDefinition, real_symbols, h, rho: float,
-             rng: np.random.Generator, noise: bool = True) -> np.ndarray:
-    """Send one codeword through a channel realisation; returns stacked rails."""
-    s = np.asarray(real_symbols, dtype=np.float64)
-    H = equivalent_channel(code, h)
-    r = math.sqrt(rho / code.nt) * (H @ s)
-    if noise:
-        r = r + rng.standard_normal(H.shape[0]) * math.sqrt(0.5)
-    return r
+def transmit(code: CodeDefinition, H: np.ndarray, real_symbols: np.ndarray,
+             rho: float, noise: np.ndarray) -> np.ndarray:
+    """Send a batch of codewords: r = sqrt(rho/Nt) * H s + noise.
+
+    ``H`` holds the equivalent channels (n, 2*T*Nr, 2K), ``real_symbols``
+    the rails (n, 2K) and ``noise`` the stacked noise (n, 2*T*Nr), drawn by
+    the caller with variance 0.5 per rail; returns the received batch.
+    """
+    scale = math.sqrt(rho / code.nt)
+    return scale * np.einsum("btp,bp->bt", H, real_symbols) + noise
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.nr < 1:
+            raise ValueError("nr must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
     noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
 
     s = constellation.modulate(bits)
-    H = equivalent_channel_batch(code, h, stack)
-    r = math.sqrt(rho / code.nt) * np.einsum("btp,bp->bt", H, s) + noise
+    H = equivalent_channel(code, h, stack)
+    r = transmit(code, H, s, rho, noise)
     decided = detect_from_equivalent_batch(code, constellation, H, r, rho)
     errors = constellation.demap(decided) != bits
     per_frame = errors.sum(axis=1)

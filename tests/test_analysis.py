@@ -3,11 +3,13 @@ regressions, and the matched-filter Gram structure."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qostbc import analysis
+from qostbc.analysis import real_expansion
 from qostbc.catalog import build
 from qostbc.decoder import matched_filter_terms
-from qostbc.linalg import real_expansion
 
 # non-orthogonal (X) cells of the pair-check table for the base
 # four-antenna code, 1-based column indices per row
@@ -115,6 +117,50 @@ def test_skew_quadratic_form_vanishes():
             assert abs(v @ m @ v) <= max(bound, 1e-15)
 
 
+def random_complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+class TestRealExpansion:
+    def test_imaginary_unit(self):
+        assert np.array_equal(real_expansion([[1j]]),
+                              [[0.0, -1.0], [1.0, 0.0]])
+
+    def test_identity(self):
+        assert np.array_equal(real_expansion(np.eye(4)), np.eye(8))
+
+    def test_real_matrix_block_diagonal(self):
+        a4 = build("Q4").dispersion[3]  # purely real
+        out = real_expansion(a4)
+        assert np.array_equal(out[:4, :4], a4.real)
+        assert np.array_equal(out[4:, 4:], a4.real)
+        assert np.all(out[:4, 4:] == 0) and np.all(out[4:, :4] == 0)
+
+
+# hypothesis draws a seed; the matrices come from a seeded generator so the
+# cases shrink to reproducible examples
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_real_expansion_is_ring_homomorphism(seed):
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, 3, 4)
+    b = random_complex(rng, 4, 2)
+    lhs = real_expansion(a @ b)
+    rhs = real_expansion(a) @ real_expansion(b)
+    assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6))
+def test_expansion_determinant_is_squared_magnitude(seed, n):
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, n, n)
+    det_a = np.linalg.det(a)
+    det_exp = np.linalg.det(real_expansion(a))
+    assert det_exp.real == pytest.approx(abs(det_a) ** 2, rel=1e-9)
+    assert abs(det_exp.imag) < 1e-9 * abs(det_a) ** 2 + 1e-12
+
+
 class TestEquivalentChannel:
     def test_unit_channel_selects_first_columns(self):
         code = build("Q4")
@@ -139,6 +185,16 @@ class TestEquivalentChannel:
         h = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
         H = analysis.equivalent_channel(code, h)
         assert H.shape == (2 * 8 * 2, 12)
+
+    def test_batch_matches_single(self):
+        code = build("T8_CR")
+        rng = np.random.default_rng(19)
+        h = rng.standard_normal((16, 8, 2)) + 1j * rng.standard_normal((16, 8, 2))
+        batch = analysis.equivalent_channel(code, h)
+        assert batch.shape == (16, 2 * 8 * 2, 16)
+        for i in range(16):
+            assert np.array_equal(batch[i],
+                                  analysis.equivalent_channel(code, h[i]))
 
     def test_matched_filter_reproduces_metric_terms(self):
         # H^T r equals the real/imaginary parts of the per-symbol matched

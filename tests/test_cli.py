@@ -203,6 +203,28 @@ class TestErrors:
         assert err.strip()
 
 
+SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--snr", "0:2:4", "--nr", "0"],
+    SIMULATE + ["--snr", "0:2:4", "--nr", "-1"],
+    SIMULATE + ["--snr", "0:1:inf"],
+    SIMULATE + ["--snr", "0:nan:4"],
+    ["sweep-theta", "--mod", "4qam", "--step", "0"],
+    ["sweep-theta", "--mod", "4qam", "--step", "-1"],
+    ["sweep-theta", "--mod", "4qam", "--step", "nan"],
+    ["search-t8", "--starts", "1", "--workers", "0"],
+    ["search-t8", "--starts", "1", "--workers", "-1"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_bad_input_exits_one_without_output(capsys, tmp_path, argv):
+    out = tmp_path / "out.txt"
+    status, _, err = run_cli(capsys, argv + ["--out", str(out)])
+    assert status == 1
+    assert err.strip() and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_passes(capsys):
     status, out, _ = run_cli(capsys, ["verify"])
     assert status == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qostbc import simulate
+from qostbc.analysis import equivalent_channel
 from qostbc.catalog import build
 from qostbc.modem import make_qam
 
@@ -27,17 +28,21 @@ class TestChannelDraws:
         assert np.array_equal(a, b)
 
 
+def send(code, s, h, rho, noise):
+    """Transmit one codeword as a batch of one."""
+    H = equivalent_channel(code, h)
+    return simulate.transmit(code, H[None], s[None], rho, noise[None])[0]
+
+
 class TestTransmit:
     def test_noiseless_is_scaled_equivalent_channel(self):
-        from qostbc.analysis import equivalent_channel
-
         code = build("Q4")
         qam = make_qam(4)
         rng = np.random.default_rng(3)
         h = simulate.draw_channel(rng, 4, 1)
         s = qam.modulate(rng.integers(0, 2, 8))
         rho = 7.0
-        r = simulate.transmit(code, s, h, rho, rng, noise=False)
+        r = send(code, s, h, rho, np.zeros(2 * code.T))
         H = equivalent_channel(code, h)
         assert np.allclose(r, np.sqrt(rho / 4) * (H @ s), atol=1e-14)
 
@@ -50,7 +55,8 @@ class TestTransmit:
         trials = 10000
         h = np.zeros((4, 1))  # zero channel isolates the noise
         for _ in range(trials):
-            r = simulate.transmit(code, s, h, 1.0, rng)
+            r = send(code, s, h, 1.0,
+                     rng.standard_normal(2 * code.T) * np.sqrt(0.5))
             total += float(r @ r)
         # stacked noise carries T*Nr units of energy per codeword
         assert total / trials == pytest.approx(code.T * 1, rel=0.02)
@@ -64,7 +70,7 @@ class TestTransmit:
         for _ in range(10000):
             h = simulate.draw_channel(rng, code.nt, 1)
             s = qam.modulate(rng.integers(0, 2, 8))
-            clean = simulate.transmit(code, s, h, 1.0, rng, noise=False)
+            clean = send(code, s, h, 1.0, np.zeros(2 * code.T))
             sig += float(clean @ clean)
             n = rng.standard_normal(2 * code.T) * np.sqrt(0.5)
             noi += float(n @ n)
@@ -79,6 +85,11 @@ class TestConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             simulate.SimConfig(code="Q4", modulation=4, snr_db=())
+
+    @pytest.mark.parametrize("nr", [0, -1])
+    def test_rejects_no_receive_antenna(self, nr):
+        with pytest.raises(ValueError, match="nr"):
+            simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,), nr=nr)
 
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError, match="positive"):
