@@ -7,9 +7,11 @@ graph are the code's symbol groups, and the real matched-filter Gram H^T H is
 block-diagonal along exactly that partition.
 
 :func:`equivalent_channel` is the package's single equivalent-channel
-implementation: one einsum over the real expansions of the dispersion
-matrices that takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike. The
-simulator, the detectors and the Gram checks all call it.
+implementation. It takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike
+and is one matrix product: the (n*Nr, 2Nt) channel rails (Re h, Im h) of
+every receive antenna times the code's real dispersion expansions laid out
+as a (2Nt, 2T*2K) matrix. The simulator, the detectors and the Gram checks
+all call it.
 
 Symbol/rail indices are 1-based everywhere (rails 1..K are the real parts of
 the K complex symbols, rails K+1..2K the imaginary parts), matching the
@@ -167,7 +169,9 @@ def equivalent_channel(code: "CodeDefinition", h,
     if stack is None:
         stack = expansion_stack(code)
     rails = np.concatenate([h.real, h.imag], axis=-2)       # (..., 2Nt, Nr)
-    cols = np.einsum("ptm,...mi->...itp", stack, rails)     # (..., Nr, 2T, 2K)
+    rails = np.swapaxes(rails, -1, -2).reshape(-1, 2 * code.nt)
+    weights = stack.transpose(2, 1, 0).reshape(2 * code.nt, -1)
+    cols = rails @ weights                                 # (n*Nr, 2T*2K)
     return cols.reshape(*h.shape[:-2], h.shape[-1] * 2 * code.T, 2 * code.K)
 
 

@@ -29,6 +29,9 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 
+#: most points an SNR grid may have (one Monte Carlo point each)
+MAX_SNR_POINTS = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -66,6 +69,10 @@ def _parse_snr(text: str):
         raise UsageError(f"snr grid {text!r} is not finite")
     if step <= 0 or stop < start:
         raise UsageError(f"snr grid {text!r} is not increasing")
+    if (stop + 1e-9 - start) / step >= MAX_SNR_POINTS:
+        raise UsageError(
+            f"snr grid {text!r} has more than {MAX_SNR_POINTS} points"
+        )
     grid = []
     value = start
     while value <= stop + 1e-9:
@@ -532,7 +539,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         print("run 'qostbc --help' for usage", file=sys.stderr)
         return EXIT_USAGE
-    except gain.PatternBudgetError as exc:
+    except (gain.PatternBudgetError, decoder.CandidateBudgetError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

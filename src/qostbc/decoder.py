@@ -9,39 +9,102 @@ independently by enumerating that group's PAM candidates:
 
     minimise  sqrt(rho/Nt) * s_g^T G_gg s_g - 2 z_g^T s_g
 
-which shares its argmin with the exact per-group ML metric. A single block
-is a batch of one. The exhaustive detector minimises the full residual
-||r - sqrt(rho/Nt) H s||^2 over every codeword of one block and exists as
-the oracle. Both break metric ties toward the lexicographically smallest
-candidate (candidates are enumerated over ascending PAM levels), so their
-decisions are comparable event by event.
+which shares its argmin with the exact per-group ML metric. The metric is
+linear in the g(g+1)/2 upper-triangle Gram entries and the g matched-filter
+entries of a group, so one matrix product scores every candidate of every
+frame: the (n, g(g+1)/2 + g) weights [sqrt(rho/Nt) G_ij (i <= j), -2 z_g]
+times a (g(g+1)/2 + g, C) feature matrix whose rows are the pair products
+s_i s_j (doubled off the diagonal) followed by the candidate rails. The
+candidates and their features depend only on the PAM levels and the group
+size; they are built once per process and cached as read-only arrays.
+
+Memory is bounded twice. A group may have at most
+:data:`GROUP_CANDIDATE_CAP` candidates (:class:`CandidateBudgetError`
+otherwise), and frames are scored in blocks whose (frames, C) float64
+metric stays within :data:`METRIC_BLOCK_BYTES`. Each frame's decision
+depends only on its own row, so the blocking never changes a decision.
+
+A single block is a batch of one. The exhaustive detector minimises the full
+residual ||r - sqrt(rho/Nt) H s||^2 over every codeword of one block and
+exists as the oracle. Both break metric ties toward the lexicographically
+smallest candidate (candidates are enumerated over ascending PAM levels), so
+their decisions are comparable event by event.
 
 The closed-form per-group metrics of the four-antenna mixed and rotated
 codes are implemented from the matched-filter terms of the code matrices
 and cross-checked against the grouped detector in the tests.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .analysis import equivalent_channel
+from .analysis import equivalent_channel, joint_detection_size
 from .catalog import CodeDefinition
 from .modem import Constellation
 
 #: candidate budget guard for the exhaustive oracle
 EXHAUSTIVE_BUDGET = 10 ** 6
 
+#: most candidates one symbol group may enumerate in grouped detection
+GROUP_CANDIDATE_CAP = 2 ** 16
+
+#: largest (frames, candidates) float64 metric block scored at once
+METRIC_BLOCK_BYTES = 64 * 2 ** 20
+
 #: the equivalent channel under the name the batched pipeline uses
 #: (``bench/run.py`` times it as ``decoder.equivalent_channel_batch``)
 equivalent_channel_batch = equivalent_channel
+
+
+class CandidateBudgetError(ValueError):
+    """Raised when a symbol group has more ML candidates than the cap."""
+
+    def __init__(self, count: int, cap: int = GROUP_CANDIDATE_CAP):
+        super().__init__(
+            f"grouped detection of {count} candidates per group exceeds "
+            f"cap {cap}"
+        )
+        self.count = count
+        self.cap = cap
 
 
 def group_candidates(constellation: Constellation, size: int) -> np.ndarray:
     """All PAM candidate sub-vectors for a group, lexicographically ascending."""
     levels = np.sort(constellation.pam_levels)
     return np.array(list(itertools.product(levels, repeat=size)))
+
+
+def check_candidate_budget(code: CodeDefinition,
+                           constellation: Constellation) -> None:
+    """Raise :class:`CandidateBudgetError` when the largest symbol group of
+    ``code`` has more than :data:`GROUP_CANDIDATE_CAP` candidates."""
+    count = constellation.levels_per_rail ** joint_detection_size(code)
+    if count > GROUP_CANDIDATE_CAP:
+        raise CandidateBudgetError(count)
+
+
+# Keyed by (PAM levels, group size); the cap bounds both, so the cache holds
+# a handful of entries of at most a few tens of MiB.
+@functools.lru_cache(maxsize=None)
+def _candidate_tables(levels: tuple, size: int):
+    """Read-only (candidates (C, g), features (g(g+1)/2 + g, C)) of a group."""
+    cands = np.array(list(itertools.product(levels, repeat=size)))
+    rows, cols = np.triu_indices(size)
+    pairs = cands[:, rows] * cands[:, cols]
+    pairs[:, rows != cols] *= 2.0
+    features = np.ascontiguousarray(np.concatenate([pairs, cands], axis=1).T)
+    cands.flags.writeable = False
+    features.flags.writeable = False
+    return cands, features
+
+
+def candidate_tables(constellation: Constellation, size: int):
+    """Cached read-only candidates and metric features of a ``size``-rail
+    group; the candidates equal :func:`group_candidates`."""
+    return _candidate_tables(tuple(np.sort(constellation.pam_levels)), size)
 
 
 def detect_from_equivalent_batch(code: CodeDefinition,
@@ -61,19 +124,24 @@ def detect_from_equivalent_batch(code: CodeDefinition,
             f"received batch has shape {received_batch.shape}, expected "
             f"{H.shape[:2]}"
         )
+    check_candidate_budget(code, constellation)
     n = H.shape[0]
-    gram = np.einsum("btp,btq->bpq", H, H)
+    gram = np.swapaxes(H, 1, 2) @ H
     z = np.einsum("btp,bt->bp", H, received_batch)
     factor = math.sqrt(rho / code.nt)
 
     decided = np.empty((n, 2 * code.K))
     for group in code.grouping:
-        idx = [p - 1 for p in group]
-        cands = group_candidates(constellation, len(group))
-        sub = gram[np.ix_(np.arange(n), idx, idx)]
-        quad = np.einsum("ci,bij,cj->bc", cands, sub, cands)
-        vals = factor * quad - 2.0 * z[:, idx] @ cands.T
-        decided[:, idx] = cands[np.argmin(vals, axis=1)]
+        idx = np.array(group) - 1
+        cands, features = candidate_tables(constellation, len(idx))
+        rows, cols = np.triu_indices(len(idx))
+        weights = np.concatenate(
+            [factor * gram[:, idx[rows], idx[cols]], -2.0 * z[:, idx]], axis=1
+        )
+        block = max(1, METRIC_BLOCK_BYTES // (8 * len(cands)))
+        for start in range(0, n, block):
+            best = np.argmin(weights[start:start + block] @ features, axis=1)
+            decided[start:start + block, idx] = cands[best]
     return decided
 
 

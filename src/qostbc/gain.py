@@ -31,6 +31,9 @@ PATTERN_BUDGET = 10_000_000
 #: largest number of patterns enumerated and scored at once
 PATTERN_CHUNK = 65536
 
+#: most angles one theta sweep may evaluate
+MAX_THETA_POINTS = 10_000
+
 #: the two-rail groups of the four-antenna family, in closed-form pair order
 PAIRS_4ANT = ((1, 4), (2, 3), (5, 8), (6, 7))
 
@@ -261,6 +264,10 @@ def theta_grid_search(constellation: Constellation, step_deg: float = 0.01,
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"angle step {step_deg} must be positive and finite")
+    if (hi_deg - lo_deg) / step_deg + 0.5 > MAX_THETA_POINTS:
+        raise ValueError(
+            f"angle step {step_deg} gives more than {MAX_THETA_POINTS} angles"
+        )
     base = build("Q4")
     mult = _multipliers(constellation)
     coeffs = np.vstack([

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import equivalent_channel, expansion_stack
 from .catalog import CodeDefinition, build
-from .decoder import detect_from_equivalent_batch
+from .decoder import check_candidate_budget, detect_from_equivalent_batch
 from .modem import Constellation, make_qam, modulation_name
 
 #: codewords simulated per deterministic chunk
@@ -37,10 +37,13 @@ CSV_COLUMNS = ("code", "mod", "nr", "snr_db", "bits", "bit_errors", "ber",
                "frames", "frame_errors", "fer", "seed")
 
 
-def draw_channel(rng: np.random.Generator, nt: int, nr: int = 1) -> np.ndarray:
-    """One (Nt, Nr) matrix of unit-variance circular complex Gaussian gains."""
-    return (rng.standard_normal((nt, nr))
-            + 1j * rng.standard_normal((nt, nr))) / math.sqrt(2.0)
+def draw_channel(rng: np.random.Generator, nt: int, nr: int = 1,
+                 batch: int = None) -> np.ndarray:
+    """One (Nt, Nr) matrix of unit-variance circular complex Gaussian gains,
+    or a (batch, Nt, Nr) stack of independent ones."""
+    shape = (nt, nr) if batch is None else (batch, nt, nr)
+    return (rng.standard_normal(shape)
+            + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
 def transmit(code: CodeDefinition, H: np.ndarray, real_symbols: np.ndarray,
@@ -118,8 +121,7 @@ def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
     """Simulate n codewords; returns (bit_errors, frame_errors, bits)."""
     bps = constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=(n, code.K * bps))
-    h = (rng.standard_normal((n, code.nt, nr))
-         + 1j * rng.standard_normal((n, code.nt, nr))) / math.sqrt(2.0)
+    h = draw_channel(rng, code.nt, nr, batch=n)
     noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
 
     s = constellation.modulate(bits)
@@ -160,10 +162,13 @@ def run_ber(config: SimConfig) -> BerCurve:
     Each SNR point loops deterministic chunks (draw channel, random bits,
     modulate, encode, transmit, grouped ML detection, demap, count) until
     the bit-error or channel-use budget is met. Workers parallelise across
-    SNR points; the curve is bit-identical for any worker count.
+    SNR points; the curve is bit-identical for any worker count. Raises
+    :class:`~qostbc.decoder.CandidateBudgetError` before any chunk runs when
+    a symbol group has too many candidates for grouped detection.
     """
     code = build(config.code)
     constellation = make_qam(config.modulation)
+    check_candidate_budget(code, constellation)
     stack = expansion_stack(code)
     indices = range(len(config.snr_db))
     if config.workers > 1:

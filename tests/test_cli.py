@@ -216,12 +216,25 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
     ["sweep-theta", "--mod", "4qam", "--step", "nan"],
     ["search-t8", "--starts", "1", "--workers", "0"],
     ["search-t8", "--starts", "1", "--workers", "-1"],
+    SIMULATE + ["--snr", "0:1e-6:1"],
+    SIMULATE + ["--snr", "-1e308:1:1e308"],
+    ["sweep-theta", "--mod", "4qam", "--step", "1e-6"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_input_exits_one_without_output(capsys, tmp_path, argv):
     out = tmp_path / "out.txt"
     status, _, err = run_cli(capsys, argv + ["--out", str(out)])
     assert status == 1
     assert err.strip() and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_too_many_candidates_exits_three_without_output(capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    status, _, err = run_cli(capsys, ["simulate", "--code", "T8_CR", "--mod",
+                                      "64qam", "--snr", "0:2:4",
+                                      "--out", str(out)])
+    assert status == 3
+    assert "cap" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Detector tests: grouped vs exhaustive ML agreement and the closed-form
 metric cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,79 @@ class TestCandidateCounts:
         cands = decoder.group_candidates(QAM4, 2)
         as_tuples = [tuple(c) for c in cands]
         assert as_tuples == sorted(as_tuples)
+
+
+class TestMetricMemory:
+    @staticmethod
+    def batch(name, constellation, n, seed):
+        code = build(name)
+        rng = np.random.default_rng(seed)
+        h = draw_channel(rng, code.nt, 1, batch=n)
+        bits = rng.integers(0, 2, (n, code.K * constellation.bits_per_symbol))
+        H = equivalent_channel(code, h)
+        noise = rng.standard_normal((n, 2 * code.T)) * np.sqrt(0.5)
+        r = transmit(code, H, constellation.modulate(bits), 4.0, noise)
+        return code, H, r
+
+    @pytest.mark.parametrize("frames_per_block", [1, 1000])
+    def test_split_frames_decide_like_one_block(self, monkeypatch,
+                                                frames_per_block):
+        code, H, r = self.batch("T8_CR", QAM4, 4096, 41)
+        whole = decoder.detect_from_equivalent_batch(code, QAM4, H, r, 4.0)
+        monkeypatch.setattr(decoder, "METRIC_BLOCK_BYTES",
+                            frames_per_block * 256 * 8)
+        split = decoder.detect_from_equivalent_batch(code, QAM4, H, r, 4.0)
+        assert np.array_equal(split, whole)
+
+    def test_peak_memory_is_bounded(self):
+        qam = make_qam(16)
+        code, H, r = self.batch("T8_CR", qam, 512, 43)
+        tracemalloc.start()
+        try:
+            decoder.detect_from_equivalent_batch(code, qam, H, r, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2 ** 20
+
+    def test_cached_tables_are_read_only(self):
+        qam = make_qam(16)
+        cands, features = decoder.candidate_tables(qam, 4)
+        assert decoder.candidate_tables(qam, 4)[1] is features
+        assert np.array_equal(cands, decoder.group_candidates(qam, 4))
+        assert features.shape == (4 * 5 // 2 + 4, 256)
+        for table in (cands, features):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_features_score_the_grouped_metric(self):
+        # weights @ features == factor * s^T G s - 2 z^T s for every candidate
+        rng = np.random.default_rng(47)
+        a = rng.standard_normal((6, 3))
+        gram, z, factor = a.T @ a, rng.standard_normal(3), 0.7
+        cands, features = decoder.candidate_tables(QAM4, 3)
+        rows, cols = np.triu_indices(3)
+        weights = np.concatenate([factor * gram[rows, cols], -2.0 * z])
+        want = [factor * c @ gram @ c - 2.0 * z @ c for c in cands]
+        assert np.allclose(weights @ features, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, order, admitted", [
+        ("T8_CR", 16, True), ("Q4_CR", 256, True), ("T8_LT", 256, True),
+        ("T8_CR", 64, False), ("T8_CR", 256, False),
+    ])
+    def test_candidate_cap(self, name, order, admitted):
+        code, qam = build(name), make_qam(order)
+        if admitted:
+            decoder.check_candidate_budget(code, qam)
+            return
+        with pytest.raises(decoder.CandidateBudgetError, match="cap"):
+            decoder.check_candidate_budget(code, qam)
+        H = np.zeros((1, 2 * code.T, 2 * code.K))
+        with pytest.raises(decoder.CandidateBudgetError):
+            decoder.detect_from_equivalent_batch(code, qam, H,
+                                                 np.zeros((1, 2 * code.T)),
+                                                 1.0)
 
 
 class TestClosedFormMetrics:

@@ -4,7 +4,7 @@ determinism, and the curve-analysis helpers."""
 import numpy as np
 import pytest
 
-from qostbc import simulate
+from qostbc import decoder, simulate
 from qostbc.analysis import equivalent_channel
 from qostbc.catalog import build
 from qostbc.modem import make_qam
@@ -26,6 +26,13 @@ class TestChannelDraws:
         a = simulate.draw_channel(np.random.default_rng(7), 8, 2)
         b = simulate.draw_channel(np.random.default_rng(7), 8, 2)
         assert np.array_equal(a, b)
+
+    def test_batch_of_independent_draws(self):
+        h = simulate.draw_channel(np.random.default_rng(8), 4, 2, batch=6000)
+        assert h.shape == (6000, 4, 2)
+        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
+        corr = np.mean(h[:, 0, 0] * np.conj(h[:, 1, 1]))
+        assert abs(corr) < 0.05
 
 
 def send(code, s, h, rho, noise):
@@ -128,6 +135,33 @@ class TestRunBer:
                                  seed=3)
         curve = simulate.run_ber(cfg)
         assert curve.points[0].ber == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("code, order, nr, grid, counts", [
+        # detection-bound: 256 candidates per four-rail group
+        ("Q4_CR", 16, 1, (6.0, 12.0),
+         [(144000, 25531, 9000, 8342), (144000, 8199, 9000, 4299)]),
+        # channel-bound: two receive antennas, four candidates per group
+        ("T8_LT", 4, 2, (0.0, 6.0),
+         [(144000, 13657, 9000, 6816), (144000, 983, 9000, 872)]),
+    ])
+    def test_golden_counts(self, code, order, nr, grid, counts):
+        # exact counts recorded with the einsum kernels; two full chunks and
+        # one partial chunk per point, so any changed decision shows here
+        cfg = simulate.SimConfig(code=code, modulation=order, nr=nr,
+                                 snr_db=grid, min_bit_errors=10 ** 9,
+                                 max_channel_uses=9000, seed=5)
+        curve = simulate.run_ber(cfg)
+        assert [(p.bits, p.bit_errors, p.frames, p.frame_errors)
+                for p in curve.points] == counts
+
+    def test_candidate_cap_checked_before_any_chunk(self, monkeypatch):
+        def no_chunks(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr(simulate, "_simulate_chunk", no_chunks)
+        cfg = simulate.SimConfig(code="T8_CR", modulation=64, snr_db=(0.0,))
+        with pytest.raises(decoder.CandidateBudgetError):
+            simulate.run_ber(cfg)
 
     def test_budget_accounting(self):
         curve = simulate.run_ber(_small_config())
