@@ -32,6 +32,12 @@ EXIT_BUDGET = 3
 #: most points an SNR grid may have (one Monte Carlo point each)
 MAX_SNR_POINTS = 10_000
 
+#: most threads ``--workers`` may start
+MAX_WORKERS = 256
+
+#: most multi-start runs ``search-t8 --starts`` may ask for
+MAX_STARTS = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -58,6 +64,18 @@ def _write_artifact(path, text: str):
         if os.path.exists(path):
             os.unlink(path)
         raise
+
+
+def _count(name: str, cap: int):
+    """argparse type for an integer option that must lie in [1, cap]."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be between 1 and {cap}, got {value}"
+            )
+        return value
+    return parse
 
 
 def _parse_snr(text: str):
@@ -451,6 +469,8 @@ def run_ber_verification(workers: int = 1):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qostbc", description=__doc__.split("\n")[0])
+    workers = {"type": _count("workers", MAX_WORKERS),
+               "default": min(os.cpu_count() or 1, MAX_WORKERS)}
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="dump a code (or all) as JSON")
@@ -499,9 +519,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep_theta)
 
     p = sub.add_parser("search-t8", help="search the six 4-D mixing angles")
-    p.add_argument("--starts", type=int, default=64)
+    p.add_argument("--starts", type=_count("starts", MAX_STARTS), default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", **workers)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search_t8)
 
@@ -515,7 +535,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-errors", type=int, default=200)
     p.add_argument("--max-uses", type=int, default=2_000_000)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", **workers)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -524,7 +544,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ber", action="store_true",
                    help="also run the Monte Carlo relationship checks "
                         "(takes minutes)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", **workers)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -36,14 +36,13 @@ and cross-checked against the grouped detector in the tests.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .analysis import equivalent_channel, joint_detection_size
 from .catalog import CodeDefinition
-from .modem import Constellation
+from .modem import Constellation, lex_vectors
 
 #: candidate budget guard for the exhaustive oracle
 EXHAUSTIVE_BUDGET = 10 ** 6
@@ -73,8 +72,7 @@ class CandidateBudgetError(ValueError):
 
 def group_candidates(constellation: Constellation, size: int) -> np.ndarray:
     """All PAM candidate sub-vectors for a group, lexicographically ascending."""
-    levels = np.sort(constellation.pam_levels)
-    return np.array(list(itertools.product(levels, repeat=size)))
+    return lex_vectors(np.sort(constellation.pam_levels), size)
 
 
 def check_candidate_budget(code: CodeDefinition,
@@ -90,12 +88,19 @@ def check_candidate_budget(code: CodeDefinition,
 # a handful of entries of at most a few tens of MiB.
 @functools.lru_cache(maxsize=None)
 def _candidate_tables(levels: tuple, size: int):
-    """Read-only (candidates (C, g), features (g(g+1)/2 + g, C)) of a group."""
-    cands = np.array(list(itertools.product(levels, repeat=size)))
+    """Read-only (candidates (C, g), features (g(g+1)/2 + g, C)) of a group.
+
+    The features are filled row by row, so building them holds little
+    beyond the two tables themselves.
+    """
+    cands = lex_vectors(levels, size)
     rows, cols = np.triu_indices(size)
-    pairs = cands[:, rows] * cands[:, cols]
-    pairs[:, rows != cols] *= 2.0
-    features = np.ascontiguousarray(np.concatenate([pairs, cands], axis=1).T)
+    features = np.empty((len(rows) + size, len(cands)))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(cands[:, i], cands[:, j], out=features[k])
+        if i != j:
+            features[k] *= 2.0
+    features[len(rows):] = cands.T
     cands.flags.writeable = False
     features.flags.writeable = False
     return cands, features

@@ -89,6 +89,24 @@ class Constellation:
         return symbol_bits.reshape(*rails.shape[:-1], K * 2 * b)
 
 
+def lex_vectors(values: np.ndarray, width: int, index=None) -> np.ndarray:
+    """Rows of the lexicographic product ``values`` ** ``width``.
+
+    Row ``i`` is vector number ``index[i]`` of the product (all of them in
+    order by default), first column slowest, decoded from the
+    base-len(values) digits of the index one column at a time: the order of
+    ``itertools.product``.
+    """
+    values = np.asarray(values)
+    if index is None:
+        index = np.arange(len(values) ** width)
+    rows = np.empty((len(index), width))
+    for col in reversed(range(width)):
+        index, digit = np.divmod(index, len(values))
+        rows[:, col] = values[digit]
+    return rows
+
+
 def make_qam(order: int) -> Constellation:
     """Build the unit-energy square QAM constellation of the given order."""
     if order not in SUPPORTED_ORDERS:

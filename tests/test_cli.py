@@ -1,12 +1,13 @@
 """Command-line interface tests: artifacts, determinism, exit codes."""
 
+import concurrent.futures
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qostbc import cli
+from qostbc import cli, simulate
 
 
 def run_cli(capsys, argv):
@@ -219,13 +220,57 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
     SIMULATE + ["--snr", "0:1e-6:1"],
     SIMULATE + ["--snr", "-1e308:1:1e308"],
     ["sweep-theta", "--mod", "4qam", "--step", "1e-6"],
+    ["search-t8", "--workers", "1000000", "--starts", "1000000"],
+    ["search-t8", "--starts", "1", "--workers", "1000000"],
+    ["search-t8", "--starts", str(cli.MAX_STARTS + 1)],
+    SIMULATE + ["--snr", "0:2:4", "--workers", str(cli.MAX_WORKERS + 1)],
+    ["verify", "--ber", "--workers", "100000"],
 ], ids=lambda argv: " ".join(argv[-2:]))
-def test_bad_input_exits_one_without_output(capsys, tmp_path, argv):
+def test_bad_input_exits_one_without_output(capsys, monkeypatch, tmp_path,
+                                            argv):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("rejected input started a thread pool")
+
+    # a rejected value must never reach a thread pool, even a huge one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_threads)
     out = tmp_path / "out.txt"
-    status, _, err = run_cli(capsys, argv + ["--out", str(out)])
+    # verify writes no artifact and has no --out option
+    extra = [] if argv[0] == "verify" else ["--out", str(out)]
+    status, stdout, err = run_cli(capsys, argv + extra)
     assert status == 1
     assert err.strip() and "Traceback" not in err
+    assert stdout == ""
     assert not out.exists()
+
+
+def test_largest_counts_are_accepted():
+    args = cli.build_parser().parse_args(
+        ["search-t8", "--starts", str(cli.MAX_STARTS),
+         "--workers", str(cli.MAX_WORKERS)])
+    assert (args.starts, args.workers) == (cli.MAX_STARTS, cli.MAX_WORKERS)
+    assert 1 <= cli.build_parser().parse_args(["verify"]).workers \
+        <= cli.MAX_WORKERS
+
+
+#: ``divprod --code T8_CR --mod 16qam`` as printed by the unscreened scan,
+#: which scored all 2 x 5 764 800 error patterns with the exact determinant
+#: (114 s); the factor-form screen must reproduce it byte for byte
+T8_CR_16QAM_DIVPROD = """{
+  "code": "T8_CR",
+  "mod": "16qam",
+  "zeta": 0.0,
+  "full_diversity": false,
+  "min_det": 5.021352759028095e-14
+}
+"""
+
+
+def test_divprod_t8_cr_16qam_is_pinned(capsys):
+    status, out, _ = run_cli(capsys, ["divprod", "--code", "T8_CR",
+                                      "--mod", "16qam"])
+    assert status == 0
+    assert out == T8_CR_16QAM_DIVPROD
 
 
 def test_too_many_candidates_exits_three_without_output(capsys, tmp_path):

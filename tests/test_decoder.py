@@ -1,6 +1,7 @@
 """Detector tests: grouped vs exhaustive ML agreement and the closed-form
 metric cross-checks."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,24 @@ class TestMetricMemory:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+    def test_table_build_is_lean_and_unchanged(self):
+        # T8_CR at 16-QAM: 65 536 candidates of 8 rails, 26 MiB of tables
+        levels = tuple(np.sort(make_qam(16).pam_levels))
+        tracemalloc.start()
+        try:
+            cands, features = decoder._candidate_tables.__wrapped__(levels, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2 ** 20
+        want = np.array(list(itertools.product(levels, repeat=8)))
+        rows, cols = np.triu_indices(8)
+        pairs = want[:, rows] * want[:, cols]
+        pairs[:, rows != cols] *= 2.0
+        assert np.array_equal(cands, want)
+        assert np.array_equal(features,
+                              np.concatenate([pairs, want], axis=1).T)
 
     def test_features_score_the_grouped_metric(self):
         # weights @ features == factor * s^T G s - 2 z^T s for every candidate

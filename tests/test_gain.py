@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qostbc import gain, transforms
-from qostbc.catalog import build
+from qostbc.catalog import CODE_NAMES, build
 from qostbc.modem import make_qam
 
 QAM4 = make_qam(4)
@@ -215,3 +215,97 @@ class TestAngleSearches:
     def test_rejects_zero_starts(self):
         with pytest.raises(ValueError):
             gain.search_t8_angles(starts=0)
+
+
+def reference_min_pattern(stack, mult, rails):
+    """Unscreened scan: every nonzero pattern on ``rails`` scored with the
+    exact determinant kernel. Returns the minimum, the first argmin in
+    lexicographic order and the number of patterns attaining the minimum."""
+    grid = np.meshgrid(*[mult] * len(rails), indexing="ij")
+    rows = np.stack(grid, axis=-1).reshape(-1, len(rails)).astype(float)
+    rows = rows[np.any(rows != 0, axis=1)]
+    coeffs = np.zeros((len(rows), len(stack)))
+    coeffs[:, rails] = rows
+    dets = gain._batched_dets(stack, coeffs)
+    k = int(np.argmin(dets))
+    return float(dets[k]), coeffs[k], int(np.count_nonzero(dets == dets[k]))
+
+
+def reference_theta_sweep(constellation, step_deg):
+    """The angle sweep with every rotated pattern scored, one angle at a
+    time."""
+    base = build("Q4")
+    mult = gain._multipliers(constellation)
+    coeffs = np.vstack([
+        gain._embed(rows, [r - 1 for r in group], 8)
+        for group in gain.PAIRS_4ANT
+        for rows in gain._patterns(mult, len(group))
+    ])
+    thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
+    mins = np.empty(len(thetas))
+    for i, deg in enumerate(thetas):
+        c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+        rot = coeffs.copy()
+        for q, v in gain.PAIRS_4ANT:
+            rot[:, q - 1] = coeffs[:, q - 1] * c - coeffs[:, v - 1] * s
+            rot[:, v - 1] = coeffs[:, q - 1] * s + coeffs[:, v - 1] * c
+        mins[i] = gain._batched_dets(base.dispersion, rot).min()
+    return mins * constellation.d_min ** 8
+
+
+class TestScreenedSearch:
+    """The factor-form screen keeps every decision of the unscreened scan:
+    the same minimum determinant and the same first argmin, compared with
+    ``==``. Small enumerations are forced through the screen. T8_CR at
+    16-QAM (two groups of 5 764 800 patterns) is left to the pinned
+    ``divprod`` bytes in the CLI tests."""
+
+    @pytest.mark.parametrize("name, order", [
+        (name, order) for order in (4, 16) for name in CODE_NAMES
+        if (name, order) != ("T8_CR", 16)
+    ])
+    def test_within_group_matches_unscreened(self, monkeypatch, name, order):
+        monkeypatch.setattr(gain, "SCREEN_MIN_ROWS", 1)
+        code = build(name)
+        mult = gain._multipliers(make_qam(order))
+        ties = 0
+        for group in code.grouping:
+            rails = [r - 1 for r in group]
+            got_val, got_pat = gain._min_pattern(code.dispersion, mult, rails)
+            want_val, want_pat, count = reference_min_pattern(
+                code.dispersion, mult, rails)
+            assert got_val == want_val
+            assert np.array_equal(got_pat, want_pat)
+            ties = max(ties, count)
+        if name in ("Q4", "Q8", "T8"):
+            # rank-deficient: several patterns tie at the minimum, so the
+            # lexicographic tie-break is exercised
+            assert ties > 1
+
+    @pytest.mark.parametrize("name", ["Q4", "Q4_CR", "Q4_LT", "Q8_LT"])
+    def test_full_scope_matches_unscreened(self, name):
+        code = build(name)
+        mult = gain._multipliers(QAM4)
+        rails = list(range(2 * code.K))
+        assert len(mult) ** len(rails) - 1 >= gain.SCREEN_MIN_ROWS
+        got_val, got_pat = gain._min_pattern(code.dispersion, mult, rails)
+        want_val, want_pat, _ = reference_min_pattern(code.dispersion, mult,
+                                                      rails)
+        assert got_val == want_val
+        assert np.array_equal(got_pat, want_pat)
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_theta_sweep_matches_unscreened(self, monkeypatch, order):
+        monkeypatch.setattr(gain, "SCREEN_MIN_ROWS", 1)
+        qam = make_qam(order)
+        sweep = gain.theta_grid_search(qam, step_deg=1.0)
+        assert np.array_equal(sweep.min_dets, reference_theta_sweep(qam, 1.0))
+
+    def test_screen_keeps_few_rows_and_the_minimum(self):
+        code = build("Q8_LT")
+        forms = gain._det_factor_forms(code.dispersion)
+        rows = next(gain._patterns(gain._multipliers(QAM4), 2 * code.K))
+        keep = gain._near_min(forms, rows)
+        dets = gain._batched_dets(code.dispersion, rows)
+        assert keep[dets == dets.min()].all()
+        assert keep.sum() < len(rows) // 100
