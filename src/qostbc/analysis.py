@@ -124,18 +124,21 @@ def skew_symmetry_check(a_p, a_q, tol: float = QO_TOL) -> SkewSymmetryReport:
 
 
 def real_expansion(a) -> np.ndarray:
-    """Return the real block form [[Re, -Im], [Im, Re]] of a complex matrix.
+    """Return the real block form [[Re, -Im], [Im, Re]] of a complex matrix,
+    or of each matrix of a stack (..., m, k).
 
     The map is a ring homomorphism: the expansion of a product equals the
     product of the expansions, and det(expansion) == |det|^2.
     """
     a = np.asarray(a, dtype=np.complex128)
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+    return np.concatenate([np.concatenate([a.real, -a.imag], axis=-1),
+                           np.concatenate([a.imag, a.real], axis=-1)],
+                          axis=-2)
 
 
 def expansion_stack(code: "CodeDefinition") -> np.ndarray:
     """(2K, 2T, 2Nt) stack of the real expansions of the dispersion matrices."""
-    return np.array([real_expansion(a) for a in code.dispersion])
+    return real_expansion(code.dispersion)
 
 
 def as_channel(h) -> np.ndarray:

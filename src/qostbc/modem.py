@@ -70,23 +70,35 @@ class Constellation:
     def demap(self, real_symbols) -> np.ndarray:
         """Slice rails (..., 2K) back to bits (..., K*log2(M)).
 
-        Rail values are sliced to the nearest PAM level, so ML decisions
-        (which are exact constellation points) round-trip bit for bit.
+        Each rail goes to its nearest PAM level, a tie to the higher level,
+        so ML decisions (which are exact constellation points) round-trip
+        bit for bit. A rail is clipped to the outer levels and its level
+        index read off arithmetically, ceil((top - x) / d_min - 0.5); one
+        distance comparison with each neighbouring level then settles a rail
+        within rounding of a midpoint exactly as a nearest-level search
+        does.
         """
         rails = np.asarray(real_symbols, dtype=np.float64)
         if rails.shape[-1] == 0 or rails.shape[-1] % 2 != 0:
             raise ValueError(f"expected 2K rail values, got shape {rails.shape}")
+        if np.isnan(rails).any():
+            raise ValueError("rail values must not be NaN")
         K = rails.shape[-1] // 2
-        pos = np.argmin(
-            np.abs(rails[..., None] - self.pam_levels), axis=-1
-        )
-        codes = pos ^ (pos >> 1)
+        L = self.levels_per_rail
+        top, bottom = self.pam_levels[0], self.pam_levels[-1]
+        x = np.clip(rails, bottom, top)
+        # 1 + the level index, into the levels padded with NaN at both ends
+        pos = np.ceil((top - x) / self.d_min - 0.5).astype(np.intp) + 1
+        padded = np.concatenate([[np.nan], self.pam_levels, [np.nan]])
+        here = np.abs(x - padded.take(pos))
+        pos -= np.abs(x - padded.take(pos - 1)) <= here
+        pos += np.abs(x - padded.take(pos + 1)) < here
+        pos -= 1
         b = self.bits_per_rail
-        bit_rows = (codes[..., None] >> np.arange(b - 1, -1, -1)) & 1
-        symbol_bits = np.concatenate(
-            [bit_rows[..., :K, :], bit_rows[..., K:, :]], axis=-1
-        )  # (..., K, 2b)
-        return symbol_bits.reshape(*rails.shape[:-1], K * 2 * b)
+        gray = np.arange(L) ^ (np.arange(L) >> 1)
+        labels = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1  # (L, b)
+        iq = np.stack([pos[..., :K], pos[..., K:]], axis=-1)  # (..., K, 2)
+        return labels.take(iq, axis=0).reshape(*rails.shape[:-1], K * 2 * b)
 
 
 def lex_vectors(values: np.ndarray, width: int, index=None) -> np.ndarray:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qostbc import analysis
 from qostbc.analysis import real_expansion
 from qostbc.catalog import build
-from qostbc.decoder import matched_filter_terms
+
+from closed_form import matched_filter_terms
 
 # non-orthogonal (X) cells of the pair-check table for the base
 # four-antenna code, 1-based column indices per row
@@ -135,6 +136,14 @@ class TestRealExpansion:
         assert np.array_equal(out[:4, :4], a4.real)
         assert np.array_equal(out[4:, 4:], a4.real)
         assert np.all(out[:4, 4:] == 0) and np.all(out[4:, :4] == 0)
+
+    def test_stack_expands_matrix_by_matrix(self):
+        stack = build("T8_CR").dispersion
+        out = real_expansion(stack)
+        assert out.shape == (16, 16, 16)
+        for a, e in zip(stack, out):
+            assert np.array_equal(e, np.block([[a.real, -a.imag],
+                                               [a.imag, a.real]]))
 
 
 # hypothesis draws a seed; the matrices come from a seeded generator so the

@@ -1,6 +1,7 @@
 """QAM rail constellation tests."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,66 @@ def test_demap_tolerates_tiny_perturbation():
     rails = qam.modulate(bits)
     wobble = rails + rng.uniform(-1e-9, 1e-9, rails.shape)
     assert np.array_equal(qam.demap(wobble), bits)
+
+
+def argmin_demap(qam, rails):
+    """Nearest-level slicing by an argmin over every level (ties to the
+    first, i.e. higher, level): the reference for the arithmetic slicer."""
+    rails = np.asarray(rails, dtype=np.float64)
+    K = rails.shape[-1] // 2
+    pos = np.argmin(np.abs(rails[..., None] - qam.pam_levels), axis=-1)
+    codes = pos ^ (pos >> 1)
+    b = qam.bits_per_rail
+    bit_rows = (codes[..., None] >> np.arange(b - 1, -1, -1)) & 1
+    symbol_bits = np.concatenate(
+        [bit_rows[..., :K, :], bit_rows[..., K:, :]], axis=-1
+    )
+    return symbol_bits.reshape(*rails.shape[:-1], K * 2 * b)
+
+
+@pytest.mark.parametrize("order", modem.SUPPORTED_ORDERS)
+class TestArithmeticDemap:
+    def test_off_grid_rails(self, order):
+        qam = modem.make_qam(order)
+        top = qam.pam_levels[0]
+        rails = np.random.default_rng(order).uniform(-1.2 * top, 1.2 * top,
+                                                     (2000, 12))
+        assert np.array_equal(qam.demap(rails), argmin_demap(qam, rails))
+
+    def test_rails_beyond_the_outer_levels(self, order):
+        qam = modem.make_qam(order)
+        top = qam.pam_levels[0]
+        out = top + np.array([0.0, 1e-12, qam.d_min / 2, qam.d_min, 10.0,
+                              1e3])
+        rails = np.stack([out, -out], axis=-1)
+        assert np.array_equal(qam.demap(rails), argmin_demap(qam, rails))
+
+    def test_exact_midpoints_go_to_the_higher_level(self, order):
+        qam = modem.make_qam(order)
+        lv = qam.pam_levels
+        mids = (lv[:-1] + lv[1:]) / 2
+        exact = np.array([2 * Fraction(m) == Fraction(a) + Fraction(b)
+                          for m, a, b in zip(mids, lv[:-1], lv[1:])])
+        assert exact.any()
+        rails = np.repeat(mids[exact], 2).reshape(-1, 2)
+        higher = np.repeat(lv[:-1][exact], 2).reshape(-1, 2)
+        assert np.array_equal(qam.demap(rails), qam.demap(higher))
+        assert np.array_equal(qam.demap(rails), argmin_demap(qam, rails))
+
+    def test_rounded_midpoints_and_their_neighbours(self, order):
+        qam = modem.make_qam(order)
+        lv = qam.pam_levels
+        mids = (lv[:-1] + lv[1:]) / 2
+        for rails in (mids, np.nextafter(mids, np.inf),
+                      np.nextafter(mids, -np.inf)):
+            rails = np.resize(rails, (len(rails), 2))
+            assert np.array_equal(qam.demap(rails), argmin_demap(qam, rails))
+
+
+def test_demap_rejects_nan():
+    qam = modem.make_qam(16)
+    with pytest.raises(ValueError, match="NaN"):
+        qam.demap(np.array([np.nan, 0.1]))
 
 
 @pytest.mark.parametrize("order", [4, 16])
