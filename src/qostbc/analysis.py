@@ -211,23 +211,3 @@ def joint_detection_size(code: "CodeDefinition") -> int:
     """Number of real symbols that must be detected jointly (largest group)."""
     return max(len(g) for g in code.grouping)
 
-
-def stack_received(r_complex) -> np.ndarray:
-    """Stack complex received samples (T, Nr) into the real layout (2T*Nr,)."""
-    r = np.asarray(r_complex, dtype=np.complex128)
-    if r.ndim == 1:
-        r = r[:, None]
-    if r.ndim != 2:
-        raise ValueError("received samples must have shape (T,) or (T, Nr)")
-    blocks = [np.concatenate([r[:, i].real, r[:, i].imag]) for i in range(r.shape[1])]
-    return np.concatenate(blocks)
-
-
-def unstack_received(r_tilde, T: int) -> np.ndarray:
-    """Inverse of :func:`stack_received`; returns complex samples (T, Nr)."""
-    r = np.asarray(r_tilde, dtype=np.float64)
-    if r.ndim != 1 or r.size % (2 * T) != 0:
-        raise ValueError(f"stacked vector length {r.size} is not a multiple of 2T")
-    nr = r.size // (2 * T)
-    blocks = r.reshape(nr, 2 * T)
-    return (blocks[:, :T] + 1j * blocks[:, T:]).T

@@ -3,8 +3,8 @@
 Subcommands mirror the library layers: ``catalog`` and ``analyze`` inspect
 codes, ``transform`` applies group mixing or constellation rotation,
 ``mindet`` / ``divprod`` / ``sweep-theta`` / ``search-t8`` run the coding
-gain machinery, ``simulate`` produces BER curves, and ``verify`` executes
-the cross-module invariant suite.
+gain machinery, ``simulate`` produces BER curves, and ``verify`` runs the
+cross-module invariant checks of :mod:`qostbc.checks`.
 
 Exit codes: 0 success, 1 usage error (unknown flags, codes or modulations),
 2 verification failure, 3 infeasible enumeration budget. Angles are degrees
@@ -20,9 +20,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import analysis, catalog, decoder, gain, modem, simulate, transforms
+from . import (analysis, catalog, checks, decoder, gain, modem, simulate,
+               transforms)
+from .simulate import MAX_WORKERS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,9 +31,6 @@ EXIT_BUDGET = 3
 
 #: most points an SNR grid may have (one Monte Carlo point each)
 MAX_SNR_POINTS = 10_000
-
-#: most threads ``--workers`` may start
-MAX_WORKERS = 256
 
 #: most multi-start runs ``search-t8 --starts`` may ask for
 MAX_STARTS = 10_000
@@ -286,12 +283,23 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _verify_checks(ber: bool, workers: int):
+    yield checks.power_traces()
+    yield checks.groupings()
+    yield checks.joint_detection_sizes()
+    yield checks.gram_block_diagonality(seed=101, draws=25)
+    yield checks.group_mixing(seed=202, draws=10)
+    yield checks.diversity_products(checks.ZETA_TARGETS, checks.PLAIN_CODES)
+    yield checks.grouped_vs_exhaustive(("Q4", "Q4_CR", "Q4_LT", "G4C"),
+                                       trials=40, seed=303, rho=10.0)
+    yield checks.modem_round_trip()
+    if ber:
+        yield from checks.ber_relationships(workers)
+
+
 def _cmd_verify(args) -> int:
     failures = 0
-    checks = run_verification()
-    if args.ber:
-        checks = _chain(checks, run_ber_verification(args.workers))
-    for name, ok, detail in checks:
+    for name, ok, detail in _verify_checks(args.ber, args.workers):
         print(f"[{'pass' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     if failures:
@@ -299,170 +307,6 @@ def _cmd_verify(args) -> int:
         return EXIT_VERIFY
     print("all verification checks passed")
     return EXIT_OK
-
-
-def _chain(*iterables):
-    for it in iterables:
-        yield from it
-
-
-# --------------------------------------------------------------------------
-# verification suite (fast cross-module invariants)
-
-def run_verification():
-    """Yield (check name, ok, detail) for the cross-module invariant suite."""
-    qam4 = modem.make_qam(4)
-
-    # power traces
-    worst = 0.0
-    for name in catalog.CODE_NAMES:
-        code = catalog.build(name)
-        traces, _ = catalog.validate_power(code)
-        worst = max(worst, float(np.abs(traces - code.power_target).max()))
-    yield "power traces", worst <= 1e-12, f"max deviation {worst:.2e}"
-
-    # grouping regressions
-    expected = {
-        "Q4": ((1, 4), (2, 3), (5, 8), (6, 7)),
-        "Q4_CR": ((1, 4, 5, 8), (2, 3, 6, 7)),
-        "Q8": ((1, 10), (2, 11), (3, 12), (4, 7), (5, 8), (6, 9)),
-        "T8": ((1, 4, 6, 7), (2, 3, 5, 8), (9, 12, 14, 15),
-               (10, 11, 13, 16)),
-    }
-    bad = [n for n, want in expected.items()
-           if catalog.build(n).grouping != want]
-    yield "grouping regressions", not bad, f"mismatches: {bad or 'none'}"
-
-    sizes = {"Q4": 2, "Q4_CR": 4, "Q4_LT": 2, "Q8": 2, "Q8_CR": 4,
-             "Q8_LT": 2, "T8": 4, "T8_CR": 8, "T8_LT": 4, "G4C": 1}
-    bad = [n for n, want in sizes.items()
-           if analysis.joint_detection_size(catalog.build(n)) != want]
-    yield "joint-detection sizes", not bad, f"mismatches: {bad or 'none'}"
-
-    # matched-filter Gram block-diagonality
-    rng = np.random.default_rng(np.random.SeedSequence([101]))
-    worst_ratio = 0.0
-    for name in catalog.CODE_NAMES:
-        code = catalog.build(name)
-        for nr in (1, 2):
-            for _ in range(25):
-                h = simulate.draw_channel(rng, code.nt, nr)
-                rep = analysis.gram_block_report(code, h)
-                worst_ratio = max(worst_ratio,
-                                  rep.max_off_group / rep.max_entry)
-    yield ("gram block-diagonality", worst_ratio < 1e-10,
-           f"max off-group ratio {worst_ratio:.2e}")
-
-    # grouping preserved under random group mixing
-    rng = np.random.default_rng(np.random.SeedSequence([202]))
-    ok = True
-    for name in ("Q4", "Q8", "T8"):
-        code = catalog.build(name)
-        for _ in range(10):
-            mats = []
-            for group in code.grouping:
-                if len(group) == 2:
-                    mats.append(transforms.rotation_2d(rng.uniform(0, np.pi)))
-                else:
-                    mats.append(transforms.givens_4d(
-                        list(rng.uniform(-np.pi / 2, np.pi / 2, 6))
-                    ))
-            spec = transforms.GcltSpec.from_matrices(code.grouping, mats)
-            mixed = transforms.apply_gclt(code, spec)
-            ok = ok and mixed.grouping == code.grouping
-            _, power_ok = catalog.validate_power(mixed)
-            ok = ok and power_ok
-    yield "group mixing preserves grouping/power", ok, "30 random specs"
-
-    # diversity products
-    targets = {"Q4_CR": 0.3536, "Q4_LT": 0.3344, "Q8_CR": 0.2887,
-               "Q8_LT": 0.2730, "T8_CR": 0.2187, "T8_LT": 0.1531}
-    worst_err = 0.0
-    for name, want in targets.items():
-        got = gain.diversity_product(catalog.build(name), qam4).zeta
-        worst_err = max(worst_err, abs(got - want))
-    nfd = all(
-        not gain.diversity_product(catalog.build(n), qam4).full_diversity
-        for n in ("Q4", "Q8", "T8")
-    )
-    yield ("diversity products", worst_err <= 1e-3 and nfd,
-           f"max |zeta error| {worst_err:.2e}")
-
-    # decoder spot check: grouped equals exhaustive
-    rng = np.random.default_rng(np.random.SeedSequence([303]))
-    agree = True
-    for name in ("Q4", "Q4_CR", "Q4_LT", "G4C"):
-        code = catalog.build(name)
-        for _ in range(40):
-            h = simulate.draw_channel(rng, code.nt, 1)
-            bits = rng.integers(0, 2, (1, code.K * qam4.bits_per_symbol))
-            s = qam4.modulate(bits)
-            rho = 10.0
-            H = analysis.equivalent_channel(code, h[None])
-            noise = rng.standard_normal((1, H.shape[1])) * math.sqrt(0.5)
-            r = simulate.transmit(code, H, s, rho, noise)
-            g = decoder.detect_from_equivalent_batch(code, qam4, H, r, rho)
-            e = decoder.exhaustive_ml_detect(code, qam4, h, r[0], rho)
-            agree = agree and np.array_equal(g[0], e)
-    yield "grouped vs exhaustive ML", agree, "160 trials"
-
-    # modem round trip
-    rng = np.random.default_rng(np.random.SeedSequence([404]))
-    ok = True
-    for order in modem.SUPPORTED_ORDERS:
-        constellation = modem.make_qam(order)
-        bits = rng.integers(0, 2, (50, 4 * constellation.bits_per_symbol))
-        ok = ok and bool(
-            np.array_equal(constellation.demap(constellation.modulate(bits)),
-                           bits)
-        )
-        energy = np.mean(np.abs(
-            constellation.pam_levels[:, None]
-            + 1j * constellation.pam_levels[None, :]
-        ) ** 2)
-        ok = ok and abs(energy - 1.0) <= 1e-12
-    yield "modem round trip / unit energy", ok, "all orders"
-
-
-def run_ber_verification(workers: int = 1):
-    """Monte Carlo relationship checks (minutes): full-diversity slopes and
-    the horizontal gaps between the rotated and group-mixed variants."""
-    grid = tuple(float(v) for v in range(0, 26, 2))
-    curves = {}
-    for name, order in (("Q4", 4), ("Q4_CR", 4), ("Q4_LT", 4), ("G4C", 16)):
-        cfg = simulate.SimConfig(
-            code=name, modulation=order, nr=1, snr_db=grid,
-            min_bit_errors=200, max_channel_uses=2_000_000, seed=7,
-            workers=workers,
-        )
-        curves[name] = simulate.run_ber(cfg)
-    gap = (simulate.snr_at_ber(curves["Q4_LT"], 1e-3)
-           - simulate.snr_at_ber(curves["Q4_CR"], 1e-3))
-    yield ("four-antenna gap at BER 1e-3", 0.0 <= gap <= 0.7,
-           f"{gap:.3f} dB (<= 0.7)")
-    s_lt = simulate.final_decade_slope(curves["Q4_LT"])
-    s_bench = simulate.final_decade_slope(curves["G4C"])
-    ok = (s_lt is not None and s_bench is not None
-          and abs(s_lt - s_bench) <= 0.25 * abs(s_bench))
-    yield ("full-diversity slope agreement", ok,
-           f"{s_lt:.3f} vs {s_bench:.3f} per dB")
-    s_q4 = simulate.final_decade_slope(curves["Q4"])
-    yield ("unmixed code visibly shallower", s_q4 / s_lt < 0.8,
-           f"slope ratio {s_q4 / s_lt:.3f} (< 0.8)")
-
-    eight = {}
-    for name in ("Q8_CR", "Q8_LT"):
-        cfg = simulate.SimConfig(
-            code=name, modulation=4, nr=1,
-            snr_db=tuple(float(v) for v in range(0, 14, 2)),
-            min_bit_errors=200, max_channel_uses=2_000_000, seed=7,
-            workers=workers,
-        )
-        eight[name] = simulate.run_ber(cfg)
-    gap8 = (simulate.snr_at_ber(eight["Q8_LT"], 1e-3)
-            - simulate.snr_at_ber(eight["Q8_CR"], 1e-3))
-    yield ("eight-antenna gap at BER 1e-3", abs(gap8) <= 0.7,
-           f"{gap8:.3f} dB (|.| <= 0.7)")
 
 
 # --------------------------------------------------------------------------
@@ -543,7 +387,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     p.add_argument("--ber", action="store_true",
                    help="also run the Monte Carlo relationship checks "
-                        "(takes minutes)")
+                        "(under a minute)")
     p.add_argument("--workers", **workers)
     p.set_defaults(func=_cmd_verify)
 

@@ -34,6 +34,7 @@ than SCREEN_MIN_ROWS patterns, and stacks without factor forms, are scored
 directly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ import numpy as np
 from . import transforms
 from .catalog import CodeDefinition, build
 from .modem import Constellation, lex_vectors, make_qam
+from .simulate import MAX_WORKERS
 
 #: a minimum determinant below this is treated as rank-deficient (no diversity)
 FULL_DIVERSITY_TOL = 1e-9
@@ -496,8 +498,8 @@ def search_t8_angles(starts: int = 64, seed: int = 0, sweeps: int = 3,
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
     objective = _t8_objective(make_qam(4))
     half_pi = math.pi / 2
 
@@ -566,20 +568,25 @@ def search_t8_cr_steps(coarse_deg: float = 2.5,
         merged.append((family, pos, _subset_min_det(base.dispersion[idx])))
     scale = qam.d_min ** (2 * base.nt)
 
+    # the pair's value is the smaller of the two families' values, each a
+    # function of its own step alone, so every (family, step) is scored once
+    @functools.cache
+    def family_min_det(index: int, step: float) -> float:
+        family, pos, min_det = merged[index]
+        rot_map = np.eye(8)
+        for k, sym in enumerate(family):
+            i, j = pos[sym], pos[8 + sym]
+            c, s = math.cos(k * step), math.sin(k * step)
+            rot_map[i, i] = rot_map[j, j] = c
+            rot_map[i, j] = s
+            rot_map[j, i] = -s
+        return min_det(pats @ rot_map)
+
     def evaluate(d1: float, d2: float):
-        angles = {}
-        worst = math.inf
-        for (family, pos, min_det), step in zip(merged, (d1, d2)):
-            rot_map = np.eye(8)
-            for k, sym in enumerate(family):
-                angles[sym] = k * step
-                i, j = pos[sym], pos[8 + sym]
-                c, s = math.cos(k * step), math.sin(k * step)
-                rot_map[i, i] = rot_map[j, j] = c
-                rot_map[i, j] = s
-                rot_map[j, i] = -s
-            worst = min(worst, min_det(pats @ rot_map))
-        worst *= scale
+        angles = {sym: k * step
+                  for (family, _, _), step in zip(merged, (d1, d2))
+                  for k, sym in enumerate(family)}
+        worst = min(family_min_det(0, d1), family_min_det(1, d2)) * scale
         zeta = 0.0 if worst <= FULL_DIVERSITY_TOL else _zeta(worst, base.nt, base.T)
         return zeta, tuple(angles[s] for s in range(1, 9))
 

@@ -33,6 +33,9 @@ from .modem import Constellation, make_qam, modulation_name
 #: codewords simulated per deterministic chunk
 CHUNK_FRAMES = 4096
 
+#: most threads a campaign here or a search in :mod:`qostbc.gain` may start
+MAX_WORKERS = 256
+
 CSV_COLUMNS = ("code", "mod", "nr", "snr_db", "bits", "bit_errors", "ber",
                "frames", "frame_errors", "fer", "seed")
 
@@ -80,8 +83,8 @@ class SimConfig:
             raise ValueError("budgets must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
         if self.nr < 1:
             raise ValueError("nr must be >= 1")
 

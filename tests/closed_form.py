@@ -5,6 +5,8 @@ codes' decision metrics written out from the matched-filter terms of the
 code matrices, as in the paper. Time slots whose row carries conjugated
 symbols contribute conj(h)*r instead of h*conj(r). The tests pin the argmin
 equivalence of these metrics against the generic grouped detector.
+:func:`stack_received` and :func:`unstack_received` convert between complex
+received samples and the detector's real layout.
 """
 
 import math
@@ -48,6 +50,27 @@ def matched_filter_terms(h, received):
     phi = -gamma
     h2 = float((np.abs(h) ** 2).sum())
     return alpha, beta, chi, delta, gamma, phi, h2
+
+
+def stack_received(r_complex) -> np.ndarray:
+    """Stack complex received samples (T, Nr) into the real layout (2T*Nr,)."""
+    r = np.asarray(r_complex, dtype=np.complex128)
+    if r.ndim == 1:
+        r = r[:, None]
+    if r.ndim != 2:
+        raise ValueError("received samples must have shape (T,) or (T, Nr)")
+    blocks = [np.concatenate([r[:, i].real, r[:, i].imag]) for i in range(r.shape[1])]
+    return np.concatenate(blocks)
+
+
+def unstack_received(r_tilde, T: int) -> np.ndarray:
+    """Inverse of :func:`stack_received`; returns complex samples (T, Nr)."""
+    r = np.asarray(r_tilde, dtype=np.float64)
+    if r.ndim != 1 or r.size % (2 * T) != 0:
+        raise ValueError(f"stacked vector length {r.size} is not a multiple of 2T")
+    nr = r.size // (2 * T)
+    blocks = r.reshape(nr, 2 * T)
+    return (blocks[:, :T] + 1j * blocks[:, T:]).T
 
 
 def metric_q4lt(group_index: int, pair, h, received) -> float:

@@ -10,7 +10,8 @@ from qostbc import analysis
 from qostbc.analysis import real_expansion
 from qostbc.catalog import build
 
-from closed_form import matched_filter_terms
+from closed_form import (matched_filter_terms, stack_received,
+                         unstack_received)
 
 # non-orthogonal (X) cells of the pair-check table for the base
 # four-antenna code, 1-based column indices per row
@@ -214,7 +215,7 @@ class TestEquivalentChannel:
             h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
             r = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
             H = analysis.equivalent_channel(code, h)
-            z = H.T @ analysis.stack_received(r)
+            z = H.T @ stack_received(r)
             alpha, beta, chi, delta, _, _, _ = matched_filter_terms(h, r)
             assert z[0] == pytest.approx(-alpha.real, abs=1e-10)
             assert z[3] == pytest.approx(-beta.real, abs=1e-10)
@@ -271,12 +272,12 @@ class TestReceivedStacking:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         r = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        stacked = analysis.stack_received(r)
+        stacked = stack_received(r)
         assert stacked.shape == (16,)
-        back = analysis.unstack_received(stacked, 4)
+        back = unstack_received(stacked, 4)
         assert np.abs(back - r).max() < 1e-15
 
     def test_layout_real_block_then_imag_block_per_antenna(self):
         r = np.array([[1 + 5j], [2 + 6j], [3 + 7j], [4 + 8j]])
-        assert np.array_equal(analysis.stack_received(r),
+        assert np.array_equal(stack_received(r),
                               [1, 2, 3, 4, 5, 6, 7, 8])

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from qostbc import decoder
-from qostbc.analysis import (equivalent_channel, expansion_stack,
-                             unstack_received)
+from qostbc.analysis import equivalent_channel, expansion_stack
 from qostbc.catalog import CODE_NAMES, build
 from qostbc.modem import make_qam
 from qostbc.simulate import draw_channel, transmit
 from qostbc.transforms import CrSpec, apply_cr
 
 import closed_form
+from closed_form import unstack_received
 
 QAM4 = make_qam(4)
 

@@ -1,6 +1,7 @@
 """Coding-gain tests: distance determinants, minimum-determinant searches,
 diversity products and the angle searches."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from qostbc import gain, transforms
 from qostbc.catalog import CODE_NAMES, build
 from qostbc.modem import make_qam
+from qostbc.simulate import MAX_WORKERS
 
 QAM4 = make_qam(4)
 D4 = QAM4.d_min
@@ -215,6 +217,25 @@ class TestAngleSearches:
     def test_rejects_zero_starts(self):
         with pytest.raises(ValueError):
             gain.search_t8_angles(starts=0)
+
+    def test_rejects_more_workers_than_the_cap(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("rejected input started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            no_threads)
+        for workers in (0, MAX_WORKERS + 1, 10_000):
+            with pytest.raises(ValueError, match="workers"):
+                gain.search_t8_angles(starts=10_000, workers=workers)
+
+    def test_t8_cr_step_search_is_pinned(self):
+        # scoring each (family, step) once must not move a bit of the
+        # result that scoring both families in every grid cell gives
+        assert repr(gain.search_t8_cr_steps()) == (
+            "AngleSearchResult(angles=(0.0, 0.0, 0.39269908169872414, "
+            "0.39269908169872414, 0.7853981633974483, 0.7853981633974483, "
+            "1.1780972450961724, 1.1780972450961724), "
+            "zeta=0.2187131204240741)")
 
 
 def reference_min_pattern(stack, mult, rails):

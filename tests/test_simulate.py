@@ -103,6 +103,20 @@ class TestConfig:
             simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,),
                                min_bit_errors=0)
 
+    def test_rejects_more_workers_than_the_cap(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("rejected input started a thread pool")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_threads)
+        for workers in (0, simulate.MAX_WORKERS + 1, 10_000):
+            with pytest.raises(ValueError, match="workers"):
+                simulate.SimConfig(code="Q4", modulation=4,
+                                   snr_db=tuple(range(10_000)),
+                                   workers=workers)
+        config = simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,),
+                                    workers=simulate.MAX_WORKERS)
+        assert config.workers == simulate.MAX_WORKERS
+
 
 def _small_config(**overrides):
     base = dict(code="Q4_LT", modulation=4, nr=1, snr_db=(0.0, 6.0, 12.0),
