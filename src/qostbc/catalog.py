@@ -20,7 +20,6 @@ The catalog covers four families:
   (single-symbol decoding; its grouping is all singletons).
 """
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,13 +271,14 @@ def _builders():
         return transforms.apply_gclt(build("Q8"), spec, name="Q8_LT")
 
     def t8_cr():
-        # one rotation progression per coupled symbol family
-        angles = {}
-        for family in ((1, 4, 6, 7), (2, 3, 5, 8)):
-            for step, sym in enumerate(family):
-                angles[sym] = step * T8_CR_STEP
+        # one rotation progression per coupled symbol family, a T8 group of
+        # real rails
+        base = build("T8")
+        angles = {sym: step * T8_CR_STEP
+                  for family in base.grouping if max(family) <= base.K
+                  for step, sym in enumerate(family)}
         return transforms.apply_cr(
-            build("T8"), transforms.CrSpec(tuple(sorted(angles.items()))),
+            base, transforms.CrSpec(tuple(sorted(angles.items()))),
             name="T8_CR",
         )
 
@@ -342,6 +342,3 @@ def code_from_dict(data: dict) -> CodeDefinition:
     )
     return make_code(data["name"], data["T"], data["Nt"], data["K"], mats)
 
-
-def code_to_json(code: CodeDefinition, indent: int = 2) -> str:
-    return json.dumps(code_to_dict(code), indent=indent)

@@ -116,12 +116,15 @@ def diversity_products(targets, plain):
 
 def grouped_vs_exhaustive(codes, trials: int, seed: int, rho: float):
     """Grouped ML decides like exhaustive ML on ``trials`` noisy 4-QAM
-    blocks per code, drawn from ``SeedSequence([seed, K])``."""
+    blocks per code, drawn from ``SeedSequence([seed, i])`` with ``i`` the
+    code's index in :data:`catalog.CODE_NAMES`, so each code gets its own
+    draws."""
     qam = modem.make_qam(4)
     hits = 0
     for name in codes:
         code = catalog.build(name)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, code.K]))
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [seed, catalog.CODE_NAMES.index(name)]))
         for _ in range(trials):
             h = simulate.draw_channel(rng, code.nt, 1)
             bits = rng.integers(0, 2, (1, code.K * qam.bits_per_symbol))

@@ -139,10 +139,10 @@ def gram_classes(stack_rows, tol: float = QO_TOL):
 
 
 # Two bounded caches, both keyed by content, never by code name: codes that
-# share a name may differ (the angle searches build many differently
-# rotated codes of one name). The class structures are a few KiB each; every
-# group of a catalog code has the same one, so the large tables are shared
-# between its groups.
+# share a name may differ (``transforms.apply_cr`` and ``apply_gclt`` name
+# every transformed code after its base, whatever its angles). The class
+# structures are a few KiB each; every group of a catalog code has the same
+# one, so the large tables are shared between its groups.
 @functools.lru_cache(maxsize=256)
 def _stack_classes(stack_bytes: bytes, shape: tuple):
     """:func:`gram_classes` of a sub-stack given by its bytes, read-only."""

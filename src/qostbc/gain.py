@@ -12,6 +12,15 @@ patterns is nonzero; the diversity product normalises that minimum:
 Searches enumerate integer multiplier patterns and scale by d_min at report
 time (the determinant is homogeneous of degree 2*Nt in the deltas).
 
+The angle searches (:func:`search_t8_angles`, :func:`search_q8_cr_angle`
+and :func:`search_t8_cr_steps`) build no transformed code. Group mixing
+(GCLT) and constellation rotation (CR) act on a group only through its
+error coefficients: a pattern c of the transformed code is the pattern
+c @ mix of the base code, with mix the group's orthogonal mixing or the
+pair rotation of :func:`_cr_mix`. One evaluator, :func:`_mixed_min_det`,
+scores a rail set's base-code patterns under any mix, and
+:func:`_zeta_of` is the one place that maps a minimum to zeta.
+
 Large enumerations are screened before they are scored. A QO-STBC Gram has
 paired eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
 q_k = c^T M_k c in the pattern c (:func:`_det_factor_forms`), so its
@@ -238,30 +247,17 @@ def min_det_search(code: CodeDefinition, constellation: Constellation,
     enumerates patterns over all 2K rails, guarded by the pattern budget.
     Ties break toward the lexicographically smallest multiplier pattern.
     """
+    if scope not in ("within_group", "full"):
+        raise ValueError(f"unknown search scope {scope!r}")
     mult = _multipliers(constellation)
     n = 2 * code.K
     scale = constellation.d_min ** (2 * code.nt)
-
-    if scope == "full":
-        count = len(mult) ** n - 1
-        if count > budget:
-            raise PatternBudgetError(count, budget)
-        best_val, best_pat = _min_pattern(code.dispersion, mult,
-                                          list(range(n)))
-        return MinDetReport(
-            scope="full",
-            min_det=best_val * scale,
-            argmin=best_pat * constellation.d_min,
-            per_group=(),
-        )
-
-    if scope != "within_group":
-        raise ValueError(f"unknown search scope {scope!r}")
-
+    if scope == "full" and len(mult) ** n - 1 > budget:
+        raise PatternBudgetError(len(mult) ** n - 1, budget)
+    groups = code.grouping if scope == "within_group" else (range(1, n + 1),)
     per_group = []
-    for group in code.grouping:
-        val, pat = _min_pattern(code.dispersion, mult,
-                                [r - 1 for r in group])
+    for group in groups:
+        val, pat = _min_pattern(code.dispersion, mult, [r - 1 for r in group])
         per_group.append(GroupMinimum(
             group=tuple(group),
             min_det=val * scale,
@@ -269,10 +265,8 @@ def min_det_search(code: CodeDefinition, constellation: Constellation,
         ))
     best = min(per_group, key=lambda g: (g.min_det, tuple(g.argmin)))
     return MinDetReport(
-        scope="within_group",
-        min_det=best.min_det,
-        argmin=best.argmin,
-        per_group=tuple(per_group),
+        scope=scope, min_det=best.min_det, argmin=best.argmin,
+        per_group=tuple(per_group) if scope == "within_group" else (),
     )
 
 
@@ -288,15 +282,10 @@ def diversity_product(code: CodeDefinition,
                       constellation: Constellation) -> DiversityReport:
     """Within-group minimum determinant mapped through the zeta normalisation."""
     rep = min_det_search(code, constellation, scope="within_group")
-    full = rep.min_det > FULL_DIVERSITY_TOL
-    zeta = _zeta(rep.min_det, code.nt, code.T) if full else 0.0
+    zeta = _zeta_of(rep.min_det, code)
     return DiversityReport(
-        zeta=zeta, full_diversity=full, min_det=rep.min_det, report=rep
+        zeta=zeta, full_diversity=zeta > 0, min_det=rep.min_det, report=rep
     )
-
-
-def _zeta(min_det: float, nt: int, T: int) -> float:
-    return (1.0 / (2.0 * math.sqrt(nt))) * min_det ** (1.0 / (2.0 * T))
 
 
 # --------------------------------------------------------------------------
@@ -410,51 +399,61 @@ def _det_factor_forms(sub_stack: np.ndarray):
     return forms
 
 
-def _subset_min_det(sub_stack: np.ndarray):
-    """Return ``coeffs -> min det`` over coefficient rows of a rail subset.
+def _zeta_of(min_det: float, code: CodeDefinition) -> float:
+    """Diversity product of a d_min-scaled minimum determinant of ``code``;
+    0 when the minimum is at most FULL_DIVERSITY_TOL (no full diversity)."""
+    if min_det <= FULL_DIVERSITY_TOL:
+        return 0.0
+    return (1.0 / (2.0 * math.sqrt(code.nt))) * min_det ** (1.0 / (2.0 * code.T))
 
-    The function evaluates the subset's factor forms when it has them and
-    falls back to batched determinants on ``sub_stack`` otherwise. The
-    forms are contracted by einsum, not as in :func:`_near_min`: the angle
-    searches compare these values directly, and the other summation order
-    moves their last bits and the angles ``search-t8`` finds.
-    """
-    forms = _det_factor_forms(sub_stack)
-    if forms is None:
-        return lambda coeffs: float(_batched_dets(sub_stack, coeffs).min())
 
-    def min_det(coeffs: np.ndarray) -> float:
+def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
+    """Return ``mix -> min det`` (scaled by d_min^(2 Nt)) over the nonzero
+    patterns on ``rails`` (1-based) of ``base`` times ``mix``: the rails'
+    factor forms contracted by einsum (the :func:`_near_min` order moves the
+    last bits and the angles ``search-t8`` finds), or batched determinants
+    when the rails have no forms."""
+    sub = base.dispersion[[r - 1 for r in rails]]
+    pats = np.vstack(list(_patterns(_multipliers(constellation), len(rails))))
+    scale = constellation.d_min ** (2 * base.nt)
+    forms = _det_factor_forms(sub)
+
+    def min_det(mix: np.ndarray) -> float:
+        coeffs = pats @ mix
+        if forms is None:
+            return float(_batched_dets(sub, coeffs).min()) * scale
         q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
-        return float((np.prod(q, axis=1) ** 2).min())
+        return float((np.prod(q, axis=1) ** 2).min()) * scale
 
     return min_det
 
 
-def _t8_objective(constellation: Constellation):
-    """Fast diversity-product objective for the rate-1 eight-antenna code.
+def _cr_mix(rails, angles: dict, K: int) -> np.ndarray:
+    """The coefficient rotation on ``rails`` (1-based) of
+    :func:`transforms.apply_cr` with ``angles`` ({symbol: angle}); symbols
+    off these rails are left out."""
+    pos = {r: i for i, r in enumerate(rails)}
+    mix = np.eye(len(rails))
+    for sym, phi in angles.items():
+        if sym in pos:
+            i, j = pos[sym], pos[K + sym]
+            c, s = math.cos(phi), math.sin(phi)
+            mix[i, i] = mix[j, j] = c
+            mix[i, j] = s
+            mix[j, i] = -s
+    return mix
 
-    Mixing a group with an orthogonal matrix only rotates the error
-    coefficients (the within-group power cross-traces vanish, so the output
-    normalisation is unity). Every group's determinant is evaluated through
-    its precomputed factor forms, falling back to batched determinants if
-    the factor structure were ever absent.
-    """
+
+def _t8_objective(constellation: Constellation):
+    """Diversity product of the rate-1 eight-antenna code with every group
+    mixed by ``givens_4d(angles)``; the within-group power cross-traces
+    vanish, so the mixing needs no renormalisation."""
     base = build("T8")
-    mult = _multipliers(constellation)
-    scale = constellation.d_min ** (2 * base.nt)
-    groups = []
-    for group in base.grouping:
-        idx = np.array([r - 1 for r in group])
-        pats = np.vstack(list(_patterns(mult, len(group))))
-        groups.append((pats, _subset_min_det(base.dispersion[idx])))
+    groups = [_mixed_min_det(base, constellation, g) for g in base.grouping]
 
     def objective(angles) -> float:
         mix = transforms.givens_4d(list(angles))
-        worst = min(min_det(pats @ mix) for pats, min_det in groups)
-        worst *= scale
-        if worst <= FULL_DIVERSITY_TOL:
-            return 0.0
-        return _zeta(worst, base.nt, base.T)
+        return _zeta_of(min(min_det(mix) for min_det in groups), base)
 
     return objective
 
@@ -529,14 +528,17 @@ def search_t8_angles(starts: int = 64, seed: int = 0, sweeps: int = 3,
 
 def search_q8_cr_angle(step_deg: float = 0.25) -> AngleSearchResult:
     """1-D grid search of the common rotation angle for the eight-antenna
-    rate-3/4 code (symbols 4..6 rotated)."""
+    rate-3/4 code (symbols 4..6 rotated), scored on the base code's patterns
+    rotated within the rotated code's groups."""
     base = build("Q8")
-    qam = make_qam(4)
+    groups = [(rails, _mixed_min_det(base, make_qam(4), rails))
+              for rails in build("Q8_CR").grouping]
     best = None
     for deg in np.arange(step_deg, 90.0, step_deg):
         phi = math.radians(deg)
-        code = transforms.apply_cr(base, transforms.CrSpec.uniform((4, 5, 6), phi))
-        z = diversity_product(code, qam).zeta
+        angles = dict.fromkeys((4, 5, 6), phi)
+        z = _zeta_of(min(min_det(_cr_mix(rails, angles, base.K))
+                         for rails, min_det in groups), base)
         if best is None or z > best.zeta:
             best = AngleSearchResult(angles=(phi,), zeta=z)
     return best
@@ -546,64 +548,47 @@ def search_t8_cr_steps(coarse_deg: float = 2.5,
                        fine_deg: float = 0.25) -> AngleSearchResult:
     """Small-grid search of the two rotation-progression steps for T8_CR.
 
-    Each coupled symbol family gets per-symbol angles (0, d, 2d, 3d) with
-    the family step d below 30 degrees (so every angle stays inside the
-    rotation range); the grid runs over the two family steps, coarse pass
-    then local refinement. Returns the eight per-symbol angles of the best
-    pair found.
+    Each coupled symbol family (a T8 group of real rails) gets per-symbol
+    angles (0, d, 2d, 3d) with the family step d below 30 degrees (so every
+    angle stays inside the rotation range); the grid runs over the two
+    family steps, coarse pass then local refinement. Returns the eight
+    per-symbol angles of the best pair found.
     """
     base = build("T8")
-    qam = make_qam(4)
-    families = ((1, 4, 6, 7), (2, 3, 5, 8))
+    families = [g for g in base.grouping if max(g) <= base.K]
+    # rotating a family's symbols merges its real and imaginary rail groups
+    merged = [sorted(f + tuple(base.K + q for q in f)) for f in families]
+    min_dets = [_mixed_min_det(base, make_qam(4), rails) for rails in merged]
     top_deg = 30.0 - fine_deg  # keep 3d strictly inside [0, 90) degrees
 
-    # rotating a family's symbols merges its real and imaginary rail groups;
-    # precompute the merged groups' pattern set and min-det functions
-    merged = []
-    pats = np.vstack(list(_patterns(_multipliers(qam), 8)))
-    for family in families:
-        rails = tuple(sorted(family + tuple(8 + q for q in family)))
-        idx = np.array([r - 1 for r in rails])
-        pos = {r: i for i, r in enumerate(rails)}
-        merged.append((family, pos, _subset_min_det(base.dispersion[idx])))
-    scale = qam.d_min ** (2 * base.nt)
+    def family_angles(index: int, step_deg: float) -> dict:
+        step = math.radians(step_deg)
+        return {sym: k * step for k, sym in enumerate(families[index])}
 
     # the pair's value is the smaller of the two families' values, each a
     # function of its own step alone, so every (family, step) is scored once
     @functools.cache
-    def family_min_det(index: int, step: float) -> float:
-        family, pos, min_det = merged[index]
-        rot_map = np.eye(8)
-        for k, sym in enumerate(family):
-            i, j = pos[sym], pos[8 + sym]
-            c, s = math.cos(k * step), math.sin(k * step)
-            rot_map[i, i] = rot_map[j, j] = c
-            rot_map[i, j] = s
-            rot_map[j, i] = -s
-        return min_det(pats @ rot_map)
+    def family_min_det(index: int, step_deg: float) -> float:
+        mix = _cr_mix(merged[index], family_angles(index, step_deg), base.K)
+        return min_dets[index](mix)
 
-    def evaluate(d1: float, d2: float):
-        angles = {sym: k * step
-                  for (family, _, _), step in zip(merged, (d1, d2))
-                  for k, sym in enumerate(family)}
-        worst = min(family_min_det(0, d1), family_min_det(1, d2)) * scale
-        zeta = 0.0 if worst <= FULL_DIVERSITY_TOL else _zeta(worst, base.nt, base.T)
-        return zeta, tuple(angles[s] for s in range(1, 9))
-
-    def grid(d1_values, d2_values, best):
+    def grid(d1_values, d2_values, best=None):
         for d1 in d1_values:
             for d2 in d2_values:
-                z, angles = evaluate(math.radians(d1), math.radians(d2))
+                worst = min(family_min_det(0, d1), family_min_det(1, d2))
+                z = _zeta_of(worst, base)
                 if best is None or z > best[0]:
-                    best = (z, angles, (d1, d2))
+                    best = (z, d1, d2)
         return best
 
+    def fine(center: float):
+        return np.arange(max(fine_deg, center - coarse_deg),
+                         min(top_deg, center + coarse_deg) + fine_deg / 2,
+                         fine_deg)
+
     steps = np.arange(coarse_deg, top_deg, coarse_deg)
-    best = grid(steps, steps, None)
-    d1c, d2c = best[2]
-    fine1 = np.arange(max(fine_deg, d1c - coarse_deg),
-                      min(top_deg, d1c + coarse_deg) + fine_deg / 2, fine_deg)
-    fine2 = np.arange(max(fine_deg, d2c - coarse_deg),
-                      min(top_deg, d2c + coarse_deg) + fine_deg / 2, fine_deg)
-    best = grid(fine1, fine2, best)
-    return AngleSearchResult(angles=best[1], zeta=best[0])
+    _, d1, d2 = best = grid(steps, steps)
+    zeta, d1, d2 = grid(fine(d1), fine(d2), best)
+    angles = {**family_angles(0, d1), **family_angles(1, d2)}
+    return AngleSearchResult(angles=tuple(angles[s] for s in range(1, 9)),
+                             zeta=zeta)

@@ -36,6 +36,10 @@ CHUNK_FRAMES = 4096
 #: most threads a campaign here or a search in :mod:`qostbc.gain` may start
 MAX_WORKERS = 256
 
+#: most receive antennas a campaign may simulate; at this cap T8's equivalent
+#: channels for one chunk take 128 MiB
+MAX_NR = 16
+
 CSV_COLUMNS = ("code", "mod", "nr", "snr_db", "bits", "bit_errors", "ber",
                "frames", "frame_errors", "fer", "seed")
 
@@ -85,8 +89,8 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
-        if self.nr < 1:
-            raise ValueError("nr must be >= 1")
+        if not 1 <= self.nr <= MAX_NR:
+            raise ValueError(f"nr must be between 1 and {MAX_NR}")
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,8 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
 @pytest.mark.parametrize("argv", [
     SIMULATE + ["--snr", "0:2:4", "--nr", "0"],
     SIMULATE + ["--snr", "0:2:4", "--nr", "-1"],
+    SIMULATE + ["--snr", "0:1:1", "--nr", str(simulate.MAX_NR + 1)],
+    SIMULATE + ["--snr", "0:1:1", "--nr", "100000000"],
     SIMULATE + ["--snr", "0:1:inf"],
     SIMULATE + ["--snr", "0:nan:4"],
     ["sweep-theta", "--mod", "4qam", "--step", "0"],

@@ -198,6 +198,40 @@ class TestAngleSearches:
             want = gain.diversity_product(mixed, QAM4).zeta
             assert objective(angles) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("base_name, angles", [
+        ("Q8", dict.fromkeys((4, 5, 6), math.radians(deg)))
+        for deg in (10.0, 30.25, 60.0)
+    ] + [
+        ("T8", {sym: k * math.radians(step)
+                for family, step in zip(((1, 4, 6, 7), (2, 3, 5, 8)), steps)
+                for k, sym in enumerate(family)})
+        for steps in ((22.5, 22.5), (10.0, 25.0), (5.0, 17.5))
+    ])
+    def test_cr_evaluator_matches_pipeline(self, base_name, angles):
+        # the CR searches score the base code's patterns under _cr_mix in
+        # the rotated code's groups; the rotated code itself must agree
+        base = build(base_name)
+        code = transforms.apply_cr(
+            base, transforms.CrSpec(tuple(sorted(angles.items()))))
+        assert code.grouping == build(base_name + "_CR").grouping
+        report = gain.diversity_product(code, QAM4)
+        rng = np.random.default_rng(59)
+        worst = math.inf
+        for group, want in zip(code.grouping, report.report.per_group):
+            rails = [r - 1 for r in group]
+            mix = gain._cr_mix(group, angles, base.K)
+            c = rng.standard_normal((4, len(group)))
+            assert np.allclose(
+                np.einsum("rp,ptn->rtn", c @ mix, base.dispersion[rails]),
+                np.einsum("rp,ptn->rtn", c, code.dispersion[rails]),
+                rtol=0, atol=1e-12)
+            got = gain._mixed_min_det(base, QAM4, group)(mix)
+            assert got == pytest.approx(want.min_det, rel=1e-9)
+            worst = min(worst, got)
+        assert report.zeta > 0
+        assert gain._zeta_of(worst, base) == pytest.approx(report.zeta,
+                                                           abs=1e-10)
+
     def test_single_start_is_reproducible(self):
         a = gain.search_t8_angles(starts=1, seed=5)
         b = gain.search_t8_angles(starts=1, seed=5)

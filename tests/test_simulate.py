@@ -98,6 +98,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="nr"):
             simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,), nr=nr)
 
+    def test_rejects_more_receive_antennas_than_the_cap(self):
+        # only rejected values are built: a run at the cap allocates
+        for nr in (simulate.MAX_NR + 1, 100_000_000):
+            with pytest.raises(ValueError, match="nr"):
+                simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,),
+                                   nr=nr)
+        config = simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,),
+                                    nr=simulate.MAX_NR)
+        assert config.nr == simulate.MAX_NR
+
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError, match="positive"):
             simulate.SimConfig(code="Q4", modulation=4, snr_db=(0.0,),
