@@ -26,7 +26,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import CodeDefinition
 
-#: default tolerance on the anticommutator max-norm (catalog matrices are exact)
+#: tolerance on the anticommutator max-norm (catalog matrices are exact)
 QO_TOL = 1e-12
 
 
@@ -40,27 +40,27 @@ def anticommutator_norm(a_p, a_q) -> float:
     return float(np.abs(m).max())
 
 
-def qo_pair_check(a_p, a_q, tol: float = QO_TOL) -> bool:
+def qo_pair_check(a_p, a_q) -> bool:
     """True when the two dispersion matrices form an orthogonal pair."""
-    return anticommutator_norm(a_p, a_q) < tol
+    return anticommutator_norm(a_p, a_q) < QO_TOL
 
 
-def qo_table(code: "CodeDefinition", tol: float = QO_TOL) -> np.ndarray:
+def qo_table(code: "CodeDefinition") -> np.ndarray:
     """(2K, 2K) boolean table; entry [p-1, q-1] is the pair check for rails p, q.
 
     The diagonal is always False (a matrix never anticommutes with itself),
     so False cells reproduce the X marks of the published fulfillment tables.
     """
-    return _anticommutator_table(code.dispersion) < tol
+    return _anticommutator_table(code.dispersion) < QO_TOL
 
 
-def discover_grouping(code: "CodeDefinition", tol: float = QO_TOL):
+def discover_grouping(code: "CodeDefinition"):
     """Partition rails 1..2K into groups joined by anticommutator violations.
 
     Groups are the connected components of the non-orthogonality graph,
     each sorted ascending, listed in order of their smallest member.
     """
-    return components_from_stack(code.dispersion, tol)
+    return components_from_stack(code.dispersion)
 
 
 def _anticommutator_table(stack) -> np.ndarray:
@@ -70,10 +70,10 @@ def _anticommutator_table(stack) -> np.ndarray:
     return np.abs(herm + herm.transpose(1, 0, 2, 3)).max(axis=(2, 3))
 
 
-def components_from_stack(stack, tol: float = QO_TOL):
+def components_from_stack(stack):
     """Grouping discovery on a raw (2K, T, Nt) dispersion stack."""
     n = len(stack)
-    coupled = _anticommutator_table(stack) >= tol
+    coupled = _anticommutator_table(stack) >= QO_TOL
     np.fill_diagonal(coupled, False)
 
     seen = np.zeros(n, dtype=bool)
@@ -101,14 +101,14 @@ class SkewSymmetryReport:
     imag_part_symmetric: bool
 
 
-def skew_symmetry_check(a_p, a_q, tol: float = QO_TOL) -> SkewSymmetryReport:
+def skew_symmetry_check(a_p, a_q) -> SkewSymmetryReport:
     """For an orthogonal pair, check Re(A_p^H A_q) skew and Im(A_p^H A_q) symmetric.
 
     These two conditions are what force the real expansions to anticommute and
     hence the matched-filter Gram to be block-diagonal. Raises if the pair is
     not orthogonal in the first place.
     """
-    if not qo_pair_check(a_p, a_q, tol):
+    if not qo_pair_check(a_p, a_q):
         raise ValueError(
             "skew-symmetry check requires an orthogonal pair "
             "(the matrices belong to the same group)"
@@ -118,8 +118,8 @@ def skew_symmetry_check(a_p, a_q, tol: float = QO_TOL) -> SkewSymmetryReport:
     )
     re, im = m.real, m.imag
     return SkewSymmetryReport(
-        real_part_skew=bool(np.abs(re + re.T).max(initial=0.0) < tol),
-        imag_part_symmetric=bool(np.abs(im - im.T).max(initial=0.0) < tol),
+        real_part_skew=bool(np.abs(re + re.T).max(initial=0.0) < QO_TOL),
+        imag_part_symmetric=bool(np.abs(im - im.T).max(initial=0.0) < QO_TOL),
     )
 
 

@@ -41,7 +41,8 @@ OPT_THETA_2D = 0.5 * math.atan(0.5)
 #: default rotation for the constellation-rotated four- and eight-antenna codes
 CR_ANGLE_DEFAULT = math.pi / 4
 
-#: per-symbol rotation progression for T8_CR: k*pi/8 within each coupled family
+#: T8_CR's family step: the progression (:func:`t8_cr_angles`) rotates the
+#: k-th symbol of each coupled family by k*pi/8
 T8_CR_STEP = math.pi / 8
 
 #: searched mixing angles (degrees) for the rate-1 eight-antenna code, keyed
@@ -119,13 +120,14 @@ def encode(code: CodeDefinition, real_symbols) -> np.ndarray:
     return np.einsum("p,ptn->tn", s, code.dispersion)
 
 
-def validate_power(code: CodeDefinition, tol: float = 1e-12):
+def validate_power(code: CodeDefinition):
     """Report per-matrix power traces against the T*Nt/K target.
 
-    Returns (traces, ok); violations are reported, never raised.
+    Returns (traces, ok), ok when every trace is within 1e-12 of the
+    target; violations are reported, never raised.
     """
     traces = np.einsum("pti,pti->p", code.dispersion.conj(), code.dispersion).real
-    ok = bool(np.abs(traces - code.power_target).max() <= tol)
+    ok = bool(np.abs(traces - code.power_target).max() <= 1e-12)
     return traces, ok
 
 
@@ -239,6 +241,17 @@ def _t8_lt_mixing() -> np.ndarray:
     return s @ L @ s
 
 
+def t8_cr_angles(steps) -> tuple:
+    """(symbol, angle) pairs of T8_CR's progression, in symbol order: the
+    k-th symbol (k = 0..3) of each coupled family, a T8 group of real rails,
+    is rotated by k times that family's step (radians) in ``steps``."""
+    base = build("T8")
+    families = [g for g in base.grouping if max(g) <= base.K]
+    return tuple(sorted((sym, k * step)
+                        for family, step in zip(families, steps)
+                        for k, sym in enumerate(family)))
+
+
 def _builders():
     from . import transforms
 
@@ -271,16 +284,8 @@ def _builders():
         return transforms.apply_gclt(build("Q8"), spec, name="Q8_LT")
 
     def t8_cr():
-        # one rotation progression per coupled symbol family, a T8 group of
-        # real rails
-        base = build("T8")
-        angles = {sym: step * T8_CR_STEP
-                  for family in base.grouping if max(family) <= base.K
-                  for step, sym in enumerate(family)}
-        return transforms.apply_cr(
-            base, transforms.CrSpec(tuple(sorted(angles.items()))),
-            name="T8_CR",
-        )
+        spec = transforms.CrSpec(t8_cr_angles((T8_CR_STEP, T8_CR_STEP)))
+        return transforms.apply_cr(build("T8"), spec, name="T8_CR")
 
     def t8_lt():
         base = build("T8")

@@ -278,8 +278,13 @@ def _cmd_simulate(args) -> int:
         )
         curves.append(simulate.run_ber(config))
     _write_artifact(args.out, simulate.curve_csv(curves))
-    if args.svg:
-        _write_artifact(args.svg, simulate.curve_svg(curves))
+    try:
+        if args.svg:
+            _write_artifact(args.svg, simulate.curve_svg(curves))
+    except BaseException:  # a failed plot leaves no CSV behind either
+        if args.out not in (None, "-") and os.path.exists(args.out):
+            os.unlink(args.out)
+        raise
     return EXIT_OK
 
 

@@ -79,13 +79,10 @@ equivalent_channel_batch = equivalent_channel
 class CandidateBudgetError(ValueError):
     """Raised when a symbol group has more ML candidates than the cap."""
 
-    def __init__(self, count: int, cap: int = GROUP_CANDIDATE_CAP):
-        super().__init__(
-            f"grouped detection of {count} candidates per group exceeds "
-            f"cap {cap}"
-        )
+    def __init__(self, count: int):
+        super().__init__(f"grouped detection of {count} candidates per group "
+                         f"exceeds cap {GROUP_CANDIDATE_CAP}")
         self.count = count
-        self.cap = cap
 
 
 def group_candidates(constellation: Constellation, size: int) -> np.ndarray:
@@ -102,14 +99,14 @@ def check_candidate_budget(code: CodeDefinition,
         raise CandidateBudgetError(count)
 
 
-def gram_classes(stack_rows, tol: float = QO_TOL):
+def gram_classes(stack_rows):
     """The distinct Gram functionals of a symbol group.
 
     ``stack_rows`` is the group's (g, 2T, 2Nt) real expansion sub-stack.
     Gram entry (i, j) is the sum over receive antennas of x^T Q_ij x, x the
     antenna's channel rails and Q_ij = sym(S_i^T S_j), so entries whose
     forms vanish are zero for every channel and entries whose forms agree
-    up to sign are equal up to sign. Forms within ``tol`` (max-norm) of zero
+    up to sign are equal up to sign. Forms within QO_TOL (max-norm) of zero
     or of each other are treated as such. Returns ``reps``, the (R, 2)
     group-local index pairs of each class's first upper-triangle entry, and
     ``merge``, the (R, g(g+1)/2) matrix whose row r holds the sign (+1 or -1)
@@ -121,13 +118,13 @@ def gram_classes(stack_rows, tol: float = QO_TOL):
     rows, cols = np.triu_indices(len(stack_rows))
     reps, merge = [], []
     for k, form in enumerate(forms[rows, cols]):
-        if np.abs(form).max() < tol:
+        if np.abs(form).max() < QO_TOL:
             continue
         for r, (a, b) in enumerate(reps):
-            if np.abs(form - forms[a, b]).max() < tol:
+            if np.abs(form - forms[a, b]).max() < QO_TOL:
                 merge[r][k] = 1.0
                 break
-            if np.abs(form + forms[a, b]).max() < tol:
+            if np.abs(form + forms[a, b]).max() < QO_TOL:
                 merge[r][k] = -1.0
                 break
         else:
@@ -236,17 +233,17 @@ def detect_from_equivalent_batch(code: CodeDefinition,
 
 
 def exhaustive_ml_detect(code: CodeDefinition, constellation: Constellation,
-                         h, received, rho: float,
-                         budget: int = EXHAUSTIVE_BUDGET) -> np.ndarray:
+                         h, received, rho: float) -> np.ndarray:
     """Oracle ML for one block: minimise the residual over all M^K codewords.
 
     ``h`` is the complex (Nt, Nr) channel and ``received`` the stacked
     vector of length 2*T*Nr; returns the decided rails (2K,).
     """
     count = constellation.order ** code.K
-    if count > budget:
+    if count > EXHAUSTIVE_BUDGET:
         raise ValueError(
-            f"exhaustive search over {count} codewords exceeds budget {budget}"
+            f"exhaustive search over {count} codewords exceeds budget "
+            f"{EXHAUSTIVE_BUDGET}"
         )
     r = np.asarray(received, dtype=np.float64)
     H = equivalent_channel(code, h)

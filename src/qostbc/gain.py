@@ -16,10 +16,10 @@ The angle searches (:func:`search_t8_angles`, :func:`search_q8_cr_angle`
 and :func:`search_t8_cr_steps`) build no transformed code. Group mixing
 (GCLT) and constellation rotation (CR) act on a group only through its
 error coefficients: a pattern c of the transformed code is the pattern
-c @ mix of the base code, with mix the group's orthogonal mixing or the
-pair rotation of :func:`_cr_mix`. One evaluator, :func:`_mixed_min_det`,
-scores a rail set's base-code patterns under any mix, and
-:func:`_zeta_of` is the one place that maps a minimum to zeta.
+c @ mix of the base code, with mix the group's orthogonal mixing or its
+block of CR's rail rotation, :func:`transforms.cr_rotation`. One evaluator,
+:func:`_mixed_min_det`, scores a rail set's base-code patterns under any
+mix, and :func:`_zeta_of` is the one place that maps a minimum to zeta.
 
 Large enumerations are screened before they are scored. A QO-STBC Gram has
 paired eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
@@ -50,14 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .catalog import CodeDefinition, build
+from .catalog import CodeDefinition, build, t8_cr_angles
 from .modem import Constellation, lex_vectors, make_qam
 from .simulate import MAX_WORKERS
 
 #: a minimum determinant below this is treated as rank-deficient (no diversity)
 FULL_DIVERSITY_TOL = 1e-9
 
-#: largest pattern count the exhaustive scopes will enumerate
+#: largest pattern count one group of either search scope may enumerate
 PATTERN_BUDGET = 10_000_000
 
 #: largest number of patterns enumerated and scored at once
@@ -74,19 +74,14 @@ SCREEN_MIN_ROWS = 4096
 #: Gram norm to the power Nt; about 1e5 times the LU perturbation bound
 SCREEN_RTOL = 1e-9
 
-#: the two-rail groups of the four-antenna family, in closed-form pair order
-PAIRS_4ANT = ((1, 4), (2, 3), (5, 8), (6, 7))
-
 
 class PatternBudgetError(ValueError):
     """Raised when an enumeration would exceed the pattern budget."""
 
-    def __init__(self, count: int, budget: int = PATTERN_BUDGET):
-        super().__init__(
-            f"enumeration of {count} error patterns exceeds budget {budget}"
-        )
+    def __init__(self, count: int):
+        super().__init__(f"enumeration of {count} error patterns exceeds "
+                         f"budget {PATTERN_BUDGET}")
         self.count = count
-        self.budget = budget
 
 
 def distance_det(code: CodeDefinition, deltas) -> float:
@@ -97,28 +92,6 @@ def distance_det(code: CodeDefinition, deltas) -> float:
             f"error pattern has shape {d.shape}, expected ({2 * code.K},)"
         )
     return float(_batched_dets(code.dispersion, d[None])[0])
-
-
-def q4lt_det_closed_form(deltas, theta: float) -> float:
-    """Closed-form distance determinant of the mixed four-antenna code.
-
-    Rotates each rail pair of PAIRS_4ANT by ``theta`` into the base-code
-    coordinates and evaluates the known determinant of the base code:
-    [(sum of four paired squares) * (sum of the mirrored squares)]^2.
-    """
-    d = np.asarray(deltas, dtype=np.float64)
-    if d.shape != (8,):
-        raise ValueError(f"expected 8 deltas, got shape {d.shape}")
-    c, s = math.cos(theta), math.sin(theta)
-    t = np.empty(8)
-    for q, v in PAIRS_4ANT:
-        t[q - 1] = d[q - 1] * c - d[v - 1] * s
-        t[v - 1] = d[q - 1] * s + d[v - 1] * c
-    s1 = ((t[0] + t[3]) ** 2 + (t[1] - t[2]) ** 2
-          + (t[4] + t[7]) ** 2 + (t[5] - t[6]) ** 2)
-    s2 = ((t[0] - t[3]) ** 2 + (t[1] + t[2]) ** 2
-          + (t[4] - t[7]) ** 2 + (t[5] + t[6]) ** 2)
-    return float((s1 * s2) ** 2)
 
 
 def case_dets(m: int, n: int, theta: float):
@@ -136,11 +109,6 @@ def case_dets(m: int, n: int, theta: float):
         ((m * m - n * n) * c2 - 2 * m * n * s2) ** 4,
         ((m * m - n * n) * c2 + 2 * m * n * s2) ** 4,
     )
-
-
-def optimal_theta_2d() -> float:
-    """Analytic optimum of the pairwise mixing angle: 0.5 * atan(1/2)."""
-    return 0.5 * math.atan(0.5)
 
 
 # --------------------------------------------------------------------------
@@ -237,24 +205,25 @@ class MinDetReport:
 
 
 def min_det_search(code: CodeDefinition, constellation: Constellation,
-                   scope: str = "within_group",
-                   budget: int = PATTERN_BUDGET) -> MinDetReport:
+                   scope: str = "within_group") -> MinDetReport:
     """Minimum distance determinant over PAM error patterns.
 
     ``within_group`` enumerates nonzero patterns supported on one symbol
     group at a time (the cross-group terms cancel after matched filtering,
     so this is the operative minimum for grouped detection). ``full``
-    enumerates patterns over all 2K rails, guarded by the pattern budget.
-    Ties break toward the lexicographically smallest multiplier pattern.
+    enumerates patterns over all 2K rails as one group. Either scope raises
+    PatternBudgetError before scoring when a group has over PATTERN_BUDGET
+    patterns. Ties break toward the lexicographically smallest pattern.
     """
     if scope not in ("within_group", "full"):
         raise ValueError(f"unknown search scope {scope!r}")
     mult = _multipliers(constellation)
     n = 2 * code.K
     scale = constellation.d_min ** (2 * code.nt)
-    if scope == "full" and len(mult) ** n - 1 > budget:
-        raise PatternBudgetError(len(mult) ** n - 1, budget)
     groups = code.grouping if scope == "within_group" else (range(1, n + 1),)
+    count = len(mult) ** max(len(g) for g in groups) - 1
+    if count > PATTERN_BUDGET:
+        raise PatternBudgetError(count)
     per_group = []
     for group in groups:
         val, pat = _min_pattern(code.dispersion, mult, [r - 1 for r in group])
@@ -298,9 +267,9 @@ class ThetaSweep:
     best_theta_deg: float
 
 
-def theta_grid_search(constellation: Constellation, step_deg: float = 0.01,
-                      lo_deg: float = 0.0, hi_deg: float = 45.0) -> ThetaSweep:
-    """Sweep the pair-mixing angle for the four-antenna code.
+def theta_grid_search(constellation: Constellation,
+                      step_deg: float = 0.01) -> ThetaSweep:
+    """Sweep the pair-mixing angle of the four-antenna code over [0, 45] deg.
 
     For each angle the within-group minimum determinant of the mixed code is
     evaluated numerically (batched Gram determinants on the base dispersion
@@ -310,18 +279,18 @@ def theta_grid_search(constellation: Constellation, step_deg: float = 0.01,
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"angle step {step_deg} must be positive and finite")
-    if (hi_deg - lo_deg) / step_deg + 0.5 > MAX_THETA_POINTS:
+    if 45.0 / step_deg + 0.5 > MAX_THETA_POINTS:
         raise ValueError(
             f"angle step {step_deg} gives more than {MAX_THETA_POINTS} angles"
         )
     base = build("Q4")
     mult = _multipliers(constellation)
     coeffs = np.vstack([
-        _embed(rows, [r - 1 for r in group], 8) for group in PAIRS_4ANT
+        _embed(rows, [r - 1 for r in group], 8) for group in base.grouping
         for rows in _patterns(mult, len(group))
     ])
     scale = constellation.d_min ** 8
-    thetas = np.arange(lo_deg, hi_deg + step_deg / 2, step_deg)
+    thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
     cos = np.array([math.cos(math.radians(deg)) for deg in thetas])
     sin = np.array([math.sin(math.radians(deg)) for deg in thetas])
     forms = _screen_forms(base.dispersion, len(thetas) * len(coeffs))
@@ -331,7 +300,7 @@ def theta_grid_search(constellation: Constellation, step_deg: float = 0.01,
         c = cos[lo:lo + block, None]
         s = sin[lo:lo + block, None]
         rot = np.empty((len(c),) + coeffs.shape)  # every rail is in a pair
-        for q, v in PAIRS_4ANT:
+        for q, v in base.grouping:
             rot[:, :, q - 1] = coeffs[:, q - 1] * c - coeffs[:, v - 1] * s
             rot[:, :, v - 1] = coeffs[:, q - 1] * s + coeffs[:, v - 1] * c
         keep = (np.ones(rot.shape[:2], dtype=bool) if forms is None
@@ -345,8 +314,7 @@ def theta_grid_search(constellation: Constellation, step_deg: float = 0.01,
     )
 
 
-def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05,
-                    lo_deg: float = 0.0, hi_deg: float = 45.0):
+def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
     """Rows for the per-(m, n) determinant-vs-angle curves.
 
     Yields (theta_deg, overall_min, {(m, n): case_min}) with determinants in
@@ -355,7 +323,7 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05,
     top = constellation.levels_per_rail - 1
     pairs = [(m, n) for m in range(1, top + 1) for n in range(1, top + 1)]
     scale = constellation.d_min ** 8
-    sweep = theta_grid_search(constellation, step_deg, lo_deg, hi_deg)
+    sweep = theta_grid_search(constellation, step_deg)
     for deg, overall in zip(sweep.thetas_deg, sweep.min_dets):
         theta = math.radians(deg)
         cases = {
@@ -411,8 +379,9 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
     """Return ``mix -> min det`` (scaled by d_min^(2 Nt)) over the nonzero
     patterns on ``rails`` (1-based) of ``base`` times ``mix``: the rails'
     factor forms contracted by einsum (the :func:`_near_min` order moves the
-    last bits and the angles ``search-t8`` finds), or batched determinants
-    when the rails have no forms."""
+    last bits and the angles ``search-t8`` finds). Every caller's rails
+    (T8's groups, Q8_CR's and T8_CR's) have factor forms, so there is no
+    determinant fallback."""
     sub = base.dispersion[[r - 1 for r in rails]]
     pats = np.vstack(list(_patterns(_multipliers(constellation), len(rails))))
     scale = constellation.d_min ** (2 * base.nt)
@@ -420,28 +389,10 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
 
     def min_det(mix: np.ndarray) -> float:
         coeffs = pats @ mix
-        if forms is None:
-            return float(_batched_dets(sub, coeffs).min()) * scale
         q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
         return float((np.prod(q, axis=1) ** 2).min()) * scale
 
     return min_det
-
-
-def _cr_mix(rails, angles: dict, K: int) -> np.ndarray:
-    """The coefficient rotation on ``rails`` (1-based) of
-    :func:`transforms.apply_cr` with ``angles`` ({symbol: angle}); symbols
-    off these rails are left out."""
-    pos = {r: i for i, r in enumerate(rails)}
-    mix = np.eye(len(rails))
-    for sym, phi in angles.items():
-        if sym in pos:
-            i, j = pos[sym], pos[K + sym]
-            c, s = math.cos(phi), math.sin(phi)
-            mix[i, i] = mix[j, j] = c
-            mix[i, j] = s
-            mix[j, i] = -s
-    return mix
 
 
 def _t8_objective(constellation: Constellation):
@@ -458,14 +409,14 @@ def _t8_objective(constellation: Constellation):
     return objective
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 25):
-    """Golden-section maximisation on [lo, hi]."""
+def _golden_max(fun, lo: float, hi: float):
+    """Golden-section maximisation on [lo, hi], 25 iterations."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(25):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -484,16 +435,16 @@ class AngleSearchResult:
     zeta: float
 
 
-def search_t8_angles(starts: int = 64, seed: int = 0, sweeps: int = 3,
+def search_t8_angles(starts: int = 64, seed: int = 0,
                      workers: int = 1) -> AngleSearchResult:
     """Multi-start coordinate descent over the six 4-D mixing angles.
 
     Maximises the 4-QAM diversity product of the mixed rate-1 eight-antenna
     code. Each start draws its initial angles from the substream
-    (seed, start index) and runs golden-section line searches coordinate by
-    coordinate; the result is deterministic for a given seed regardless of
-    the worker count, with ties broken toward the lexicographically
-    smallest angle vector.
+    (seed, start index) and runs three sweeps of golden-section line
+    searches coordinate by coordinate; the result is deterministic for a
+    given seed regardless of the worker count, with ties broken toward the
+    lexicographically smallest angle vector.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -505,7 +456,7 @@ def search_t8_angles(starts: int = 64, seed: int = 0, sweeps: int = 3,
     def run_start(index: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         angles = rng.uniform(-half_pi, half_pi, size=6)
-        for _ in range(sweeps):
+        for _ in range(3):
             for j in range(6):
                 def slice_fun(t, j=j):
                     trial = angles.copy()
@@ -526,51 +477,51 @@ def search_t8_angles(starts: int = 64, seed: int = 0, sweeps: int = 3,
     return AngleSearchResult(angles=angles, zeta=-neg_zeta)
 
 
-def search_q8_cr_angle(step_deg: float = 0.25) -> AngleSearchResult:
-    """1-D grid search of the common rotation angle for the eight-antenna
-    rate-3/4 code (symbols 4..6 rotated), scored on the base code's patterns
-    rotated within the rotated code's groups."""
+def search_q8_cr_angle() -> AngleSearchResult:
+    """1-D search of the common rotation angle for the eight-antenna
+    rate-3/4 code (symbols 4..6 rotated) over a 0.25-degree grid, scored on
+    the base code's patterns rotated within the rotated code's groups."""
     base = build("Q8")
-    groups = [(rails, _mixed_min_det(base, make_qam(4), rails))
-              for rails in build("Q8_CR").grouping]
+    groups = [(np.ix_(*[[r - 1 for r in g]] * 2),
+               _mixed_min_det(base, make_qam(4), g))
+              for g in build("Q8_CR").grouping]
     best = None
-    for deg in np.arange(step_deg, 90.0, step_deg):
+    for deg in np.arange(0.25, 90.0, 0.25):
         phi = math.radians(deg)
-        angles = dict.fromkeys((4, 5, 6), phi)
-        z = _zeta_of(min(min_det(_cr_mix(rails, angles, base.K))
-                         for rails, min_det in groups), base)
+        rot = transforms.cr_rotation(base.K, [(s, phi) for s in (4, 5, 6)])
+        z = _zeta_of(min(min_det(rot[block]) for block, min_det in groups),
+                     base)
         if best is None or z > best.zeta:
             best = AngleSearchResult(angles=(phi,), zeta=z)
     return best
 
 
-def search_t8_cr_steps(coarse_deg: float = 2.5,
-                       fine_deg: float = 0.25) -> AngleSearchResult:
+def search_t8_cr_steps() -> AngleSearchResult:
     """Small-grid search of the two rotation-progression steps for T8_CR.
 
-    Each coupled symbol family (a T8 group of real rails) gets per-symbol
-    angles (0, d, 2d, 3d) with the family step d below 30 degrees (so every
-    angle stays inside the rotation range); the grid runs over the two
-    family steps, coarse pass then local refinement. Returns the eight
-    per-symbol angles of the best pair found.
+    The two coupled symbol families get the angles (0, d, 2d, 3d) of
+    :func:`catalog.t8_cr_angles`, each family step d below 30 degrees (so
+    every angle stays inside the rotation range). The grid over the two
+    steps is a 2.5-degree pass, then a 0.25-degree one around its best
+    pair. Returns the eight per-symbol angles of the best pair found.
     """
+    coarse_deg, fine_deg = 2.5, 0.25
     base = build("T8")
-    families = [g for g in base.grouping if max(g) <= base.K]
     # rotating a family's symbols merges its real and imaginary rail groups
-    merged = [sorted(f + tuple(base.K + q for q in f)) for f in families]
+    # into one group of T8_CR; group i holds family i
+    merged = build("T8_CR").grouping
     min_dets = [_mixed_min_det(base, make_qam(4), rails) for rails in merged]
     top_deg = 30.0 - fine_deg  # keep 3d strictly inside [0, 90) degrees
 
-    def family_angles(index: int, step_deg: float) -> dict:
-        step = math.radians(step_deg)
-        return {sym: k * step for k, sym in enumerate(families[index])}
+    rotation = functools.cache(lambda step_deg: transforms.cr_rotation(
+        base.K, t8_cr_angles((math.radians(step_deg),) * 2)))
 
     # the pair's value is the smaller of the two families' values, each a
     # function of its own step alone, so every (family, step) is scored once
     @functools.cache
     def family_min_det(index: int, step_deg: float) -> float:
-        mix = _cr_mix(merged[index], family_angles(index, step_deg), base.K)
-        return min_dets[index](mix)
+        idx = [r - 1 for r in merged[index]]
+        return min_dets[index](rotation(step_deg)[np.ix_(idx, idx)])
 
     def grid(d1_values, d2_values, best=None):
         for d1 in d1_values:
@@ -589,6 +540,6 @@ def search_t8_cr_steps(coarse_deg: float = 2.5,
     steps = np.arange(coarse_deg, top_deg, coarse_deg)
     _, d1, d2 = best = grid(steps, steps)
     zeta, d1, d2 = grid(fine(d1), fine(d2), best)
-    angles = {**family_angles(0, d1), **family_angles(1, d2)}
-    return AngleSearchResult(angles=tuple(angles[s] for s in range(1, 9)),
+    angles = t8_cr_angles((math.radians(d1), math.radians(d2)))
+    return AngleSearchResult(angles=tuple(phi for _, phi in angles),
                              zeta=zeta)

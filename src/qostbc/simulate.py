@@ -40,6 +40,10 @@ MAX_WORKERS = 256
 #: channels for one chunk take 128 MiB
 MAX_NR = 16
 
+#: largest |SNR| in dB a campaign may simulate; 10^(snr/10) overflows a
+#: float above about 3083 dB
+MAX_SNR_DB = 1000.0
+
 CSV_COLUMNS = ("code", "mod", "nr", "snr_db", "bits", "bit_errors", "ber",
                "frames", "frame_errors", "fer", "seed")
 
@@ -91,6 +95,8 @@ class SimConfig:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
         if not 1 <= self.nr <= MAX_NR:
             raise ValueError(f"nr must be between 1 and {MAX_NR}")
+        if not all(abs(v) <= MAX_SNR_DB for v in grid):
+            raise ValueError(f"snr points must lie within +-{MAX_SNR_DB} dB")
 
 
 @dataclass(frozen=True)
@@ -194,10 +200,8 @@ def run_ber(config: SimConfig) -> BerCurve:
 # artifacts
 
 def curve_csv(curves) -> str:
-    """CSV dump of one or more curves: config echo line, header, one row per
+    """CSV dump of a list of curves: config echo line, header, one row per
     SNR point."""
-    if isinstance(curves, BerCurve):
-        curves = [curves]
     echo = " ".join(
         f"{c.config.code}/{modulation_name(c.config.modulation)}"
         f"(nr={c.config.nr},seed={c.config.seed},"
@@ -217,11 +221,11 @@ def curve_csv(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_svg(curves, width: int = 640, height: int = 480) -> str:
-    """Minimal standalone SVG of BER (log scale) versus SNR, one polyline per
-    curve. Zero-error points are omitted from their polyline."""
-    if isinstance(curves, BerCurve):
-        curves = [curves]
+def curve_svg(curves) -> str:
+    """Minimal 640 x 480 standalone SVG of BER (log scale) versus SNR, one
+    polyline per curve of a list. Zero-error points are omitted from their
+    polyline."""
+    width, height = 640, 480
     pts = [(c, [(p.snr_db, p.ber) for p in c.points if p.ber > 0.0])
            for c in curves]
     xs = [x for _, series in pts for x, _ in series]
@@ -297,21 +301,19 @@ def snr_at_ber(curve: BerCurve, level: float):
     return None
 
 
-def final_decade_slope(curve: BerCurve, decades: float = 1.0,
-                       min_errors: int = 20):
-    """Least-squares slope of log10(BER) per dB over the lowest BER decade(s).
+def final_decade_slope(curve: BerCurve):
+    """Least-squares slope of log10(BER) per dB over the lowest BER decade.
 
-    Points with fewer than ``min_errors`` bit errors carry no usable slope
-    information and are excluded before the decade window (relative to the
-    remaining curve floor) is applied. Returns None if fewer than two points
-    survive.
+    Points with fewer than 20 bit errors carry no usable slope information
+    and are excluded before the decade window (relative to the remaining
+    curve floor) is applied. Returns None if fewer than two points survive.
     """
     series = [(p.snr_db, p.ber) for p in curve.points
-              if p.ber > 0.0 and p.bit_errors >= min_errors]
+              if p.ber > 0.0 and p.bit_errors >= 20]
     if not series:
         return None
     floor = min(y for _, y in series)
-    sel = [(x, math.log10(y)) for x, y in series if y <= floor * 10.0 ** decades]
+    sel = [(x, math.log10(y)) for x, y in series if y <= floor * 10.0]
     if len(sel) < 2:
         return None
     xs = np.array([x for x, _ in sel])

@@ -11,6 +11,8 @@ as the equivalent rotation of each symbol's (real, imaginary) pair of
 dispersion matrices, so a rotated code is an ordinary CodeDefinition whose
 codewords for unrotated input symbols equal those of the rotated
 constellation. Rotation bridges rails of different groups, enlarging them.
+Both are plane rotations of real rail pairs; :func:`cr_rotation` is CR's,
+read by :func:`apply_cr` and by the CR angle searches of :mod:`qostbc.gain`.
 """
 
 import math
@@ -29,8 +31,7 @@ GIVENS_ORDER_4D = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 def rotation_2d(theta: float) -> np.ndarray:
     """2-D mixing matrix [[cos, sin], [-sin, cos]]."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
+    return givens_rotation(2, 1, 2, theta)
 
 
 def givens_rotation(n: int, i: int, k: int, theta: float) -> np.ndarray:
@@ -54,21 +55,13 @@ def givens_product(n: int, factors) -> np.ndarray:
 
 
 def givens_4d(angles) -> np.ndarray:
-    """4-D orthogonal matrix from six plane angles.
-
-    ``angles`` is either a mapping keyed by the planes (1,2)..(3,4) or a
-    sequence of six values in the order (1,2), (1,3), (1,4), (2,3), (2,4),
-    (3,4); the product is taken left to right in that fixed order.
+    """4-D orthogonal matrix from a sequence of six plane angles in the
+    order of GIVENS_ORDER_4D; the product is taken left to right in that
+    fixed order.
     """
-    if isinstance(angles, dict):
-        missing = [p for p in GIVENS_ORDER_4D if p not in angles]
-        if missing:
-            raise ValueError(f"missing plane angles: {missing}")
-        values = [angles[p] for p in GIVENS_ORDER_4D]
-    else:
-        values = list(angles)
-        if len(values) != 6:
-            raise ValueError(f"expected six angles, got {len(values)}")
+    values = list(angles)
+    if len(values) != 6:
+        raise ValueError(f"expected six angles, got {len(values)}")
     return givens_product(
         4, [(i, k, t) for (i, k), t in zip(GIVENS_ORDER_4D, values)]
     )
@@ -101,18 +94,16 @@ class GcltSpec:
                 raise ValueError(f"mixing matrix for group {group} is not orthogonal")
 
     @classmethod
-    def rotations_2d(cls, grouping, theta) -> "GcltSpec":
-        """One plane rotation per two-rail group; ``theta`` is a scalar or
-        one value per group."""
-        thetas = np.broadcast_to(np.asarray(theta, dtype=float), (len(grouping),))
-        mats = []
-        for group, t in zip(grouping, thetas):
+    def rotations_2d(cls, grouping, theta: float) -> "GcltSpec":
+        """The same plane rotation by ``theta`` for every two-rail group."""
+        for group in grouping:
             if len(group) != 2:
                 raise ValueError(
                     f"2-D rotation spec requires two-rail groups, got {group}"
                 )
-            mats.append(rotation_2d(float(t)))
-        return cls(tuple(tuple(g) for g in grouping), tuple(mats))
+        mat = rotation_2d(theta)
+        return cls(tuple(tuple(g) for g in grouping),
+                   tuple(mat for _ in grouping))
 
     @classmethod
     def givens_4d_spec(cls, grouping, angles) -> "GcltSpec":
@@ -190,22 +181,34 @@ class CrSpec:
         return cls(tuple((int(s), float(angle)) for s in sorted(symbols)))
 
 
+def cr_rotation(K: int, angles) -> np.ndarray:
+    """The (2K, 2K) rail rotation of CR: rotation_2d(phi) on the rails
+    (q, K+q) of every (symbol q, angle phi) in ``angles``, identity
+    elsewhere; row p builds the rotated code's matrix of rail p."""
+    rot = np.eye(2 * K)
+    for sym, phi in angles:
+        if not 1 <= sym <= K:
+            raise ValueError(f"symbol index {sym} outside 1..{K}")
+        rot[sym - 1::K, sym - 1::K] = rotation_2d(phi)  # rails q and K+q
+    return rot
+
+
 def apply_cr(code: CodeDefinition, spec: CrSpec, name: str = None) -> CodeDefinition:
     """Rotate the chosen complex symbols by their angles.
 
     For symbol x_q at angle phi the (real, imaginary) dispersion pair
-    (A_q, A_{K+q}) becomes (cos*A_q + sin*A_{K+q}, -sin*A_q + cos*A_{K+q});
-    encoding unrotated rail values through the new matrices reproduces the
-    codeword of the rotated constellation.
+    (A_q, A_{K+q}) becomes (cos*A_q + sin*A_{K+q}, -sin*A_q + cos*A_{K+q}),
+    the rows of :func:`cr_rotation`; encoding unrotated rail values through
+    the new matrices reproduces the codeword of the rotated constellation.
+    Each pair is its two-term sum: a sum over every rail would turn -0.0
+    entries into 0.0.
     """
     K = code.K
+    rot = cr_rotation(K, spec.angles)
     new = np.array(code.dispersion, dtype=np.complex128)
-    for sym, phi in spec.angles:
-        if not 1 <= sym <= K:
-            raise ValueError(f"symbol index {sym} outside 1..{K}")
-        c, s = math.cos(phi), math.sin(phi)
-        a_re = code.dispersion[sym - 1]
-        a_im = code.dispersion[K + sym - 1]
-        new[sym - 1] = c * a_re + s * a_im
-        new[K + sym - 1] = -s * a_re + c * a_im
+    for sym, _ in spec.angles:
+        i, j = sym - 1, K + sym - 1
+        a_re, a_im = code.dispersion[i], code.dispersion[j]
+        new[i] = rot[i, i] * a_re + rot[i, j] * a_im
+        new[j] = rot[j, i] * a_re + rot[j, j] * a_im
     return make_code(name or f"{code.name}+CR", code.T, code.nt, code.K, new)

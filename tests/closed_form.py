@@ -2,7 +2,8 @@
 
 Reference oracles for the tests: the mixed (Q4_LT) and rotated (Q4_CR)
 codes' decision metrics written out from the matched-filter terms of the
-code matrices, as in the paper. Time slots whose row carries conjugated
+code matrices, as in the paper, and the mixed code's distance determinant
+(:func:`q4lt_det_closed_form`). Time slots whose row carries conjugated
 symbols contribute conj(h)*r instead of h*conj(r). The tests pin the argmin
 equivalence of these metrics against the generic grouped detector.
 :func:`stack_received` and :func:`unstack_received` convert between complex
@@ -18,6 +19,31 @@ from qostbc.modem import Constellation
 
 _A_OPT = math.cos(0.5 * math.atan(0.5))
 _B_OPT = math.sin(0.5 * math.atan(0.5))
+
+#: the two-rail groups of the four-antenna code, in closed-form pair order
+_Q4_PAIRS = ((1, 4), (2, 3), (5, 8), (6, 7))
+
+
+def q4lt_det_closed_form(deltas, theta: float) -> float:
+    """Closed-form distance determinant of the mixed four-antenna code.
+
+    Rotates each rail pair of _Q4_PAIRS by ``theta`` into the base-code
+    coordinates and evaluates the known determinant of the base code:
+    [(sum of four paired squares) * (sum of the mirrored squares)]^2.
+    """
+    d = np.asarray(deltas, dtype=np.float64)
+    if d.shape != (8,):
+        raise ValueError(f"expected 8 deltas, got shape {d.shape}")
+    c, s = math.cos(theta), math.sin(theta)
+    t = np.empty(8)
+    for q, v in _Q4_PAIRS:
+        t[q - 1] = d[q - 1] * c - d[v - 1] * s
+        t[v - 1] = d[q - 1] * s + d[v - 1] * c
+    s1 = ((t[0] + t[3]) ** 2 + (t[1] - t[2]) ** 2
+          + (t[4] + t[7]) ** 2 + (t[5] - t[6]) ** 2)
+    s2 = ((t[0] - t[3]) ** 2 + (t[1] + t[2]) ** 2
+          + (t[4] - t[7]) ** 2 + (t[5] + t[6]) ** 2)
+    return float((s1 * s2) ** 2)
 
 
 def matched_filter_terms(h, received):

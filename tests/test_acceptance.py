@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from qostbc import analysis, checks, cli, decoder, gain, simulate, transforms
-from qostbc.catalog import build
+from qostbc.catalog import OPT_THETA_2D, build
 from qostbc.modem import make_qam
 
 import closed_form
@@ -65,7 +65,7 @@ def test_criterion_03_cr_angle_searches():
 
 def test_criterion_04_optimal_mixing_angle():
     t0 = time.time()
-    analytic_deg = math.degrees(gain.optimal_theta_2d())
+    analytic_deg = math.degrees(OPT_THETA_2D)
     ok = True
     details = []
     for order in (4, 16):
@@ -76,9 +76,7 @@ def test_criterion_04_optimal_mixing_angle():
         idx = int(np.argmin(np.abs(sweep.thetas_deg - analytic_deg)))
         target = 0.64 * qam.d_min ** 8
         base = build("Q4")
-        spec = transforms.GcltSpec.rotations_2d(
-            base.grouping, gain.optimal_theta_2d()
-        )
+        spec = transforms.GcltSpec.rotations_2d(base.grouping, OPT_THETA_2D)
         at_opt = gain.min_det_search(
             transforms.apply_gclt(base, spec), qam
         ).min_det
@@ -92,13 +90,13 @@ def test_criterion_04_optimal_mixing_angle():
 
 def test_criterion_05_closed_form_equals_numeric():
     code = build("Q4_LT")
-    theta = gain.optimal_theta_2d()
+    theta = OPT_THETA_2D
     rng = np.random.default_rng(np.random.SeedSequence([505]))
     worst = 0.0
     for _ in range(10000):
         deltas = rng.integers(-3, 4, size=8).astype(float) * D4
         numeric = gain.distance_det(code, deltas)
-        closed = gain.q4lt_det_closed_form(deltas, theta)
+        closed = closed_form.q4lt_det_closed_form(deltas, theta)
         denom = max(abs(closed), 1e-12)
         worst = max(worst, abs(numeric - closed) / denom)
     report(5, worst <= 1e-9, f"max relative error {worst:.2e} over 1e4 patterns")
@@ -166,7 +164,7 @@ def _cli_bytes(capsys, argv):
 
 
 def test_criterion_12_cli_determinism(capsys):
-    theta = repr(math.degrees(gain.optimal_theta_2d()))
+    theta = repr(math.degrees(OPT_THETA_2D))
     fixed = [
         ["catalog", "--code", "Q8"],
         ["analyze", "--code", "Q4_CR"],

@@ -1,13 +1,21 @@
 """Command-line interface tests: artifacts, determinism, exit codes."""
 
 import concurrent.futures
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qostbc import cli, simulate
+from qostbc import catalog, cli, simulate
 
 
 def run_cli(capsys, argv):
@@ -220,6 +228,7 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
     ["search-t8", "--starts", "1", "--workers", "0"],
     ["search-t8", "--starts", "1", "--workers", "-1"],
     SIMULATE + ["--snr", "0:1e-6:1"],
+    SIMULATE + ["--snr", "4000:1:4000"],
     SIMULATE + ["--snr", "-1e308:1:1e308"],
     ["sweep-theta", "--mod", "4qam", "--step", "1e-6"],
     ["search-t8", "--workers", "1000000", "--starts", "1000000"],
@@ -275,6 +284,47 @@ def test_divprod_t8_cr_16qam_is_pinned(capsys):
     assert out == T8_CR_16QAM_DIVPROD
 
 
+@pytest.mark.parametrize("argv", [
+    [cmd, "--code", "T8_CR", "--mod", mod]
+    for cmd in ("divprod", "mindet") for mod in ("64qam", "256qam")
+], ids=" ".join)
+def test_within_group_budget_exits_three_without_output(capsys, tmp_path,
+                                                        argv):
+    # 15^8 - 1 and 31^8 - 1 patterns per group: rejected before any group
+    # is scored
+    out = tmp_path / "out.json"
+    status, _, err = run_cli(capsys, argv + ["--out", str(out)])
+    assert status == 3
+    assert "exceeds budget" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_plot_leaves_no_csv(capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    status, _, err = run_cli(capsys, SIMULATE + [
+        "--snr", "0:1:0", "--max-uses", "64", "--out", str(out),
+        "--svg", str(tmp_path / "missing" / "plot.svg")])
+    assert status == 1
+    assert err.strip() and "Traceback" not in err
+    assert not out.exists()
+
+
+#: SHA-256 of code artifacts that no other test pins byte for byte
+CODE_DIGESTS = {
+    "catalog --all":
+        "7c384679cdd999cbbfc8679e9b575c68baf11aeaa6872f7fda3424dd7304b4a4",
+    "transform --code T8 --cr-angle 10 --cr-symbols 2,5,8":
+        "48ad259f13b79c5979b7ad5e1ae6db0763f7dee912e96849cf9c581811a0585d",
+}
+
+
+@pytest.mark.parametrize("command", CODE_DIGESTS)
+def test_code_artifact_is_pinned(capsys, command):
+    status, out, _ = run_cli(capsys, command.split())
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CODE_DIGESTS[command]
+
+
 def test_too_many_candidates_exits_three_without_output(capsys, tmp_path):
     out = tmp_path / "out.csv"
     status, _, err = run_cli(capsys, ["simulate", "--code", "T8_CR", "--mod",
@@ -304,3 +354,119 @@ def test_verify_passes(capsys):
     status, out, _ = run_cli(capsys, ["verify"])
     assert status == 0
     assert out == VERIFY_STDOUT
+
+
+# --------------------------------------------------------------------------
+# fuzzing: every command line drawn from a bounded, fast domain exits 0, 1
+# or 3 without a traceback, and a failed run leaves no artifact
+
+#: (valid, invalid) values of each drawn option; an example breaks at most
+#: one option, so that most command lines get past parsing
+OPTIONS = {
+    "code": (catalog.CODE_NAMES, ("Q99", "", "q4")),
+    "mod": (("4qam", "16qam", "64qam", "256qam"), ("9qam", "qam", "2qam")),
+    "workers": ((1, 2), (0, -1, cli.MAX_WORKERS + 1, 10 ** 6)),
+    "scope": (("within_group", "full"), ("everything",)),
+    "angle": ((0.0, 10.0, -45.66, 13.2825, 89.75, 400.0),
+              (math.nan, math.inf, -math.inf)),
+    "symbols": (("1", "3,4", "4,5,6", "2,5,8"), ("0", "9", "1,1", "a", ",")),
+    "step": ((1.0, 5.0, 15.0, 45.0, 100.0), (0.0, -1.0, math.nan, math.inf,
+                                              1e-6)),
+    "starts": ((1, 2), (0, -1, cli.MAX_STARTS + 1)),
+    "seed": ((0, 5), (-1,)),
+    "snr": (("0:5:10", "0:1:0", "-5:5:0"),
+            ("10:2:0", "0:nan:4", "4000:1:4000", "0:0:4", "0:1")),
+    "nr": ((1, 2), (0, -1, simulate.MAX_NR + 1)),
+    "min-errors": ((1, 20), (0, -3)),
+    "max-uses": ((64, 256), (0, -1)),
+}
+#: (code, mod, scope) searches that would take seconds; every other drawn
+#: search finishes fast or is rejected before it starts
+SLOW_GAIN = {("T8_CR", "16qam", "within_group")} | {
+    (name, "256qam", "within_group") for name in ("Q8_CR", "T8", "T8_LT")} | {
+    (name, "16qam", "full") for name in ("Q4", "Q4_CR", "Q4_LT", "G4C")}
+COMMANDS = {
+    "catalog": ("code",), "analyze": ("code",),
+    "transform": ("code", "angle", "symbols"),
+    "mindet": ("code", "mod", "scope"), "divprod": ("code", "mod"),
+    "sweep-theta": ("mod", "step"), "search-t8": ("starts", "seed", "workers"),
+    "simulate": ("code", "mod", "snr", "nr", "seed", "min-errors",
+                 "max-uses", "workers"),
+    "verify": ("workers",),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, workers): a command line and the --workers value it passes,
+    or None."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    names = COMMANDS[command]
+    broken = draw(st.sampled_from((None,) + names))
+    value = {name: draw(st.sampled_from(OPTIONS[name][name == broken]))
+             for name in names}
+    text = {name: repr(v) if isinstance(v, float) else str(v)
+            for name, v in value.items()}
+    if command in ("mindet", "divprod"):
+        if (value["code"], value["mod"], value.get("scope", "within_group")) \
+                in SLOW_GAIN:
+            text["mod"] = "4qam"
+    if command == "transform":
+        kind = draw(st.sampled_from(("gclt-theta", "gclt-givens", "cr-angle",
+                                     "none", "two")))
+        argv = ["transform", f"--code={text['code']}"]
+        if kind in ("gclt-theta", "two"):
+            argv += [f"--gclt-theta={text['angle']}"]
+        if kind in ("gclt-givens", "two"):
+            argv += ["--gclt-givens"] + [text["angle"]] * 6
+        if kind == "cr-angle":
+            argv += [f"--cr-angle={text['angle']}",
+                     f"--cr-symbols={text['symbols']}"]
+        return argv, None
+    if command == "simulate":
+        text["code"] += draw(st.sampled_from(("", ",Q4_LT", ":16qam")))
+    if command == "verify":
+        # the Monte Carlo checks take most of a minute: only a rejected
+        # worker count reaches --ber
+        if value["workers"] in OPTIONS["workers"][0]:
+            return ["verify"], None
+        return ["verify", "--ber", f"--workers={text['workers']}"], \
+            value["workers"]
+    if command == "catalog" and draw(st.booleans()):
+        return ["catalog", "--all"], None
+    # --name=value keeps a negative value from reading as an option
+    return ([command] + [f"--{name}={text[name]}" for name in names],
+            value.get("workers"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(command_lines(), st.sampled_from((None, "plot.svg", "no/plot.svg")))
+def test_fuzzed_command_lines_fail_cleanly(case, plot):
+    argv, workers = case
+    rejected = workers is not None and not 1 <= workers <= cli.MAX_WORKERS
+    pools = []
+    real_pool = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        pools.append(args or kwargs)
+        return real_pool(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
+                              recording_pool), \
+            mock.patch.object(simulate, "ThreadPoolExecutor",
+                              recording_pool), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        out = os.path.join(tmp, "out")
+        if argv[0] != "verify":
+            argv = argv + ["--out", out]
+        if argv[0] == "simulate" and plot:  # no/ does not exist
+            argv = argv + ["--svg", os.path.join(tmp, plot)]
+        status = cli.main(argv)
+        assert status in (0, 1, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if status != 0:
+            assert not os.path.exists(out), argv
+        if rejected:
+            assert status == 1 and not pools, argv

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from qostbc import gain, transforms
-from qostbc.catalog import CODE_NAMES, build
+from qostbc.catalog import CODE_NAMES, OPT_THETA_2D, build, t8_cr_angles
 from qostbc.modem import make_qam
 from qostbc.simulate import MAX_WORKERS
+
+import closed_form
 
 QAM4 = make_qam(4)
 D4 = QAM4.d_min
@@ -44,12 +46,13 @@ class TestClosedForm:
     def test_single_error_zero_angle(self):
         deltas = np.zeros(8)
         deltas[0] = D4
-        assert gain.q4lt_det_closed_form(deltas, 0.0) == pytest.approx(D4 ** 8)
+        assert closed_form.q4lt_det_closed_form(deltas, 0.0) == pytest.approx(
+            D4 ** 8)
 
     def test_worst_pair_at_optimum(self):
         deltas = np.zeros(8)
         deltas[0] = deltas[3] = D4
-        got = gain.q4lt_det_closed_form(deltas, THETA_OPT)
+        got = closed_form.q4lt_det_closed_form(deltas, THETA_OPT)
         assert got == pytest.approx(0.64 * D4 ** 8, rel=1e-12)
 
     def test_matches_numeric_determinant(self):
@@ -59,7 +62,7 @@ class TestClosedForm:
         for _ in range(2000):
             deltas = rng.integers(-3, 4, size=8).astype(float) * D4
             numeric = gain.distance_det(code, deltas)
-            closed = gain.q4lt_det_closed_form(deltas, THETA_OPT)
+            closed = closed_form.q4lt_det_closed_form(deltas, THETA_OPT)
             assert numeric == pytest.approx(closed, rel=1e-9, abs=1e-9)
 
 
@@ -102,20 +105,18 @@ class TestCaseDets:
 
 class TestOptimalTheta:
     def test_analytic_value(self):
-        assert math.degrees(gain.optimal_theta_2d()) == pytest.approx(
+        assert math.degrees(OPT_THETA_2D) == pytest.approx(
             13.2825, abs=2e-4
         )
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_grid_search_argmax(self, order):
         sweep = gain.theta_grid_search(make_qam(order), step_deg=0.05)
-        assert abs(sweep.best_theta_deg
-                   - math.degrees(gain.optimal_theta_2d())) <= 0.05
+        assert abs(sweep.best_theta_deg - math.degrees(OPT_THETA_2D)) <= 0.05
 
     def test_grid_matches_full_pipeline_at_spot_angles(self):
         qam = make_qam(4)
-        sweep = gain.theta_grid_search(qam, step_deg=1.0, lo_deg=0.0,
-                                       hi_deg=20.0)
+        sweep = gain.theta_grid_search(qam, step_deg=1.0)
         base = build("Q4")
         for idx in (0, 7, 13, 20):
             theta = math.radians(sweep.thetas_deg[idx])
@@ -202,24 +203,24 @@ class TestAngleSearches:
         ("Q8", dict.fromkeys((4, 5, 6), math.radians(deg)))
         for deg in (10.0, 30.25, 60.0)
     ] + [
-        ("T8", {sym: k * math.radians(step)
-                for family, step in zip(((1, 4, 6, 7), (2, 3, 5, 8)), steps)
-                for k, sym in enumerate(family)})
+        ("T8", dict(t8_cr_angles(tuple(map(math.radians, steps)))))
         for steps in ((22.5, 22.5), (10.0, 25.0), (5.0, 17.5))
     ])
     def test_cr_evaluator_matches_pipeline(self, base_name, angles):
-        # the CR searches score the base code's patterns under _cr_mix in
-        # the rotated code's groups; the rotated code itself must agree
+        # the CR searches score the base code's patterns under the group's
+        # block of cr_rotation in the rotated code's groups; the rotated code
+        # itself must agree
         base = build(base_name)
         code = transforms.apply_cr(
             base, transforms.CrSpec(tuple(sorted(angles.items()))))
         assert code.grouping == build(base_name + "_CR").grouping
         report = gain.diversity_product(code, QAM4)
+        rotation = transforms.cr_rotation(base.K, angles.items())
         rng = np.random.default_rng(59)
         worst = math.inf
         for group, want in zip(code.grouping, report.report.per_group):
             rails = [r - 1 for r in group]
-            mix = gain._cr_mix(group, angles, base.K)
+            mix = rotation[np.ix_(rails, rails)]
             c = rng.standard_normal((4, len(group)))
             assert np.allclose(
                 np.einsum("rp,ptn->rtn", c @ mix, base.dispersion[rails]),
@@ -293,7 +294,7 @@ def reference_theta_sweep(constellation, step_deg):
     mult = gain._multipliers(constellation)
     coeffs = np.vstack([
         gain._embed(rows, [r - 1 for r in group], 8)
-        for group in gain.PAIRS_4ANT
+        for group in base.grouping
         for rows in gain._patterns(mult, len(group))
     ])
     thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
@@ -301,7 +302,7 @@ def reference_theta_sweep(constellation, step_deg):
     for i, deg in enumerate(thetas):
         c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
         rot = coeffs.copy()
-        for q, v in gain.PAIRS_4ANT:
+        for q, v in base.grouping:
             rot[:, q - 1] = coeffs[:, q - 1] * c - coeffs[:, v - 1] * s
             rot[:, v - 1] = coeffs[:, q - 1] * s + coeffs[:, v - 1] * c
         mins[i] = gain._batched_dets(base.dispersion, rot).min()

@@ -1,6 +1,8 @@
 """Monte Carlo engine tests: channel statistics, SNR calibration,
 determinism, and the curve-analysis helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,15 @@ class TestConfig:
                                     workers=simulate.MAX_WORKERS)
         assert config.workers == simulate.MAX_WORKERS
 
+    def test_rejects_snr_beyond_the_cap(self):
+        # 10^(snr/10) overflows a float above about 3083 dB
+        for grid in ((4000.0,), (0.0, simulate.MAX_SNR_DB + 1), (math.nan,)):
+            with pytest.raises(ValueError, match="snr points"):
+                simulate.SimConfig(code="Q4", modulation=4, snr_db=grid)
+        edge = (-simulate.MAX_SNR_DB, simulate.MAX_SNR_DB)
+        assert simulate.SimConfig(code="Q4", modulation=4,
+                                  snr_db=edge).snr_db == edge
+
 
 def _small_config(**overrides):
     base = dict(code="Q4_LT", modulation=4, nr=1, snr_db=(0.0, 6.0, 12.0),
@@ -198,7 +209,7 @@ class TestRunBer:
 class TestArtifacts:
     def test_csv_layout(self):
         curve = simulate.run_ber(_small_config())
-        text = simulate.curve_csv(curve)
+        text = simulate.curve_csv([curve])
         lines = text.strip().split("\n")
         assert lines[0].startswith("# qostbc simulate")
         assert lines[1] == ",".join(simulate.CSV_COLUMNS)
@@ -208,8 +219,8 @@ class TestArtifacts:
         assert int(row[4]) == curve.points[0].bits
 
     def test_csv_bytes_stable(self):
-        a = simulate.curve_csv(simulate.run_ber(_small_config(workers=2)))
-        b = simulate.curve_csv(simulate.run_ber(_small_config(workers=1)))
+        a = simulate.curve_csv([simulate.run_ber(_small_config(workers=2))])
+        b = simulate.curve_csv([simulate.run_ber(_small_config(workers=1))])
         assert a == b
 
     def test_svg_contains_polyline_per_curve(self):
@@ -249,7 +260,7 @@ class TestCurveAnalysis:
     def test_final_decade_slope_on_straight_line(self):
         pts = [(s, 10.0 ** (-0.3 * s)) for s in (0.0, 2.0, 4.0, 6.0, 8.0)]
         curve = synthetic_curve(pts)
-        slope = simulate.final_decade_slope(curve, decades=1.0)
+        slope = simulate.final_decade_slope(curve)
         assert slope == pytest.approx(-0.3, rel=1e-6)
 
     def test_final_decade_slope_skips_starved_points(self):
@@ -258,6 +269,6 @@ class TestCurveAnalysis:
                                     frames=125, frame_errors=1)
         curve = simulate.BerCurve(config=curve.config,
                                   points=curve.points + (starved,))
-        slope = simulate.final_decade_slope(curve, decades=1.0)
+        slope = simulate.final_decade_slope(curve)
         # the 1-error point is ignored; slope comes from the first two
         assert slope == pytest.approx(-0.5, rel=1e-6)

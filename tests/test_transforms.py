@@ -35,8 +35,8 @@ class TestGivens:
 
     def test_single_plane_matrix(self):
         th = 0.7
-        out = transforms.givens_4d({(1, 2): 0, (1, 3): 0, (1, 4): 0,
-                                    (2, 3): th, (2, 4): 0, (3, 4): 0})
+        # GIVENS_ORDER_4D: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+        out = transforms.givens_4d([0, 0, 0, th, 0, 0])
         expected = np.array([
             [1, 0, 0, 0],
             [0, math.cos(th), math.sin(th), 0],
@@ -48,7 +48,8 @@ class TestGivens:
     def test_searched_angle_set_is_orthogonal(self):
         degs = {(1, 2): -45.66, (1, 3): 9.13, (1, 4): 37.78,
                 (2, 3): 9.43, (2, 4): 44.24, (3, 4): -46.11}
-        out = transforms.givens_4d({k: math.radians(v) for k, v in degs.items()})
+        out = transforms.givens_4d(
+            [math.radians(degs[p]) for p in transforms.GIVENS_ORDER_4D])
         assert np.abs(out.T @ out - np.eye(4)).max() < 1e-12
 
     def test_orthogonality_over_random_draws(self):
@@ -82,7 +83,9 @@ class TestGcltSpec:
             transforms.GcltSpec.rotations_2d(((1, 2, 3, 4),), 0.1)
 
     def test_per_group_angles(self):
-        spec = transforms.GcltSpec.rotations_2d(((1, 2), (3, 4)), (0.1, 0.2))
+        spec = transforms.GcltSpec.from_matrices(
+            ((1, 2), (3, 4)),
+            (transforms.rotation_2d(0.1), transforms.rotation_2d(0.2)))
         assert spec.matrices[0][0, 1] == pytest.approx(math.sin(0.1))
         assert spec.matrices[1][0, 1] == pytest.approx(math.sin(0.2))
 
@@ -125,7 +128,7 @@ class TestApplyGclt:
                     )
             spec = transforms.GcltSpec.from_matrices(code.grouping, mats)
             out = transforms.apply_gclt(code, spec)
-            _, ok = validate_power(out, tol=1e-12)
+            _, ok = validate_power(out)
             assert ok
 
     def test_grouping_preserved_under_random_mixing(self):
@@ -182,7 +185,7 @@ class TestApplyCr:
     def test_power_preserved(self):
         code = build("Q8")
         out = transforms.apply_cr(code, transforms.CrSpec.uniform((4, 5, 6), 0.4))
-        _, ok = validate_power(out, tol=1e-12)
+        _, ok = validate_power(out)
         assert ok
 
 
