@@ -20,6 +20,9 @@ c @ mix of the base code, with mix the group's orthogonal mixing or its
 block of CR's rail rotation, :func:`transforms.cr_rotation`. One evaluator,
 :func:`_mixed_min_det`, scores a rail set's base-code patterns under any
 mix, and :func:`_zeta_of` is the one place that maps a minimum to zeta.
+Under a mix shared by all groups, groups whose factor forms are byte-equal
+give bit-equal minima, so ``search-t8``'s objective scores each distinct
+set of forms once: T8's four groups are equivalent and share one.
 
 Large enumerations are screened before they are scored. A QO-STBC Gram has
 paired eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
@@ -398,13 +401,25 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
 def _t8_objective(constellation: Constellation):
     """Diversity product of the rate-1 eight-antenna code with every group
     mixed by ``givens_4d(angles)``; the within-group power cross-traces
-    vanish, so the mixing needs no renormalisation."""
+    vanish, so the mixing needs no renormalisation.
+
+    Groups whose factor forms are byte-equal are scored once. An evaluator
+    reads only the forms, the patterns (set by the constellation and the
+    group width, which the forms' shape fixes) and the shared mix, so equal
+    forms give bit-equal minima and the minimum over the distinct forms is
+    the minimum over every group. T8's four groups share one set of forms.
+    """
     base = build("T8")
-    groups = [_mixed_min_det(base, constellation, g) for g in base.grouping]
+    distinct = {}  # factor-form bytes -> first group with those forms
+    for group in base.grouping:
+        sub = base.dispersion[[r - 1 for r in group]]
+        distinct.setdefault(_det_factor_forms(sub).tobytes(), group)
+    min_dets = [_mixed_min_det(base, constellation, group)
+                for group in distinct.values()]
 
     def objective(angles) -> float:
         mix = transforms.givens_4d(list(angles))
-        return _zeta_of(min(min_det(mix) for min_det in groups), base)
+        return _zeta_of(min(min_det(mix) for min_det in min_dets), base)
 
     return objective
 
@@ -448,6 +463,8 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
     objective = _t8_objective(make_qam(4))

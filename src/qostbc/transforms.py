@@ -90,6 +90,10 @@ class GcltSpec:
                     f"group {group} needs a {n}x{n} mixing matrix, "
                     f"got {mat.shape}"
                 )
+            if not np.isfinite(mat).all():
+                raise ValueError(
+                    f"mixing matrix for group {group} has non-finite entries"
+                )
             if np.abs(mat.T @ mat - np.eye(n)).max() > ORTHO_TOL:
                 raise ValueError(f"mixing matrix for group {group} is not orthogonal")
 

@@ -236,6 +236,8 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
     ["search-t8", "--starts", str(cli.MAX_STARTS + 1)],
     SIMULATE + ["--snr", "0:2:4", "--workers", str(cli.MAX_WORKERS + 1)],
     ["verify", "--ber", "--workers", "100000"],
+    ["search-t8", "--starts", "1", "--seed", "-1", "--workers", "2"],
+    ["transform", "--code", "Q4", "--gclt-theta", "nan"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_input_exits_one_without_output(capsys, monkeypatch, tmp_path,
                                             argv):

@@ -186,7 +186,29 @@ class TestDiversityProduct:
         assert rep.full_diversity
 
 
+def t8_zeta_over_every_group(angles) -> float:
+    """The ``search-t8`` objective scored on each of T8's four groups, with
+    no group skipped."""
+    base = build("T8")
+    mix = transforms.givens_4d(list(angles))
+    return gain._zeta_of(
+        min(gain._mixed_min_det(base, QAM4, group)(mix)
+            for group in base.grouping), base)
+
+
 class TestAngleSearches:
+    def test_objective_equals_every_group_reference_bit_for_bit(self):
+        # T8's groups have byte-equal factor forms, so scoring them once
+        # must give the very bits that scoring all four gives
+        objective = gain._t8_objective(QAM4)
+        rng = np.random.default_rng(61)
+        points = [rng.uniform(-np.pi / 2, np.pi / 2, 6) for _ in range(60)]
+        found = gain.search_t8_angles(starts=8, seed=0)
+        points.append(np.array(found.angles))
+        for angles in points:
+            assert objective(angles) == t8_zeta_over_every_group(angles)
+        assert found.zeta == t8_zeta_over_every_group(found.angles)
+
     def test_fast_objective_matches_pipeline(self):
         objective = gain._t8_objective(QAM4)
         base = build("T8")
@@ -252,6 +274,15 @@ class TestAngleSearches:
     def test_rejects_zero_starts(self):
         with pytest.raises(ValueError):
             gain.search_t8_angles(starts=0)
+
+    def test_rejects_negative_seed_before_the_pool(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("rejected input started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            no_threads)
+        with pytest.raises(ValueError, match="seed"):
+            gain.search_t8_angles(seed=-1, workers=2)
 
     def test_rejects_more_workers_than_the_cap(self, monkeypatch):
         def no_threads(*args, **kwargs):

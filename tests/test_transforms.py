@@ -74,6 +74,16 @@ class TestGcltSpec:
                 ((1, 2),), (np.array([[1.0, 0.0], [1.0, 1.0]]),)
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_matrix(self, value):
+        # NaN compares False with the orthogonality tolerance, so finiteness
+        # is checked on its own
+        for mat in (np.full((2, 2), value),
+                    np.array([[1.0, 0.0], [0.0, value]])):
+            with pytest.raises(ValueError,
+                               match="mixing matrix for group .* non-finite"):
+                transforms.GcltSpec.from_matrices(((1, 2),), (mat,))
+
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="mixing matrix"):
             transforms.GcltSpec.from_matrices(((1, 2, 3),), (np.eye(2),))
