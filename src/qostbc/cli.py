@@ -75,6 +75,14 @@ def _count(name: str, cap: int):
     return parse
 
 
+def _angle(text: str) -> float:
+    """argparse type for a finite angle in degrees, returned in radians."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text} is not finite")
+    return math.radians(value)
+
+
 def _parse_snr(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -171,26 +179,25 @@ def _cmd_transform(args) -> int:
             "choose exactly one of --gclt-theta, --gclt-givens, --cr-angle"
         )
     if args.gclt_theta is not None:
-        theta = math.radians(args.gclt_theta)
-        spec = transforms.GcltSpec.rotations_2d(code.grouping, theta)
+        spec = transforms.GcltSpec.rotations_2d(code.grouping, args.gclt_theta)
         out = transforms.apply_gclt(code, spec)
-        meta = {"type": "gclt", "theta": _angles_block([theta])}
+        meta = {"type": "gclt", "theta": _angles_block([args.gclt_theta])}
     elif args.gclt_givens is not None:
-        rads = [math.radians(v) for v in args.gclt_givens]
-        spec = transforms.GcltSpec.givens_4d_spec(code.grouping, rads)
+        spec = transforms.GcltSpec.givens_4d_spec(code.grouping,
+                                                  args.gclt_givens)
         out = transforms.apply_gclt(code, spec)
-        meta = {"type": "gclt-givens", "angles": _angles_block(rads)}
+        meta = {"type": "gclt-givens",
+                "angles": _angles_block(args.gclt_givens)}
     else:
         if not args.cr_symbols:
             raise UsageError("--cr-angle requires --cr-symbols")
         symbols = [int(v) for v in args.cr_symbols.split(",")]
-        phi = math.radians(args.cr_angle)
-        spec = transforms.CrSpec.uniform(symbols, phi)
+        spec = transforms.CrSpec.uniform(symbols, args.cr_angle)
         out = transforms.apply_cr(code, spec)
         meta = {
             "type": "cr",
             "symbols": symbols,
-            "angle": _angles_block([phi]),
+            "angle": _angles_block([args.cr_angle]),
         }
     payload = catalog.code_to_dict(out)
     payload["transform"] = meta
@@ -335,12 +342,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("transform", help="apply group mixing or rotation")
     p.add_argument("--code", required=True)
-    p.add_argument("--gclt-theta", type=float, default=None,
+    p.add_argument("--gclt-theta", type=_angle, default=None,
                    help="pair mixing angle in degrees")
-    p.add_argument("--gclt-givens", type=float, nargs=6, default=None,
+    p.add_argument("--gclt-givens", type=_angle, nargs=6, default=None,
                    metavar="DEG",
                    help="six plane angles in degrees for four-rail groups")
-    p.add_argument("--cr-angle", type=float, default=None,
+    p.add_argument("--cr-angle", type=_angle, default=None,
                    help="rotation angle in degrees")
     p.add_argument("--cr-symbols", default=None,
                    help="comma-separated complex symbol indices to rotate")

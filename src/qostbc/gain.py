@@ -24,8 +24,12 @@ Under a mix shared by all groups, groups whose factor forms are byte-equal
 give bit-equal minima, so ``search-t8``'s objective scores each distinct
 set of forms once: T8's four groups are equivalent and share one.
 
-Large enumerations are screened before they are scored. A QO-STBC Gram has
-paired eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
+Each enumeration scores one pattern of every pair +-c, the lexicographically
+first (:func:`_patterns`): -c has the bit-equal determinant of c and mixes
+to exactly -(c @ mix), so the minimum and first argmin are the full scan's.
+
+Enumerations are screened before they are scored. A QO-STBC Gram has paired
+eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
 q_k = c^T M_k c in the pattern c (:func:`_det_factor_forms`), so its
 determinant is prod_k q_k^2. One matrix product of a chunk of patterns by
 the stacked forms gives every q_k of every row; the exact determinant
@@ -41,9 +45,8 @@ and on the full stacks at 4-QAM, the screened and LU values differ by at
 most 8.4e-15 ||G||^Nt.) A row is dropped only when its lower bound exceeds
 the smallest upper bound in its chunk, so every row whose exact determinant
 attains the minimum survives, and the first survivor with the minimal exact
-value is the first argmin of the unscreened scan. Enumerations of fewer
-than SCREEN_MIN_ROWS patterns, and stacks without factor forms, are scored
-directly.
+value is the first argmin of the unscreened scan. Stacks without factor
+forms are scored directly.
 """
 
 import functools
@@ -68,10 +71,6 @@ PATTERN_CHUNK = 65536
 
 #: most angles one theta sweep may evaluate
 MAX_THETA_POINTS = 10_000
-
-#: enumerations of fewer patterns are scored without the factor-form screen
-#: (building the forms costs more than the screen saves on them)
-SCREEN_MIN_ROWS = 4096
 
 #: bound on the error of a screened or LU determinant, relative to the row's
 #: Gram norm to the power Nt; about 1e5 times the LU perturbation bound
@@ -124,16 +123,14 @@ def _multipliers(constellation: Constellation) -> np.ndarray:
 
 
 def _patterns(mult: np.ndarray, width: int):
-    """Yield the nonzero multiplier patterns of ``width`` rails.
-
-    Patterns come as float rows in lexicographic order (first rail slowest),
-    in chunks of at most PATTERN_CHUNK rows.
-    """
-    total = len(mult) ** width
-    zero = total // 2  # every digit at the middle multiplier, 0
-    for lo in range(0, total, PATTERN_CHUNK):
-        index = np.arange(lo, min(lo + PATTERN_CHUNK, total))
-        yield lex_vectors(mult, width, index[index != zero])
+    """Yield the patterns of ``width`` rails whose first nonzero multiplier
+    is negative, one of each nonzero pair +-c: the lexicographic indices
+    below the zero pattern's, as float rows (first rail slowest) in chunks
+    of at most PATTERN_CHUNK rows."""
+    half = len(mult) ** width // 2
+    for lo in range(0, half, PATTERN_CHUNK):
+        yield lex_vectors(mult, width,
+                          np.arange(lo, min(lo + PATTERN_CHUNK, half)))
 
 
 def _embed(rows: np.ndarray, rails, n_rails: int) -> np.ndarray:
@@ -154,12 +151,6 @@ def _batched_dets(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _screen_forms(stack: np.ndarray, rows: int):
-    """Factor forms that screen an enumeration of ``rows`` patterns of
-    ``stack``, or None when the enumeration is scored unscreened."""
-    return _det_factor_forms(stack) if rows >= SCREEN_MIN_ROWS else None
-
-
 def _near_min(forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``coeffs`` (..., R, P) whose exact determinant
     can be the minimum along R; ``forms`` are the (F, P, P) factor forms.
@@ -178,8 +169,8 @@ def _near_min(forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def _min_pattern(stack: np.ndarray, mult: np.ndarray, rails):
     """Smallest determinant over the nonzero patterns on ``rails`` and its
-    first argmin row; large enumerations go through the factor-form screen."""
-    forms = _screen_forms(stack[rails], len(mult) ** len(rails) - 1)
+    first argmin row; stacks with factor forms go through the screen."""
+    forms = _det_factor_forms(stack[rails])
     best_val, best_pat = math.inf, None
     for rows in _patterns(mult, len(rails)):
         if forms is not None:
@@ -277,8 +268,9 @@ def theta_grid_search(constellation: Constellation,
     For each angle the within-group minimum determinant of the mixed code is
     evaluated numerically (batched Gram determinants on the base dispersion
     stack; the pair mixing only rotates the error coefficients). Angles are
-    rotated and screened a block at a time, and each angle's minimum is
-    taken over the exact determinants of its rows that survive the screen.
+    rotated and screened a block at a time (Q4's stack always has factor
+    forms), and each angle's minimum is taken over the exact determinants of
+    its rows that survive the screen.
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"angle step {step_deg} must be positive and finite")
@@ -296,7 +288,7 @@ def theta_grid_search(constellation: Constellation,
     thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
     cos = np.array([math.cos(math.radians(deg)) for deg in thetas])
     sin = np.array([math.sin(math.radians(deg)) for deg in thetas])
-    forms = _screen_forms(base.dispersion, len(thetas) * len(coeffs))
+    forms = _det_factor_forms(base.dispersion)
     mins = np.full(len(thetas), math.inf)
     block = max(1, PATTERN_CHUNK // len(coeffs))
     for lo in range(0, len(thetas), block):
@@ -306,8 +298,7 @@ def theta_grid_search(constellation: Constellation,
         for q, v in base.grouping:
             rot[:, :, q - 1] = coeffs[:, q - 1] * c - coeffs[:, v - 1] * s
             rot[:, :, v - 1] = coeffs[:, q - 1] * s + coeffs[:, v - 1] * c
-        keep = (np.ones(rot.shape[:2], dtype=bool) if forms is None
-                else _near_min(forms, rot))
+        keep = _near_min(forms, rot)
         np.minimum.at(mins, lo + np.nonzero(keep)[0],
                       _batched_dets(base.dispersion, rot[keep]))
     mins *= scale
@@ -379,12 +370,12 @@ def _zeta_of(min_det: float, code: CodeDefinition) -> float:
 
 
 def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
-    """Return ``mix -> min det`` (scaled by d_min^(2 Nt)) over the nonzero
-    patterns on ``rails`` (1-based) of ``base`` times ``mix``: the rails'
-    factor forms contracted by einsum (the :func:`_near_min` order moves the
-    last bits and the angles ``search-t8`` finds). Every caller's rails
-    (T8's groups, Q8_CR's and T8_CR's) have factor forms, so there is no
-    determinant fallback."""
+    """Return ``mix -> min det`` (scaled by d_min^(2 Nt)) over the
+    :func:`_patterns` on ``rails`` (1-based) of ``base`` times ``mix``: the
+    rails' factor forms contracted by einsum (the :func:`_near_min` order
+    moves the last bits and the angles ``search-t8`` finds). Every caller's
+    rails (T8's groups, Q8_CR's and T8_CR's) have factor forms, so there is
+    no determinant fallback."""
     sub = base.dispersion[[r - 1 for r in rails]]
     pats = np.vstack(list(_patterns(_multipliers(constellation), len(rails))))
     scale = constellation.d_min ** (2 * base.nt)

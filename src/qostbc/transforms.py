@@ -38,6 +38,8 @@ def givens_rotation(n: int, i: int, k: int, theta: float) -> np.ndarray:
     """n x n rotation by theta in the (i, k) plane, 1-based axes, i < k."""
     if not (1 <= i < k <= n):
         raise ValueError(f"invalid plane ({i}, {k}) for size {n}")
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle {theta} is not finite")
     g = np.eye(n)
     c, s = math.cos(theta), math.sin(theta)
     g[i - 1, i - 1] = g[k - 1, k - 1] = c

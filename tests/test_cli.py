@@ -104,6 +104,15 @@ class TestTransform:
         assert status == 1
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--code", "Q4", "--gclt-theta", "inf"],
+        ["--code", "T8", "--gclt-givens", "0", "0", "inf", "0", "0", "0"],
+    ])
+    def test_non_finite_angle_names_the_option(self, capsys, argv):
+        status, _, err = run_cli(capsys, ["transform"] + argv)
+        assert status == 1
+        assert argv[2] in err and "inf is not finite" in err
+
     def test_cr_needs_symbols(self, capsys):
         status, _, err = run_cli(capsys, ["transform", "--code", "Q4",
                                           "--cr-angle", "45"])
@@ -238,6 +247,9 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
     ["verify", "--ber", "--workers", "100000"],
     ["search-t8", "--starts", "1", "--seed", "-1", "--workers", "2"],
     ["transform", "--code", "Q4", "--gclt-theta", "nan"],
+    ["transform", "--code", "Q4", "--gclt-theta", "inf"],
+    ["transform", "--code", "T8", "--gclt-givens", "inf", "0", "0", "0", "0",
+     "0"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_bad_input_exits_one_without_output(capsys, monkeypatch, tmp_path,
                                             argv):

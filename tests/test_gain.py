@@ -186,13 +186,33 @@ class TestDiversityProduct:
         assert rep.full_diversity
 
 
+def every_pattern(mult, width):
+    """Every nonzero pattern on ``width`` rails in lexicographic order (first
+    rail slowest), enumerated independently of ``gain._patterns``."""
+    grid = np.meshgrid(*[mult] * width, indexing="ij")
+    rows = np.stack(grid, axis=-1).reshape(-1, width).astype(float)
+    return rows[np.any(rows != 0, axis=1)]
+
+
+def reference_mixed_min_det(base, constellation, rails, mix):
+    """``gain._mixed_min_det(base, constellation, rails)(mix)`` over every
+    nonzero pattern, both members of each pair +-c, with the evaluator's
+    einsum contraction of the rails' factor forms."""
+    idx = [r - 1 for r in rails]
+    coeffs = every_pattern(gain._multipliers(constellation), len(idx)) @ mix
+    forms = gain._det_factor_forms(base.dispersion[idx])
+    q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
+    return (float((np.prod(q, axis=1) ** 2).min())
+            * constellation.d_min ** (2 * base.nt))
+
+
 def t8_zeta_over_every_group(angles) -> float:
-    """The ``search-t8`` objective scored on each of T8's four groups, with
-    no group skipped."""
+    """The ``search-t8`` objective scored on each of T8's four groups over
+    every nonzero pattern, with no group or pattern skipped."""
     base = build("T8")
     mix = transforms.givens_4d(list(angles))
     return gain._zeta_of(
-        min(gain._mixed_min_det(base, QAM4, group)(mix)
+        min(reference_mixed_min_det(base, QAM4, group, mix)
             for group in base.grouping), base)
 
 
@@ -249,11 +269,29 @@ class TestAngleSearches:
                 np.einsum("rp,ptn->rtn", c, code.dispersion[rails]),
                 rtol=0, atol=1e-12)
             got = gain._mixed_min_det(base, QAM4, group)(mix)
+            assert got == reference_mixed_min_det(base, QAM4, group, mix)
             assert got == pytest.approx(want.min_det, rel=1e-9)
             worst = min(worst, got)
         assert report.zeta > 0
         assert gain._zeta_of(worst, base) == pytest.approx(report.zeta,
                                                            abs=1e-10)
+
+    @pytest.mark.parametrize("base_name, name, order", [
+        ("T8", "T8", 4), ("T8", "T8", 16), ("Q8", "Q8_CR", 4),
+        ("Q8", "Q8_CR", 16), ("T8", "T8_CR", 4),
+    ])
+    def test_evaluator_equals_full_scan(self, base_name, name, order):
+        # one pattern of each pair +-c gives the bits of scoring both, for
+        # any orthogonal mix of the searched groups
+        base = build(base_name)
+        qam = make_qam(order)
+        rng = np.random.default_rng(67)
+        for group in build(name).grouping:
+            min_det = gain._mixed_min_det(base, qam, group)
+            for _ in range(100):
+                mix, _ = np.linalg.qr(rng.standard_normal((len(group),) * 2))
+                assert min_det(mix) == reference_mixed_min_det(base, qam,
+                                                               group, mix)
 
     def test_single_start_is_reproducible(self):
         a = gain.search_t8_angles(starts=1, seed=5)
@@ -308,9 +346,7 @@ def reference_min_pattern(stack, mult, rails):
     """Unscreened scan: every nonzero pattern on ``rails`` scored with the
     exact determinant kernel. Returns the minimum, the first argmin in
     lexicographic order and the number of patterns attaining the minimum."""
-    grid = np.meshgrid(*[mult] * len(rails), indexing="ij")
-    rows = np.stack(grid, axis=-1).reshape(-1, len(rails)).astype(float)
-    rows = rows[np.any(rows != 0, axis=1)]
+    rows = every_pattern(mult, len(rails))
     coeffs = np.zeros((len(rows), len(stack)))
     coeffs[:, rails] = rows
     dets = gain._batched_dets(stack, coeffs)
@@ -319,14 +355,14 @@ def reference_min_pattern(stack, mult, rails):
 
 
 def reference_theta_sweep(constellation, step_deg):
-    """The angle sweep with every rotated pattern scored, one angle at a
-    time."""
+    """The angle sweep with every nonzero rotated pattern scored, one angle
+    at a time."""
     base = build("Q4")
     mult = gain._multipliers(constellation)
     coeffs = np.vstack([
-        gain._embed(rows, [r - 1 for r in group], 8)
+        gain._embed(every_pattern(mult, len(group)),
+                    [r - 1 for r in group], 8)
         for group in base.grouping
-        for rows in gain._patterns(mult, len(group))
     ])
     thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
     mins = np.empty(len(thetas))
@@ -340,19 +376,51 @@ def reference_theta_sweep(constellation, step_deg):
     return mins * constellation.d_min ** 8
 
 
+class TestPatternPairs:
+    """The searches enumerate one pattern of each pair +-c."""
+
+    @pytest.mark.parametrize("order, width", [
+        (4, 1), (4, 8), (16, 2), (16, 4), (64, 5),
+    ])
+    def test_patterns_are_those_with_a_negative_first_multiplier(
+            self, order, width):
+        mult = gain._multipliers(make_qam(order))
+        chunks = list(gain._patterns(mult, width))
+        assert all(len(rows) <= gain.PATTERN_CHUNK for rows in chunks)
+        got = np.vstack(chunks)
+        rows = every_pattern(mult, width)
+        first = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        assert len(got) == (len(mult) ** width - 1) // 2
+        assert np.array_equal(got, rows[first < 0])
+
+    @pytest.mark.parametrize("name, order", [
+        (name, order) for order in (4, 16) for name in CODE_NAMES
+    ])
+    def test_negated_patterns_have_equal_determinants(self, name, order):
+        # every pattern of each group; T8_CR at 16-QAM (2 882 400 per group)
+        # is checked on its first chunk
+        code = build(name)
+        mult = gain._multipliers(make_qam(order))
+        for group in code.grouping:
+            rails = [r - 1 for r in group]
+            rows = next(gain._patterns(mult, len(rails)))
+            coeffs = gain._embed(rows, rails, len(code.dispersion))
+            assert np.array_equal(gain._batched_dets(code.dispersion, -coeffs),
+                                  gain._batched_dets(code.dispersion, coeffs))
+
+
 class TestScreenedSearch:
     """The factor-form screen keeps every decision of the unscreened scan:
     the same minimum determinant and the same first argmin, compared with
-    ``==``. Small enumerations are forced through the screen. T8_CR at
-    16-QAM (two groups of 5 764 800 patterns) is left to the pinned
+    ``==``. Every enumeration of a stack with factor forms is screened.
+    T8_CR at 16-QAM (two groups of 5 764 800 patterns) is left to the pinned
     ``divprod`` bytes in the CLI tests."""
 
     @pytest.mark.parametrize("name, order", [
         (name, order) for order in (4, 16) for name in CODE_NAMES
         if (name, order) != ("T8_CR", 16)
     ])
-    def test_within_group_matches_unscreened(self, monkeypatch, name, order):
-        monkeypatch.setattr(gain, "SCREEN_MIN_ROWS", 1)
+    def test_within_group_matches_unscreened(self, name, order):
         code = build(name)
         mult = gain._multipliers(make_qam(order))
         ties = 0
@@ -374,7 +442,6 @@ class TestScreenedSearch:
         code = build(name)
         mult = gain._multipliers(QAM4)
         rails = list(range(2 * code.K))
-        assert len(mult) ** len(rails) - 1 >= gain.SCREEN_MIN_ROWS
         got_val, got_pat = gain._min_pattern(code.dispersion, mult, rails)
         want_val, want_pat, _ = reference_min_pattern(code.dispersion, mult,
                                                       rails)
@@ -382,8 +449,7 @@ class TestScreenedSearch:
         assert np.array_equal(got_pat, want_pat)
 
     @pytest.mark.parametrize("order", [4, 16])
-    def test_theta_sweep_matches_unscreened(self, monkeypatch, order):
-        monkeypatch.setattr(gain, "SCREEN_MIN_ROWS", 1)
+    def test_theta_sweep_matches_unscreened(self, order):
         qam = make_qam(order)
         sweep = gain.theta_grid_search(qam, step_deg=1.0)
         assert np.array_equal(sweep.min_dets, reference_theta_sweep(qam, 1.0))

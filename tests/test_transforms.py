@@ -52,6 +52,13 @@ class TestGivens:
             [math.radians(degs[p]) for p in transforms.GIVENS_ORDER_4D])
         assert np.abs(out.T @ out - np.eye(4)).max() < 1e-12
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(ValueError, match="not finite"):
+            transforms.givens_rotation(4, 1, 2, theta)
+        with pytest.raises(ValueError, match="not finite"):
+            transforms.givens_4d([0, 0, 0, theta, 0, 0])
+
     def test_orthogonality_over_random_draws(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
