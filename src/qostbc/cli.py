@@ -15,6 +15,7 @@ artifacts behind.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -323,7 +324,10 @@ def _cmd_verify(args) -> int:
 
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = _Parser(prog="qostbc", description=__doc__.split("\n")[0])
     workers = {"type": _count("workers", MAX_WORKERS),
                "default": min(os.cpu_count() or 1, MAX_WORKERS)}

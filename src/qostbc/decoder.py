@@ -211,7 +211,7 @@ def detect_from_equivalent_batch(code: CodeDefinition,
     check_candidate_budget(code, constellation)
     n = H.shape[0]
     gram = np.swapaxes(H, 1, 2) @ H
-    z = np.einsum("btp,bt->bp", H, received_batch)
+    z = (received_batch[:, None, :] @ H)[:, 0]
     factor = math.sqrt(rho / code.nt)
     stack = expansion_stack(code)
 

@@ -31,19 +31,29 @@ to exactly -(c @ mix), so the minimum and first argmin are the full scan's.
 Enumerations are screened before they are scored. A QO-STBC Gram has paired
 eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
 q_k = c^T M_k c in the pattern c (:func:`_det_factor_forms`), so its
-determinant is prod_k q_k^2. One matrix product of a chunk of patterns by
-the stacked forms gives every q_k of every row; the exact determinant
-(:func:`_batched_dets`, an LU per row) is then computed only for the rows
-that can still be the chunk's minimum. The screen never drops a possible
-minimum: both the screened value and the LU determinant of a row lie
-within SCREEN_RTOL * ||G||^Nt of the true determinant, where
-||G|| = max_k |q_k| is the row's Gram norm. (An LU of G with backward error
-E, ||E|| <= gamma ||G||, perturbs the determinant by at most
-((1 + gamma)^Nt - 1) ||G||^Nt, and gamma is a small multiple of the unit
-roundoff 1.1e-16. Over every catalog code, within-group at 4- and 16-QAM
-and on the full stacks at 4-QAM, the screened and LU values differ by at
-most 8.4e-15 ||G||^Nt.) A row is dropped only when its lower bound exceeds
-the smallest upper bound in its chunk, so every row whose exact determinant
+determinant is prod_k q_k^2. The q_k come from small tables, not from
+materialised pattern rows (:func:`_form_blocks`): with c = (a, b) split into
+its first w // 2 rails and the rest, q_k = a^T M_aa a + b^T M_bb b
++ 2 a^T M_ab b, the square terms tabled once over the prefixes and the
+suffixes and the cross term one matrix product per block of prefixes. The
+angle sweep screens each rotated rail pair with that pair's 2 x 2 block of
+the forms. Only the rows the screen keeps are built, bit for bit as the
+unscreened scan builds them, and given the exact determinant
+(:func:`_batched_dets`, an LU per row). The screen never drops a possible
+minimum: both the screened value and the LU determinant of a row lie within
+SCREEN_RTOL * ||G||^Nt of the true determinant, where ||G|| = max_k |q_k| is
+the row's Gram norm. (An LU of G with backward error E, ||E|| <= gamma ||G||,
+perturbs the determinant by at most ((1 + gamma)^Nt - 1) ||G||^Nt, and gamma
+is a small multiple of the unit roundoff 1.1e-16. The table sums stay as
+close: tr G = 2 sum_k q_k is proportional to |c|^2 for the catalog codes, so
+each of the three terms is at most a modest multiple of max_k |q_k| and
+their rounded sum is within a few ulps of it; over every catalog
+enumeration at 4- and 16-QAM and Q8_LT's full stack at 4-QAM, the table
+q_k differ from extended-precision ones by at most 8.7e-16 max_k |q_k|.
+Over every catalog code, within-group at 4- and 16-QAM and on the full
+stacks at 4-QAM, the screened and LU values differ by at most
+8.8e-15 ||G||^Nt.) A row is dropped only when its lower bound exceeds the
+smallest upper bound in its block, so every row whose exact determinant
 attains the minimum survives, and the first survivor with the minimal exact
 value is the first argmin of the unscreened scan. Stacks without factor
 forms are scored directly.
@@ -104,7 +114,11 @@ def case_dets(m: int, n: int, theta: float):
     """
     if m < 1 or n < 1:
         raise ValueError("multipliers must be positive integers")
-    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
+    return _case_dets(m, n, math.cos(2 * theta), math.sin(2 * theta))
+
+
+def _case_dets(m: int, n: int, c2: float, s2: float):
+    """:func:`case_dets` from c2 = cos(2 theta) and s2 = sin(2 theta)."""
     return (
         (n * n * c2) ** 4,
         (m * m * c2) ** 4,
@@ -151,30 +165,56 @@ def _batched_dets(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _near_min(forms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``coeffs`` (..., R, P) whose exact determinant
-    can be the minimum along R; ``forms`` are the (F, P, P) factor forms.
+def _near_min(q: np.ndarray, axis=None) -> np.ndarray:
+    """Mask of the rows whose exact determinant can be the minimum along
+    ``axis`` of the rows; ``q`` (F, ...) holds every row's factor values
+    q_k, and a row is kept when it lies within SCREEN_RTOL * max_k |q_k|^(2F)
+    of the smallest upper bound."""
+    approx = np.prod(q, axis=0) ** 2
+    tol = SCREEN_RTOL * np.abs(q).max(axis=0) ** (2 * len(q))
+    return approx - tol <= (approx + tol).min(axis=axis, keepdims=True)
 
-    Every q_k = c^T M_k c comes from one matrix product by the stacked
-    forms followed by a row dot with c.
+
+def _form_blocks(forms: np.ndarray, mult: np.ndarray):
+    """Yield (lo, q): q (F, R) holds the factor values q_k = c^T M_k c of the
+    :func:`_patterns` rows lo .. lo + R - 1, R <= PATTERN_CHUNK, from tables.
+
+    A pattern c = (a, b) splits into its first w // 2 rails and the rest, so
+    q_k = a^T M_aa a + b^T M_bb b + 2 a^T M_ab b. The two square terms are
+    tabled once over every prefix and every suffix; the cross term is one
+    matrix product per block of prefixes. Row i * L^w2 + j (prefix i, suffix
+    j, L multipliers) keeps the lexicographic order.
     """
-    f, p, _ = forms.shape
-    lin = coeffs @ forms.transpose(1, 0, 2).reshape(p, f * p)
-    q = np.einsum("...fp,...p->...f",
-                  lin.reshape(coeffs.shape[:-1] + (f, p)), coeffs)
-    approx = np.prod(q, axis=-1) ** 2
-    tol = SCREEN_RTOL * np.abs(q).max(axis=-1) ** (2 * f)
-    return approx - tol <= (approx + tol).min(axis=-1, keepdims=True)
+    f, width, _ = forms.shape
+    w1 = width // 2
+    heads, tails = lex_vectors(mult, w1), lex_vectors(mult, width - w1)
+    qa = np.einsum("ia,fab,ib->fi", heads, forms[:, :w1, :w1], heads)
+    qb = np.einsum("ja,fab,jb->fj", tails, forms[:, w1:, w1:], tails)
+    cross = 2 * forms[:, :w1, w1:]
+    n_tails = len(tails)
+    half = len(mult) ** width // 2
+    step = max(1, PATTERN_CHUNK // n_tails)
+    for i in range(0, -(-half // n_tails), step):
+        q = (heads[i:i + step] @ cross) @ tails.T
+        q += qa[:, i:i + step, None]
+        q += qb[:, None, :]
+        lo = i * n_tails
+        yield lo, q.reshape(f, -1)[:, :half - lo]
 
 
 def _min_pattern(stack: np.ndarray, mult: np.ndarray, rails):
     """Smallest determinant over the nonzero patterns on ``rails`` and its
-    first argmin row; stacks with factor forms go through the screen."""
+    first argmin row; stacks with factor forms go through the screen, and
+    only the patterns it keeps are decoded."""
+    width = len(rails)
     forms = _det_factor_forms(stack[rails])
+    if forms is None:
+        chunks = _patterns(mult, width)
+    else:
+        chunks = (lex_vectors(mult, width, lo + np.flatnonzero(_near_min(q)))
+                  for lo, q in _form_blocks(forms, mult))
     best_val, best_pat = math.inf, None
-    for rows in _patterns(mult, len(rails)):
-        if forms is not None:
-            rows = rows[_near_min(forms, rows)]
+    for rows in chunks:
         coeffs = _embed(rows, rails, len(stack))
         dets = _batched_dets(stack, coeffs)
         k = int(np.argmin(dets))
@@ -267,10 +307,11 @@ def theta_grid_search(constellation: Constellation,
 
     For each angle the within-group minimum determinant of the mixed code is
     evaluated numerically (batched Gram determinants on the base dispersion
-    stack; the pair mixing only rotates the error coefficients). Angles are
-    rotated and screened a block at a time (Q4's stack always has factor
-    forms), and each angle's minimum is taken over the exact determinants of
-    its rows that survive the screen.
+    stack; the pair mixing only rotates the error coefficients). Every row
+    is zero outside one rail pair, so a block of angles is screened from the
+    rotated pairs and each pair's 2 x 2 block of Q4's factor forms; each
+    angle's minimum is taken over the exact determinants of the rows that
+    survive, built only then.
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"angle step {step_deg} must be positive and finite")
@@ -279,28 +320,32 @@ def theta_grid_search(constellation: Constellation,
             f"angle step {step_deg} gives more than {MAX_THETA_POINTS} angles"
         )
     base = build("Q4")
-    mult = _multipliers(constellation)
-    coeffs = np.vstack([
-        _embed(rows, [r - 1 for r in group], 8) for group in base.grouping
-        for rows in _patterns(mult, len(group))
-    ])
+    a, b = np.vstack(list(_patterns(_multipliers(constellation), 2))).T
     scale = constellation.d_min ** 8
     thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
     cos = np.array([math.cos(math.radians(deg)) for deg in thetas])
     sin = np.array([math.sin(math.radians(deg)) for deg in thetas])
     forms = _det_factor_forms(base.dispersion)
+    qs, vs = (np.array(rails) - 1 for rails in zip(*base.grouping))
+    # q_k of a row on rail pair (q, v) from the pair's 2 x 2 block of M_k:
+    # coefficients (F, G, 3) of the monomials x^2, x y, y^2
+    pair_forms = np.stack([forms[:, qs, qs], 2 * forms[:, qs, vs],
+                           forms[:, vs, vs]], axis=-1)
     mins = np.full(len(thetas), math.inf)
-    block = max(1, PATTERN_CHUNK // len(coeffs))
+    block = max(1, PATTERN_CHUNK // (len(qs) * len(a)))
     for lo in range(0, len(thetas), block):
         c = cos[lo:lo + block, None]
         s = sin[lo:lo + block, None]
-        rot = np.empty((len(c),) + coeffs.shape)  # every rail is in a pair
-        for q, v in base.grouping:
-            rot[:, :, q - 1] = coeffs[:, q - 1] * c - coeffs[:, v - 1] * s
-            rot[:, :, v - 1] = coeffs[:, q - 1] * s + coeffs[:, v - 1] * c
-        keep = _near_min(forms, rot)
-        np.minimum.at(mins, lo + np.nonzero(keep)[0],
-                      _batched_dets(base.dispersion, rot[keep]))
+        x = a * c - b * s  # (angles, patterns), the same for every pair
+        y = a * s + b * c
+        q = pair_forms @ np.stack([x * x, x * y, y * y]).reshape(3, -1)
+        group, angle, row = np.nonzero(
+            _near_min(q.reshape(q.shape[:2] + x.shape), axis=(0, 2)))
+        rot = np.zeros((len(group), 8))  # survivors only, zero off the pair
+        rot[np.arange(len(group)), qs[group]] = x[angle, row]
+        rot[np.arange(len(group)), vs[group]] = y[angle, row]
+        np.minimum.at(mins, lo + angle,
+                      _batched_dets(base.dispersion, rot))
     mins *= scale
     best = int(np.argmax(mins))
     return ThetaSweep(
@@ -320,8 +365,9 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
     sweep = theta_grid_search(constellation, step_deg)
     for deg, overall in zip(sweep.thetas_deg, sweep.min_dets):
         theta = math.radians(deg)
+        c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
         cases = {
-            (m, n): min(case_dets(m, n, theta)) * scale for (m, n) in pairs
+            (m, n): min(_case_dets(m, n, c2, s2)) * scale for (m, n) in pairs
         }
         yield float(deg), float(overall), cases
 
@@ -415,8 +461,8 @@ def _t8_objective(constellation: Constellation):
     return objective
 
 
-def _golden_max(fun, lo: float, hi: float):
-    """Golden-section maximisation on [lo, hi], 25 iterations."""
+def _golden_max(fun, lo: float, hi: float) -> float:
+    """Point of golden-section maximisation on [lo, hi], 25 iterations."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -431,8 +477,7 @@ def _golden_max(fun, lo: float, hi: float):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-    x = (a + b) / 2.0
-    return x, fun(x)
+    return (a + b) / 2.0
 
 
 @dataclass(frozen=True)
@@ -470,7 +515,7 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
                     trial = angles.copy()
                     trial[j] = t
                     return objective(trial)
-                angles[j], _ = _golden_max(slice_fun, -half_pi, half_pi)
+                angles[j] = _golden_max(slice_fun, -half_pi, half_pi)
         z = objective(angles)
         return (-z, tuple(float(a) for a in angles))
 

@@ -15,6 +15,7 @@ Both are plane rotations of real rail pairs; :func:`cr_rotation` is CR's,
 read by :func:`apply_cr` and by the CR angle searches of :mod:`qostbc.gain`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +41,20 @@ def givens_rotation(n: int, i: int, k: int, theta: float) -> np.ndarray:
         raise ValueError(f"invalid plane ({i}, {k}) for size {n}")
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle {theta} is not finite")
-    g = np.eye(n)
+    g = _identity(n).copy()
     c, s = math.cos(theta), math.sin(theta)
     g[i - 1, i - 1] = g[k - 1, k - 1] = c
     g[i - 1, k - 1] = s
     g[k - 1, i - 1] = -s
     return g
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity, copied by each plane rotation."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def givens_product(n: int, factors) -> np.ndarray:

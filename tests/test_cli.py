@@ -269,6 +269,31 @@ def test_bad_input_exits_one_without_output(capsys, monkeypatch, tmp_path,
     assert not out.exists()
 
 
+#: command lines run in turn through one parser; the third and fifth exit
+#: with a usage error before the lines after them reuse the parser
+REUSED_PARSER_LINES = [
+    ["divprod", "--code", "Q4_LT", "--mod", "16qam"],
+    ["mindet", "--code", "G4C", "--scope", "full"],
+    ["divprod", "--code", "Q4", "--mod", "9qam"],
+    ["divprod", "--code", "Q4"],
+    ["sweep-theta", "--step", "nan"],
+    ["sweep-theta", "--mod", "4qam", "--step", "5"],
+    ["analyze", "--code", "Q4", "--bogus"],
+    ["catalog", "--code", "G4C"],
+]
+
+
+def test_reused_parser_gives_the_bytes_of_fresh_ones(capsys):
+    fresh = []
+    for argv in REUSED_PARSER_LINES:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    assert [status for status, _, _ in fresh] == [0, 0, 1, 0, 1, 0, 1, 0]
+    parser = cli.build_parser()
+    assert [run_cli(capsys, argv) for argv in REUSED_PARSER_LINES] == fresh
+    assert cli.build_parser() is parser
+
+
 def test_largest_counts_are_accepted():
     args = cli.build_parser().parse_args(
         ["search-t8", "--starts", str(cli.MAX_STARTS),

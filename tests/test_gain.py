@@ -9,7 +9,7 @@ import pytest
 
 from qostbc import gain, transforms
 from qostbc.catalog import CODE_NAMES, OPT_THETA_2D, build, t8_cr_angles
-from qostbc.modem import make_qam
+from qostbc.modem import lex_vectors, make_qam
 from qostbc.simulate import MAX_WORKERS
 
 import closed_form
@@ -97,6 +97,14 @@ class TestCaseDets:
                     assert worst == pytest.approx(0.64, rel=1e-12)
                 else:
                     assert worst > 0.64 - 1e-9
+
+    def test_sweep_rows_equal_case_dets(self):
+        qam = make_qam(16)
+        for deg, _, cases in gain.case_sweep_rows(qam, step_deg=1.0):
+            assert cases == {
+                (m, n): min(gain.case_dets(m, n, math.radians(deg)))
+                * qam.d_min ** 8 for m in (1, 2, 3) for n in (1, 2, 3)
+            }
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -448,7 +456,25 @@ class TestScreenedSearch:
         assert got_val == want_val
         assert np.array_equal(got_pat, want_pat)
 
-    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("name, rails, order", [
+        ("T8_CR", [0, 1, 2], 4), ("T8_CR", [0, 2, 3, 5, 7], 4),
+        ("T8_CR", [0, 1, 2, 3, 4, 5, 6], 4), ("T8_CR", [1, 4, 6], 16),
+        ("Q4_CR", [0, 1, 3], 64),
+    ])
+    def test_odd_rail_subsets_match_unscreened(self, name, rails, order):
+        # a subset of a group's rails keeps its factor forms; the tables
+        # split an odd width unevenly
+        code = build(name)
+        rails = [code.grouping[0][r] - 1 for r in rails]
+        mult = gain._multipliers(make_qam(order))
+        assert gain._det_factor_forms(code.dispersion[rails]) is not None
+        got_val, got_pat = gain._min_pattern(code.dispersion, mult, rails)
+        want_val, want_pat, _ = reference_min_pattern(code.dispersion, mult,
+                                                      rails)
+        assert got_val == want_val
+        assert np.array_equal(got_pat, want_pat)
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_theta_sweep_matches_unscreened(self, order):
         qam = make_qam(order)
         sweep = gain.theta_grid_search(qam, step_deg=1.0)
@@ -456,9 +482,69 @@ class TestScreenedSearch:
 
     def test_screen_keeps_few_rows_and_the_minimum(self):
         code = build("Q8_LT")
+        mult = gain._multipliers(QAM4)
         forms = gain._det_factor_forms(code.dispersion)
-        rows = next(gain._patterns(gain._multipliers(QAM4), 2 * code.K))
-        keep = gain._near_min(forms, rows)
+        lo, q = next(gain._form_blocks(forms, mult))
+        keep = gain._near_min(q)
+        rows = lex_vectors(mult, 2 * code.K, lo + np.arange(q.shape[1]))
         dets = gain._batched_dets(code.dispersion, rows)
         assert keep[dets == dets.min()].all()
         assert keep.sum() < len(rows) // 100
+
+
+def assert_form_blocks_are_exact(forms, mult, blocks=None):
+    """The table blocks of :func:`gain._form_blocks` cover the
+    :func:`gain._patterns` indices in order, at most PATTERN_CHUNK at a
+    time, and every q_k lies within 1e-12 max_k |q_k| of its value in
+    extended precision (``blocks`` selects some blocks by position)."""
+    width = forms.shape[1]
+    half = len(mult) ** width // 2
+    got = list(gain._form_blocks(forms, mult))
+    starts = [lo for lo, _ in got]
+    sizes = [q.shape[1] for _, q in got]
+    assert starts == list(np.cumsum([0] + sizes[:-1]))
+    assert sum(sizes) == half
+    assert max(sizes) <= gain.PATTERN_CHUNK
+    exact = forms.astype(np.longdouble)
+    for lo, q in (got if blocks is None else [got[b] for b in blocks]):
+        rows = lex_vectors(mult, width, lo + np.arange(q.shape[1]))
+        rows = rows.astype(np.longdouble)
+        want = np.einsum("ra,fab,rb->fr", rows, exact, rows)
+        err = np.abs(q - want).max(axis=0) / np.abs(want).max(axis=0)
+        assert err.max() <= 1e-12
+
+
+class TestFormTables:
+    """The screen's factor values come from prefix and suffix tables; their
+    rounding stays far inside SCREEN_RTOL."""
+
+    @pytest.mark.parametrize("name, order", [
+        (name, order) for order in (4, 16) for name in CODE_NAMES
+    ])
+    def test_every_group_enumeration(self, name, order):
+        # T8_CR at 16-QAM (2 882 400 patterns per group) on its first block
+        # and its last, which ends inside a prefix
+        code = build(name)
+        mult = gain._multipliers(make_qam(order))
+        blocks = [0, -1] if (name, order) == ("T8_CR", 16) else None
+        for group in code.grouping:
+            forms = gain._det_factor_forms(
+                code.dispersion[[r - 1 for r in group]])
+            assert_form_blocks_are_exact(forms, mult, blocks)
+
+    def test_full_stack_ending_inside_a_prefix(self):
+        # 3^12 // 2 = 265 720 = 364 * 729 + 364: the last block stops at
+        # suffix 364 of prefix 364
+        code = build("Q8_LT")
+        forms = gain._det_factor_forms(code.dispersion)
+        assert_form_blocks_are_exact(forms, gain._multipliers(QAM4))
+
+    @pytest.mark.parametrize("name, width, order", [
+        ("G4C", 1, 4), ("G4C", 1, 256), ("T8_CR", 3, 16),
+        ("T8_CR", 5, 4), ("T8_CR", 7, 4), ("Q4_CR", 3, 256),
+    ])
+    def test_narrow_and_odd_widths(self, name, width, order):
+        code = build(name)
+        rails = [r - 1 for r in code.grouping[0][:width]]
+        forms = gain._det_factor_forms(code.dispersion[rails])
+        assert_form_blocks_are_exact(forms, gain._multipliers(make_qam(order)))

@@ -65,6 +65,27 @@ class TestGivens:
             out = transforms.givens_4d(rng.uniform(-np.pi, np.pi, 6))
             assert np.abs(out.T @ out - np.eye(4)).max() < 1e-12
 
+    def test_product_equals_eye_built_factors_bit_for_bit(self):
+        def rotation(i, k, theta):
+            g = np.eye(4)
+            g[i - 1, i - 1] = g[k - 1, k - 1] = math.cos(theta)
+            g[i - 1, k - 1] = math.sin(theta)
+            g[k - 1, i - 1] = -math.sin(theta)
+            return g
+
+        rng = np.random.default_rng(7)
+        draws = [rng.uniform(-np.pi, np.pi, 6) for _ in range(200)]
+        for angles in draws + [np.zeros(6), -np.zeros(6)]:
+            want = np.eye(4)
+            for (i, k), theta in zip(transforms.GIVENS_ORDER_4D, angles):
+                want = want @ rotation(i, k, theta)
+            assert transforms.givens_4d(angles).tobytes() == want.tobytes()
+
+    def test_rotation_is_a_fresh_writable_array(self):
+        g = transforms.givens_rotation(3, 1, 2, 0.5)
+        g[2, 2] = 7.0
+        assert transforms.givens_rotation(3, 1, 2, 0.0)[2, 2] == 1.0
+
     def test_wrong_angle_count(self):
         with pytest.raises(ValueError, match="six"):
             transforms.givens_4d([0.0] * 5)
