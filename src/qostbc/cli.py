@@ -249,9 +249,8 @@ def _cmd_sweep_theta(args) -> int:
     header = ["theta_deg", "min_det"] + [f"det_m{m}_n{n}" for m, n in pairs]
     lines = [f"# qostbc sweep-theta mod={args.mod} step={args.step}",
              ",".join(header)]
-    for deg, overall, cases in rows:
-        cells = [str(deg), str(overall)] + [str(cases[p]) for p in pairs]
-        lines.append(",".join(cells))
+    lines += [",".join(map(str, [deg, overall, *cases.values()]))
+              for deg, overall, cases in rows]
     _write_artifact(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -18,11 +18,15 @@ and :func:`search_t8_cr_steps`) build no transformed code. Group mixing
 error coefficients: a pattern c of the transformed code is the pattern
 c @ mix of the base code, with mix the group's orthogonal mixing or its
 block of CR's rail rotation, :func:`transforms.cr_rotation`. One evaluator,
-:func:`_mixed_min_det`, scores a rail set's base-code patterns under any
-mix, and :func:`_zeta_of` is the one place that maps a minimum to zeta.
-Under a mix shared by all groups, groups whose factor forms are byte-equal
-give bit-equal minima, so ``search-t8``'s objective scores each distinct
-set of forms once: T8's four groups are equivalent and share one.
+:func:`_mixed_min_det`, scores a rail set's base-code patterns under a
+stack of mixes in one call, and a single mix is a stack of one; a mix's
+minimum does not depend on the mixes stacked with it. Each step of a search
+is one call: ``search-t8`` runs its starts in lockstep and scores every
+start's next point together, and the CR searches score a whole grid of
+angles at once. :func:`_zeta_of` is the one place that maps a minimum to
+zeta. Under a mix shared by all groups, groups whose factor forms are
+byte-equal give bit-equal minima, so ``search-t8``'s objective scores each
+distinct set of forms once: T8's four groups are equivalent and share one.
 
 Each enumeration scores one pattern of every pair +-c, the lexicographically
 first (:func:`_patterns`): -c has the bit-equal determinant of c and mixes
@@ -59,7 +63,6 @@ value is the first argmin of the unscreened scan. Stacks without factor
 forms are scored directly.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +84,9 @@ PATTERN_CHUNK = 65536
 
 #: most angles one theta sweep may evaluate
 MAX_THETA_POINTS = 10_000
+
+#: angles of a theta sweep whose case rows are computed at once
+CASE_BLOCK = 512
 
 #: bound on the error of a screened or LU determinant, relative to the row's
 #: Gram norm to the power Nt; about 1e5 times the LU perturbation bound
@@ -114,11 +120,7 @@ def case_dets(m: int, n: int, theta: float):
     """
     if m < 1 or n < 1:
         raise ValueError("multipliers must be positive integers")
-    return _case_dets(m, n, math.cos(2 * theta), math.sin(2 * theta))
-
-
-def _case_dets(m: int, n: int, c2: float, s2: float):
-    """:func:`case_dets` from c2 = cos(2 theta) and s2 = sin(2 theta)."""
+    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
     return (
         (n * n * c2) ** 4,
         (m * m * c2) ** 4,
@@ -357,19 +359,36 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
     """Rows for the per-(m, n) determinant-vs-angle curves.
 
     Yields (theta_deg, overall_min, {(m, n): case_min}) with determinants in
-    absolute units (scaled by d_min^8).
+    absolute units (scaled by d_min^8), the cases of :func:`case_dets` bit
+    for bit. A block of angles is scored at once: the cases (0, n) and
+    (m, 0) share the values (k^2 cos 2 theta)^4, and every fourth power is
+    Python's (libm ``pow``), which ``np.power`` does not always equal.
     """
     top = constellation.levels_per_rail - 1
-    pairs = [(m, n) for m in range(1, top + 1) for n in range(1, top + 1)]
+    k = np.arange(1, top + 1)
+    m, n = (v.ravel() for v in np.meshgrid(k, k, indexing="ij"))
+    pairs = list(zip(m.tolist(), n.tolist()))
     scale = constellation.d_min ** 8
     sweep = theta_grid_search(constellation, step_deg)
-    for deg, overall in zip(sweep.thetas_deg, sweep.min_dets):
-        theta = math.radians(deg)
-        c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
-        cases = {
-            (m, n): min(_case_dets(m, n, c2, s2)) * scale for (m, n) in pairs
-        }
-        yield float(deg), float(overall), cases
+    degs, overall = sweep.thetas_deg.tolist(), sweep.min_dets.tolist()
+    for lo in range(0, len(degs), CASE_BLOCK):
+        block = [math.radians(deg) for deg in degs[lo:lo + CASE_BLOCK]]
+        c2 = np.array([math.cos(2 * theta) for theta in block])[:, None]
+        s2 = np.array([math.sin(2 * theta) for theta in block])[:, None]
+        axis = _fourth_powers(k * k * c2)  # cases (0, n) and (m, 0)
+        cross = (m * m - n * n) * c2
+        cases = np.minimum(
+            np.minimum(axis[:, n - 1], axis[:, m - 1]),
+            np.minimum(_fourth_powers(cross - 2 * m * n * s2),
+                       _fourth_powers(cross + 2 * m * n * s2))) * scale
+        for i, row in enumerate(cases.tolist()):
+            yield degs[lo + i], overall[lo + i], dict(zip(pairs, row))
+
+
+def _fourth_powers(x: np.ndarray) -> np.ndarray:
+    """x ** 4 elementwise with Python's float power."""
+    return np.array(list(map(pow, x.ravel().tolist(),
+                             [4] * x.size))).reshape(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -416,29 +435,38 @@ def _zeta_of(min_det: float, code: CodeDefinition) -> float:
 
 
 def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
-    """Return ``mix -> min det`` (scaled by d_min^(2 Nt)) over the
-    :func:`_patterns` on ``rails`` (1-based) of ``base`` times ``mix``: the
-    rails' factor forms contracted by einsum (the :func:`_near_min` order
-    moves the last bits and the angles ``search-t8`` finds). Every caller's
-    rails (T8's groups, Q8_CR's and T8_CR's) have factor forms, so there is
-    no determinant fallback."""
+    """Return ``mixes -> min dets``: for an (S, w, w) stack of mixes, the S
+    minima (scaled by d_min^(2 Nt)) over the :func:`_patterns` on ``rails``
+    (1-based) of ``base`` times each mix. The rails' factor forms are
+    contracted by one einsum over the S * R stacked pattern rows (the
+    :func:`_near_min` order moves the last bits and the angles ``search-t8``
+    finds); a row's value does not depend on the rows stacked with it, so a
+    mix scores the same alone as in any stack. Every caller's rails (T8's
+    groups, Q8_CR's and T8_CR's) have factor forms, so there is no
+    determinant fallback."""
     sub = base.dispersion[[r - 1 for r in rails]]
     pats = np.vstack(list(_patterns(_multipliers(constellation), len(rails))))
     scale = constellation.d_min ** (2 * base.nt)
     forms = _det_factor_forms(sub)
 
-    def min_det(mix: np.ndarray) -> float:
-        coeffs = pats @ mix
+    def min_dets(mixes: np.ndarray) -> np.ndarray:
+        coeffs = (pats @ mixes).reshape(-1, len(rails))
         q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
-        return float((np.prod(q, axis=1) ** 2).min()) * scale
+        dets = (np.prod(q, axis=1) ** 2).reshape(len(mixes), len(pats))
+        return dets.min(axis=1) * scale
 
-    return min_det
+    return min_dets
+
+
+def _zetas_of(min_dets, code: CodeDefinition) -> list:
+    """:func:`_zeta_of` of each of a sequence of minima, as floats."""
+    return [_zeta_of(v, code) for v in np.asarray(min_dets).tolist()]
 
 
 def _t8_objective(constellation: Constellation):
-    """Diversity product of the rate-1 eight-antenna code with every group
-    mixed by ``givens_4d(angles)``; the within-group power cross-traces
-    vanish, so the mixing needs no renormalisation.
+    """Diversity products of the rate-1 eight-antenna code with every group
+    mixed by each of an (S, 4, 4) stack of mixes; the within-group power
+    cross-traces vanish, so the mixing needs no renormalisation.
 
     Groups whose factor forms are byte-equal are scored once. An evaluator
     reads only the forms, the patterns (set by the constellation and the
@@ -454,29 +482,31 @@ def _t8_objective(constellation: Constellation):
     min_dets = [_mixed_min_det(base, constellation, group)
                 for group in distinct.values()]
 
-    def objective(angles) -> float:
-        mix = transforms.givens_4d(list(angles))
-        return _zeta_of(min(min_det(mix) for min_det in min_dets), base)
+    def objective(mixes: np.ndarray) -> np.ndarray:
+        worst = np.min([min_det(mixes) for min_det in min_dets], axis=0)
+        return np.array(_zetas_of(worst, base))
 
     return objective
 
 
-def _golden_max(fun, lo: float, hi: float) -> float:
-    """Point of golden-section maximisation on [lo, hi], 25 iterations."""
+def _golden_max(fun, lo: float, hi: float, count: int) -> np.ndarray:
+    """Points of golden-section maximisation on [lo, hi], 25 iterations, of
+    ``count`` functions in lockstep: ``fun`` maps ``count`` points, one per
+    function, to their values. Each function's bracket takes exactly the
+    comparisons and updates of a search on that function alone."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.full(count, lo), np.full(count, hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(25):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
+        left = fc >= fd  # keep [a, d]; else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f_new = fun(new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
     return (a + b) / 2.0
 
 
@@ -493,9 +523,13 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
     Maximises the 4-QAM diversity product of the mixed rate-1 eight-antenna
     code. Each start draws its initial angles from the substream
     (seed, start index) and runs three sweeps of golden-section line
-    searches coordinate by coordinate; the result is deterministic for a
-    given seed regardless of the worker count, with ties broken toward the
-    lexicographically smallest angle vector.
+    searches coordinate by coordinate. The starts run in lockstep: each
+    step of a line search scores every start's point in one objective call.
+    ``workers`` threads each run one contiguous share of the starts in
+    lockstep; a start's steps do not depend on the starts it runs with, so
+    the result is deterministic for a given seed regardless of the worker
+    count, with ties broken toward the lexicographically smallest angle
+    vector.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -506,26 +540,29 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
     objective = _t8_objective(make_qam(4))
     half_pi = math.pi / 2
 
-    def run_start(index: int):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        angles = rng.uniform(-half_pi, half_pi, size=6)
+    def run_starts(indices) -> list:
+        angles = np.array([
+            np.random.default_rng(np.random.SeedSequence([seed, int(i)]))
+            .uniform(-half_pi, half_pi, size=6) for i in indices
+        ]).reshape(-1, 6)
         for _ in range(3):
             for j in range(6):
-                def slice_fun(t, j=j):
-                    trial = angles.copy()
-                    trial[j] = t
-                    return objective(trial)
-                angles[j] = _golden_max(slice_fun, -half_pi, half_pi)
-        z = objective(angles)
-        return (-z, tuple(float(a) for a in angles))
+                line = transforms.givens_4d_line(angles, j)
+                angles[:, j] = _golden_max(lambda t: objective(line(t)),
+                                           -half_pi, half_pi, len(angles))
+        zetas = objective(transforms.givens_4d(angles))
+        return [(-z, tuple(row)) for z, row in zip(zetas.tolist(),
+                                                   angles.tolist())]
 
+    shares = np.array_split(np.arange(starts), workers)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_start, range(starts)))
+            results = [r for share in pool.map(run_starts, shares)
+                       for r in share]
     else:
-        results = [run_start(i) for i in range(starts)]
+        results = run_starts(shares[0])
     neg_zeta, angles = min(results)
     return AngleSearchResult(angles=angles, zeta=-neg_zeta)
 
@@ -533,20 +570,23 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
 def search_q8_cr_angle() -> AngleSearchResult:
     """1-D search of the common rotation angle for the eight-antenna
     rate-3/4 code (symbols 4..6 rotated) over a 0.25-degree grid, scored on
-    the base code's patterns rotated within the rotated code's groups."""
+    the base code's patterns rotated within the rotated code's groups; each
+    group scores every angle of the grid in one call."""
     base = build("Q8")
-    groups = [(np.ix_(*[[r - 1 for r in g]] * 2),
-               _mixed_min_det(base, make_qam(4), g))
-              for g in build("Q8_CR").grouping]
-    best = None
-    for deg in np.arange(0.25, 90.0, 0.25):
-        phi = math.radians(deg)
-        rot = transforms.cr_rotation(base.K, [(s, phi) for s in (4, 5, 6)])
-        z = _zeta_of(min(min_det(rot[block]) for block, min_det in groups),
-                     base)
-        if best is None or z > best.zeta:
-            best = AngleSearchResult(angles=(phi,), zeta=z)
-    return best
+    phis = np.array([math.radians(deg) for deg in np.arange(0.25, 90.0, 0.25)])
+    rot = transforms.cr_rotation(base.K, [(s, phis) for s in (4, 5, 6)])
+    worst = np.min([_mixed_min_det(base, make_qam(4), g)(_blocks(rot, g))
+                    for g in build("Q8_CR").grouping], axis=0)
+    zetas = _zetas_of(worst, base)
+    best = int(np.argmax(zetas))  # the first angle of the best value
+    return AngleSearchResult(angles=(float(phis[best]),), zeta=zetas[best])
+
+
+def _blocks(rot: np.ndarray, rails) -> np.ndarray:
+    """The (S, w, w) blocks of an (S, n, n) rotation stack on ``rails``
+    (1-based)."""
+    idx = [r - 1 for r in rails]
+    return rot[:, idx][:, :, idx]
 
 
 def search_t8_cr_steps() -> AngleSearchResult:
@@ -566,21 +606,20 @@ def search_t8_cr_steps() -> AngleSearchResult:
     min_dets = [_mixed_min_det(base, make_qam(4), rails) for rails in merged]
     top_deg = 30.0 - fine_deg  # keep 3d strictly inside [0, 90) degrees
 
-    rotation = functools.cache(lambda step_deg: transforms.cr_rotation(
-        base.K, t8_cr_angles((math.radians(step_deg),) * 2)))
-
     # the pair's value is the smaller of the two families' values, each a
-    # function of its own step alone, so every (family, step) is scored once
-    @functools.cache
-    def family_min_det(index: int, step_deg: float) -> float:
-        idx = [r - 1 for r in merged[index]]
-        return min_dets[index](rotation(step_deg)[np.ix_(idx, idx)])
+    # function of its own step alone, so each family scores the grid's
+    # steps in one call
+    def family_min_dets(index: int, steps_deg) -> list:
+        steps = np.array([math.radians(d) for d in steps_deg])
+        rot = transforms.cr_rotation(base.K, t8_cr_angles((steps, steps)))
+        return min_dets[index](_blocks(rot, merged[index])).tolist()
 
     def grid(d1_values, d2_values, best=None):
-        for d1 in d1_values:
-            for d2 in d2_values:
-                worst = min(family_min_det(0, d1), family_min_det(1, d2))
-                z = _zeta_of(worst, base)
+        first = family_min_dets(0, d1_values)
+        second = family_min_dets(1, d2_values)
+        for d1, v1 in zip(d1_values, first):
+            for d2, v2 in zip(d2_values, second):
+                z = _zeta_of(min(v1, v2), base)
                 if best is None or z > best[0]:
                     best = (z, d1, d2)
         return best

@@ -30,22 +30,33 @@ ORTHO_TOL = 1e-12
 GIVENS_ORDER_4D = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
-def rotation_2d(theta: float) -> np.ndarray:
-    """2-D mixing matrix [[cos, sin], [-sin, cos]]."""
+def rotation_2d(theta) -> np.ndarray:
+    """2-D mixing matrix [[cos, sin], [-sin, cos]]; a stack of them for a
+    1-D array of angles."""
     return givens_rotation(2, 1, 2, theta)
 
 
-def givens_rotation(n: int, i: int, k: int, theta: float) -> np.ndarray:
-    """n x n rotation by theta in the (i, k) plane, 1-based axes, i < k."""
+def givens_rotation(n: int, i: int, k: int, theta) -> np.ndarray:
+    """n x n rotation by theta in the (i, k) plane, 1-based axes, i < k.
+
+    For an array of angles, a stack of one rotation per angle, of shape
+    theta.shape + (n, n); each entry is the one a scalar angle gives
+    (``math.cos`` and ``math.sin`` of every angle).
+    """
     if not (1 <= i < k <= n):
         raise ValueError(f"invalid plane ({i}, {k}) for size {n}")
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle {theta} is not finite")
-    g = _identity(n).copy()
-    c, s = math.cos(theta), math.sin(theta)
-    g[i - 1, i - 1] = g[k - 1, k - 1] = c
-    g[i - 1, k - 1] = s
-    g[k - 1, i - 1] = -s
+    t = np.asarray(theta, dtype=np.float64)
+    flat = t.ravel().tolist()
+    bad = [x for x in flat if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"rotation angle {bad[0]} is not finite")
+    c = np.array(list(map(math.cos, flat))).reshape(t.shape)
+    s = np.array(list(map(math.sin, flat))).reshape(t.shape)
+    g = np.empty(t.shape + (n, n))
+    g[...] = _identity(n)
+    g[..., i - 1, i - 1] = g[..., k - 1, k - 1] = c
+    g[..., i - 1, k - 1] = s
+    g[..., k - 1, i - 1] = -s
     return g
 
 
@@ -58,24 +69,57 @@ def _identity(n: int) -> np.ndarray:
 
 
 def givens_product(n: int, factors) -> np.ndarray:
-    """Left-to-right product of (i, k, theta) plane rotations."""
+    """Left-to-right product of (i, k, theta) plane rotations; angles of
+    equal shape give the stack of products."""
     out = np.eye(n)
     for i, k, theta in factors:
         out = out @ givens_rotation(n, i, k, theta)
     return out
 
 
+def _givens_angles(angles) -> np.ndarray:
+    """Angle vectors of :func:`givens_4d` as an (..., 6) float array."""
+    values = np.asarray(angles, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] != 6:
+        raise ValueError(f"expected six angles, got shape {values.shape}")
+    return values
+
+
 def givens_4d(angles) -> np.ndarray:
     """4-D orthogonal matrix from a sequence of six plane angles in the
     order of GIVENS_ORDER_4D; the product is taken left to right in that
-    fixed order.
+    fixed order. An (S, 6) array of angle vectors gives the (S, 4, 4)
+    stack of their matrices.
     """
-    values = list(angles)
-    if len(values) != 6:
-        raise ValueError(f"expected six angles, got {len(values)}")
+    values = _givens_angles(angles)
     return givens_product(
-        4, [(i, k, t) for (i, k), t in zip(GIVENS_ORDER_4D, values)]
+        4, [(i, k, values[..., j]) for j, (i, k) in enumerate(GIVENS_ORDER_4D)]
     )
+
+
+def givens_4d_line(angles, j: int):
+    """``t -> givens_4d(angles with angle j set to t)`` for an (S, 6) stack
+    of angle vectors and (S,) values t, bit for bit.
+
+    The factors other than j are built once, as is the prefix product of
+    the factors before j; each call builds factor j and multiplies it and
+    the later factors in one at a time, so the product keeps the left to
+    right association of :func:`givens_4d`.
+    """
+    values = _givens_angles(angles)
+    planes = GIVENS_ORDER_4D
+    prefix = givens_product(4, [(i, k, values[..., p])
+                                for p, (i, k) in enumerate(planes[:j])])
+    suffix = [givens_rotation(4, i, k, values[..., p])
+              for p, (i, k) in enumerate(planes) if p > j]
+
+    def line(t) -> np.ndarray:
+        out = prefix @ givens_rotation(4, *planes[j], t)
+        for g in suffix:
+            out = out @ g
+        return out
+
+    return line
 
 
 @dataclass(frozen=True)
@@ -199,12 +243,16 @@ class CrSpec:
 def cr_rotation(K: int, angles) -> np.ndarray:
     """The (2K, 2K) rail rotation of CR: rotation_2d(phi) on the rails
     (q, K+q) of every (symbol q, angle phi) in ``angles``, identity
-    elsewhere; row p builds the rotated code's matrix of rail p."""
-    rot = np.eye(2 * K)
+    elsewhere; row p builds the rotated code's matrix of rail p. Angles
+    that are arrays of one shape give the stack of rotations."""
+    angles = list(angles)
+    shape = np.broadcast_shapes(*(np.shape(phi) for _, phi in angles))
+    rot = np.empty(shape + (2 * K, 2 * K))
+    rot[...] = _identity(2 * K)
     for sym, phi in angles:
         if not 1 <= sym <= K:
             raise ValueError(f"symbol index {sym} outside 1..{K}")
-        rot[sym - 1::K, sym - 1::K] = rotation_2d(phi)  # rails q and K+q
+        rot[..., sym - 1::K, sym - 1::K] = rotation_2d(phi)  # rails q, K+q
     return rot
 
 

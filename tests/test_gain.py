@@ -2,6 +2,7 @@
 diversity products and the angle searches."""
 
 import concurrent.futures
+import functools
 import math
 
 import numpy as np
@@ -99,16 +100,26 @@ class TestCaseDets:
                     assert worst > 0.64 - 1e-9
 
     def test_sweep_rows_equal_case_dets(self):
-        qam = make_qam(16)
-        for deg, _, cases in gain.case_sweep_rows(qam, step_deg=1.0):
-            assert cases == {
-                (m, n): min(gain.case_dets(m, n, math.radians(deg)))
-                * qam.d_min ** 8 for m in (1, 2, 3) for n in (1, 2, 3)
-            }
+        # all 40 509 cells of the benchmark's sweep, 16-QAM at step 0.01
+        assert_sweep_rows_equal_case_dets(make_qam(16), 0.01)
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_sweep_rows_equal_case_dets_at_every_order(self, order):
+        assert_sweep_rows_equal_case_dets(make_qam(order), 1.0)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             gain.case_dets(0, 1, 0.1)
+
+
+def assert_sweep_rows_equal_case_dets(qam, step_deg):
+    """Every cell of the sweep's case rows equals (==) its case_dets value."""
+    levels = range(1, qam.levels_per_rail)
+    for deg, _, cases in gain.case_sweep_rows(qam, step_deg=step_deg):
+        assert cases == {
+            (m, n): min(gain.case_dets(m, n, math.radians(deg)))
+            * qam.d_min ** 8 for m in levels for n in levels
+        }
 
 
 class TestOptimalTheta:
@@ -233,21 +244,23 @@ class TestAngleSearches:
         points = [rng.uniform(-np.pi / 2, np.pi / 2, 6) for _ in range(60)]
         found = gain.search_t8_angles(starts=8, seed=0)
         points.append(np.array(found.angles))
-        for angles in points:
-            assert objective(angles) == t8_zeta_over_every_group(angles)
+        got = objective(transforms.givens_4d(np.array(points)))
+        assert got.tolist() == [t8_zeta_over_every_group(angles)
+                                for angles in points]
         assert found.zeta == t8_zeta_over_every_group(found.angles)
 
     def test_fast_objective_matches_pipeline(self):
         objective = gain._t8_objective(QAM4)
         base = build("T8")
         rng = np.random.default_rng(53)
-        for _ in range(5):
-            angles = rng.uniform(-np.pi / 2, np.pi / 2, 6)
+        points = rng.uniform(-np.pi / 2, np.pi / 2, (5, 6))
+        for angles, got in zip(points,
+                               objective(transforms.givens_4d(points))):
             spec = transforms.GcltSpec.givens_4d_spec(base.grouping,
                                                       list(angles))
             mixed = transforms.apply_gclt(base, spec)
             want = gain.diversity_product(mixed, QAM4).zeta
-            assert objective(angles) == pytest.approx(want, abs=1e-10)
+            assert got == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("base_name, angles", [
         ("Q8", dict.fromkeys((4, 5, 6), math.radians(deg)))
@@ -276,7 +289,7 @@ class TestAngleSearches:
                 np.einsum("rp,ptn->rtn", c @ mix, base.dispersion[rails]),
                 np.einsum("rp,ptn->rtn", c, code.dispersion[rails]),
                 rtol=0, atol=1e-12)
-            got = gain._mixed_min_det(base, QAM4, group)(mix)
+            got = float(gain._mixed_min_det(base, QAM4, group)(mix[None])[0])
             assert got == reference_mixed_min_det(base, QAM4, group, mix)
             assert got == pytest.approx(want.min_det, rel=1e-9)
             worst = min(worst, got)
@@ -295,11 +308,38 @@ class TestAngleSearches:
         qam = make_qam(order)
         rng = np.random.default_rng(67)
         for group in build(name).grouping:
+            mixes = random_mixes(rng, 100, len(group))
+            got = gain._mixed_min_det(base, qam, group)(mixes)
+            assert got.tolist() == [
+                reference_mixed_min_det(base, qam, group, mix)
+                for mix in mixes]
+
+    @pytest.mark.parametrize("base_name, name, order", [
+        ("T8", "T8", 4), ("T8", "T8", 16), ("Q8", "Q8_CR", 4),
+        ("Q8", "Q8_CR", 16), ("T8", "T8_CR", 4),
+    ])
+    def test_stacked_mixes_score_as_batches_of_one(self, base_name, name,
+                                                   order):
+        base = build(base_name)
+        qam = make_qam(order)
+        rng = np.random.default_rng(71)
+        for group in build(name).grouping:
             min_det = gain._mixed_min_det(base, qam, group)
-            for _ in range(100):
-                mix, _ = np.linalg.qr(rng.standard_normal((len(group),) * 2))
-                assert min_det(mix) == reference_mixed_min_det(base, qam,
-                                                               group, mix)
+            for count in (1, 7, 64):
+                mixes = random_mixes(rng, count, len(group))
+                alone = [min_det(mix[None])[0] for mix in mixes]
+                assert min_det(mixes).tolist() == alone
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lockstep_search_equals_per_start_search(self, seed):
+        # every start makes the comparisons of a search run alone, so the
+        # lockstep result is the per-start oracle's for any worker count,
+        # also when a worker gets no start
+        for starts in (1, 3, 8):
+            want = per_start_search(seed, starts)
+            for workers in (1, 2, 3):
+                assert gain.search_t8_angles(starts, seed, workers) == want
+        assert gain.search_t8_angles(2, seed, 3) == per_start_search(seed, 2)
 
     def test_single_start_is_reproducible(self):
         a = gain.search_t8_angles(starts=1, seed=5)
@@ -348,6 +388,61 @@ class TestAngleSearches:
             "0.39269908169872414, 0.7853981633974483, 0.7853981633974483, "
             "1.1780972450961724, 1.1780972450961724), "
             "zeta=0.2187131204240741)")
+
+
+def random_mixes(rng, count, width):
+    """``count`` random orthogonal width x width mixes, stacked."""
+    return np.stack([np.linalg.qr(rng.standard_normal((width, width)))[0]
+                     for _ in range(count)])
+
+
+def scalar_golden_max(fun, lo, hi):
+    """Golden-section maximisation of one function on [lo, hi], 25
+    iterations, one point at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(25):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return (a + b) / 2.0
+
+
+@functools.cache
+def per_start_result(seed, index):
+    """(-zeta, angles) of one ``search-t8`` start run alone: a scalar
+    golden-section search with the mix built by ``givens_4d`` at every
+    call and scored as a stack of one."""
+    objective = gain._t8_objective(QAM4)
+
+    def zeta(angles):
+        return float(objective(transforms.givens_4d(angles)[None])[0])
+
+    half_pi = math.pi / 2
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    angles = rng.uniform(-half_pi, half_pi, size=6)
+    for _ in range(3):
+        for j in range(6):
+            def slice_fun(t, j=j):
+                trial = angles.copy()
+                trial[j] = t
+                return zeta(trial)
+            angles[j] = scalar_golden_max(slice_fun, -half_pi, half_pi)
+    return -zeta(angles), tuple(float(a) for a in angles)
+
+
+def per_start_search(seed, starts):
+    """``search_t8_angles(starts, seed)`` from starts run one at a time."""
+    neg_zeta, angles = min(per_start_result(seed, i) for i in range(starts))
+    return gain.AngleSearchResult(angles=angles, zeta=-neg_zeta)
 
 
 def reference_min_pattern(stack, mult, rails):

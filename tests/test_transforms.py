@@ -81,6 +81,34 @@ class TestGivens:
                 want = want @ rotation(i, k, theta)
             assert transforms.givens_4d(angles).tobytes() == want.tobytes()
 
+    def test_stacked_angles_give_each_angle_s_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        thetas = np.append(rng.uniform(-np.pi, np.pi, 9), [0.0, -0.0])
+        stack = transforms.givens_rotation(4, 2, 4, thetas)
+        assert stack.shape == (11, 4, 4)
+        for theta, g in zip(thetas, stack):
+            want = transforms.givens_rotation(4, 2, 4, float(theta))
+            assert g.tobytes() == want.tobytes()
+        points = rng.uniform(-np.pi, np.pi, (9, 6))
+        stack = transforms.givens_4d(points)
+        for angles, g in zip(points, stack):
+            assert g.tobytes() == transforms.givens_4d(angles).tobytes()
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_line_equals_givens_4d_with_one_angle_set(self, j):
+        rng = np.random.default_rng(13 + j)
+        points = rng.uniform(-np.pi, np.pi, (5, 6))
+        line = transforms.givens_4d_line(points, j)
+        for _ in range(3):
+            t = rng.uniform(-np.pi, np.pi, 5)
+            trial = points.copy()
+            trial[:, j] = t
+            assert line(t).tobytes() == transforms.givens_4d(trial).tobytes()
+
+    def test_rejects_non_finite_angle_in_a_stack(self):
+        with pytest.raises(ValueError, match="nan is not finite"):
+            transforms.givens_rotation(4, 1, 2, np.array([0.1, np.nan]))
+
     def test_rotation_is_a_fresh_writable_array(self):
         g = transforms.givens_rotation(3, 1, 2, 0.5)
         g[2, 2] = 7.0
@@ -219,6 +247,14 @@ class TestApplyCr:
         code = build("Q4")
         with pytest.raises(ValueError, match="outside"):
             transforms.apply_cr(code, transforms.CrSpec.uniform((5,), 0.3))
+
+    def test_stacked_rotation_angles_give_each_angle_s_rotation(self):
+        phis = np.random.default_rng(17).uniform(0, np.pi / 2, 7)
+        stack = transforms.cr_rotation(6, [(s, phis) for s in (4, 5, 6)])
+        assert stack.shape == (7, 12, 12)
+        for phi, rot in zip(phis, stack):
+            want = transforms.cr_rotation(6, [(s, phi) for s in (4, 5, 6)])
+            assert rot.tobytes() == want.tobytes()
 
     def test_power_preserved(self):
         code = build("Q8")
