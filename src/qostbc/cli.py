@@ -55,12 +55,12 @@ def _write_artifact(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
+    fh = open(path, "w", encoding="utf-8")  # if this fails, the file is intact
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
-    except BaseException:
-        if os.path.exists(path):
-            os.unlink(path)
+    except BaseException:  # opened means truncated: leave no partial file
+        os.unlink(path)
         raise
 
 

@@ -1,11 +1,12 @@
 """Maximum-likelihood detection: grouped (block-diagonal Gram) and exhaustive.
 
 :func:`detect_from_equivalent_batch` is the one grouped detector. It takes a
-batch of real equivalent channels H (from :func:`equivalent_channel_batch`,
-the package's single equivalent-channel function) and received vectors r,
-forms the matched filter z = H^T r and the Gram G = H^T H, and, because G is
-block-diagonal along the code's symbol grouping, detects each group's rails
-independently by enumerating that group's PAM candidates:
+batch of real equivalent channels H (from
+:func:`analysis.equivalent_channel`, the package's single equivalent-channel
+function) and received vectors r, forms the matched filter z = H^T r and
+the Gram G = H^T H, and, because G is block-diagonal along the code's
+symbol grouping, detects each group's rails independently by enumerating
+that group's PAM candidates:
 
     minimise  sqrt(rho/Nt) * s_g^T G_gg s_g - 2 z_g^T s_g
 

@@ -18,21 +18,26 @@ and :func:`search_t8_cr_steps`) build no transformed code. Group mixing
 error coefficients: a pattern c of the transformed code is the pattern
 c @ mix of the base code, with mix the group's orthogonal mixing or its
 block of CR's rail rotation, :func:`transforms.cr_rotation`. One evaluator,
-:func:`_mixed_min_det`, scores a rail set's base-code patterns under a
-stack of mixes in one call, and a single mix is a stack of one; a mix's
-minimum does not depend on the mixes stacked with it. Each step of a search
-is one call: ``search-t8`` runs its starts in lockstep and scores every
-start's next point together, and the CR searches score a whole grid of
-angles at once. :func:`_zeta_of` is the one place that maps a minimum to
-zeta. Under a mix shared by all groups, groups whose factor forms are
-byte-equal give bit-equal minima, so ``search-t8``'s objective scores each
-distinct set of forms once: T8's four groups are equivalent and share one.
+:func:`_mixed_min_det`, scores the base-code patterns of a list of rail
+sets under a stack of mixes in one call, and a single mix is a stack of
+one; a mix's minimum does not depend on the mixes stacked with it. Each
+step of a search is one call: ``search-t8`` runs its starts in lockstep
+and scores every start's next point together, and the CR searches score a
+whole grid of angles at once. :func:`_zeta_of` is the one place that maps
+a minimum to zeta. Under a shared mix, rail sets with byte-equal factor
+forms give bit-equal minima and are scored once (T8's four groups).
 
 Each enumeration scores one pattern of every pair +-c, the lexicographically
 first (:func:`_patterns`): -c has the bit-equal determinant of c and mixes
 to exactly -(c @ mix), so the minimum and first argmin are the full scan's.
 
-Enumerations are screened before they are scored. A QO-STBC Gram has paired
+A rail set is the unit every search scores: its rows cover only its rails
+and are scored on its own sub-stack of the dispersion, which gives the
+zero-padded full-width values bit for bit (tested on every catalog group at
+4- and 16-QAM and the sweep's rotated pairs). Only a reported argmin is
+widened to all 2K rails.
+
+Every enumeration is screened before it is scored. A QO-STBC Gram has paired
 eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
 q_k = c^T M_k c in the pattern c (:func:`_det_factor_forms`), so its
 determinant is prod_k q_k^2. The q_k come from small tables, not from
@@ -59,8 +64,8 @@ stacks at 4-QAM, the screened and LU values differ by at most
 8.8e-15 ||G||^Nt.) A row is dropped only when its lower bound exceeds the
 smallest upper bound in its block, so every row whose exact determinant
 attains the minimum survives, and the first survivor with the minimal exact
-value is the first argmin of the unscreened scan. Stacks without factor
-forms are scored directly.
+value is the first argmin of the unscreened scan. Every catalog rail set
+has factor forms; a stack without them is rejected with ValueError.
 """
 
 import math
@@ -149,13 +154,6 @@ def _patterns(mult: np.ndarray, width: int):
                           np.arange(lo, min(lo + PATTERN_CHUNK, half)))
 
 
-def _embed(rows: np.ndarray, rails, n_rails: int) -> np.ndarray:
-    """Rows supported on ``rails`` (0-based) widened to ``n_rails`` rails."""
-    out = np.zeros((len(rows), n_rails))
-    out[:, rails] = rows
-    return out
-
-
 def _batched_dets(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Gram determinants of sum_p coeffs[r, p] * A_p for every row r."""
     out = np.empty(len(coeffs))
@@ -206,23 +204,20 @@ def _form_blocks(forms: np.ndarray, mult: np.ndarray):
 
 def _min_pattern(stack: np.ndarray, mult: np.ndarray, rails):
     """Smallest determinant over the nonzero patterns on ``rails`` and its
-    first argmin row; stacks with factor forms go through the screen, and
-    only the patterns it keeps are decoded."""
-    width = len(rails)
-    forms = _det_factor_forms(stack[rails])
-    if forms is None:
-        chunks = _patterns(mult, width)
-    else:
-        chunks = (lex_vectors(mult, width, lo + np.flatnonzero(_near_min(q)))
-                  for lo, q in _form_blocks(forms, mult))
-    best_val, best_pat = math.inf, None
-    for rows in chunks:
-        coeffs = _embed(rows, rails, len(stack))
-        dets = _batched_dets(stack, coeffs)
+    first argmin, widened to every rail of ``stack``. The screen keeps the
+    patterns that can attain the minimum; only those are decoded, as rows
+    over ``rails`` alone, and scored on the rails' own sub-stack."""
+    sub = stack[rails]
+    best_val, best_row = math.inf, None
+    for lo, q in _form_blocks(_det_factor_forms(sub), mult):
+        rows = lex_vectors(mult, len(rails), lo + np.flatnonzero(_near_min(q)))
+        dets = _batched_dets(sub, rows)
         k = int(np.argmin(dets))
         if dets[k] < best_val:
-            best_val, best_pat = float(dets[k]), coeffs[k]
-    return best_val, best_pat
+            best_val, best_row = float(dets[k]), rows[k]
+    pattern = np.zeros(len(stack))
+    pattern[rails] = best_row
+    return best_val, pattern
 
 
 @dataclass(frozen=True)
@@ -308,12 +303,14 @@ def theta_grid_search(constellation: Constellation,
     """Sweep the pair-mixing angle of the four-antenna code over [0, 45] deg.
 
     For each angle the within-group minimum determinant of the mixed code is
-    evaluated numerically (batched Gram determinants on the base dispersion
-    stack; the pair mixing only rotates the error coefficients). Every row
-    is zero outside one rail pair, so a block of angles is screened from the
-    rotated pairs and each pair's 2 x 2 block of Q4's factor forms; each
-    angle's minimum is taken over the exact determinants of the rows that
-    survive, built only then.
+    evaluated numerically (batched Gram determinants on the base dispersion;
+    the pair mixing only rotates the error coefficients). Every pattern lies
+    on one rail pair, so a block of angles is screened from the rotated pairs
+    and each pair's 2 x 2 block of Q4's factor forms; each angle's minimum is
+    taken over the exact determinants of the rows that survive, built only
+    then as 2-rail rows and scored on their pair's (2, T, Nt) sub-stack.
+    Angles above 45 degrees, which a step that does not divide 45 would
+    reach, are left out.
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"angle step {step_deg} must be positive and finite")
@@ -325,10 +322,12 @@ def theta_grid_search(constellation: Constellation,
     a, b = np.vstack(list(_patterns(_multipliers(constellation), 2))).T
     scale = constellation.d_min ** 8
     thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
+    thetas = thetas[thetas <= 45.0]
     cos = np.array([math.cos(math.radians(deg)) for deg in thetas])
     sin = np.array([math.sin(math.radians(deg)) for deg in thetas])
     forms = _det_factor_forms(base.dispersion)
     qs, vs = (np.array(rails) - 1 for rails in zip(*base.grouping))
+    pairs = [base.dispersion[[q, v]] for q, v in zip(qs, vs)]
     # q_k of a row on rail pair (q, v) from the pair's 2 x 2 block of M_k:
     # coefficients (F, G, 3) of the monomials x^2, x y, y^2
     pair_forms = np.stack([forms[:, qs, qs], 2 * forms[:, qs, vs],
@@ -341,13 +340,11 @@ def theta_grid_search(constellation: Constellation,
         x = a * c - b * s  # (angles, patterns), the same for every pair
         y = a * s + b * c
         q = pair_forms @ np.stack([x * x, x * y, y * y]).reshape(3, -1)
-        group, angle, row = np.nonzero(
-            _near_min(q.reshape(q.shape[:2] + x.shape), axis=(0, 2)))
-        rot = np.zeros((len(group), 8))  # survivors only, zero off the pair
-        rot[np.arange(len(group)), qs[group]] = x[angle, row]
-        rot[np.arange(len(group)), vs[group]] = y[angle, row]
-        np.minimum.at(mins, lo + angle,
-                      _batched_dets(base.dispersion, rot))
+        keep = _near_min(q.reshape(q.shape[:2] + x.shape), axis=(0, 2))
+        for pair, kept in zip(pairs, keep):
+            angle, row = np.nonzero(kept)
+            rows = np.stack([x[angle, row], y[angle, row]], axis=1)
+            np.minimum.at(mins, lo + angle, _batched_dets(pair, rows))
     mins *= scale
     best = int(np.argmax(mins))
     return ThetaSweep(
@@ -394,20 +391,21 @@ def _fourth_powers(x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # searched angles for the eight-antenna codes
 
-def _det_factor_forms(sub_stack: np.ndarray):
+def _det_factor_forms(sub_stack: np.ndarray) -> np.ndarray:
     """Quadratic factor forms of a rail subset's distance determinant.
 
     For the catalog codes the Grams of every real combination of a group's
     (or the whole code's) dispersion matrices commute, so the determinant
     factors as det = prod_k (c^T M_k c)^2 over Nt/2 fixed symmetric forms
     M_k in the combination coefficients c. Returns the (Nt/2, m, m) form
-    stack, or None when the structure does not hold (validated on random
-    draws).
+    stack; raises ValueError when the structure does not hold (odd Nt, or a
+    random draw whose direct determinant the forms do not reproduce).
     """
     sub = np.asarray(sub_stack)
     m, _, nt = sub.shape
     if nt % 2:
-        return None
+        raise ValueError(f"a stack with {nt} transmit antennas has no "
+                         "factor forms (Nt must be even)")
     gen = np.einsum("ati,btk->abik", sub.conj(), sub).real
     rng = np.random.default_rng(np.random.SeedSequence([2024, m, nt]))
     c0 = rng.standard_normal(m)
@@ -422,7 +420,9 @@ def _det_factor_forms(sub_stack: np.ndarray):
         direct = float(np.linalg.det(dc.conj().T @ dc).real)
         fac = float(np.prod(np.einsum("a,fab,b->f", c, forms, c)) ** 2)
         if abs(direct - fac) > 1e-9 * max(abs(direct), 1.0):
-            return None
+            raise ValueError(
+                f"the distance determinant of this {m}-rail stack does not "
+                f"factor into quadratic forms ({fac!r} != {direct!r})")
     return forms
 
 
@@ -434,26 +434,33 @@ def _zeta_of(min_det: float, code: CodeDefinition) -> float:
     return (1.0 / (2.0 * math.sqrt(code.nt))) * min_det ** (1.0 / (2.0 * code.T))
 
 
-def _mixed_min_det(base: CodeDefinition, constellation: Constellation, rails):
-    """Return ``mixes -> min dets``: for an (S, w, w) stack of mixes, the S
-    minima (scaled by d_min^(2 Nt)) over the :func:`_patterns` on ``rails``
-    (1-based) of ``base`` times each mix. The rails' factor forms are
+def _mixed_min_det(base: CodeDefinition, constellation: Constellation,
+                   groups):
+    """Return ``mixes -> min dets``: for an (S, w, w) stack of mixes shared
+    by every rail set in ``groups`` (1-based, each of width w), the S minima
+    (scaled by d_min^(2 Nt)) over those rail sets and the :func:`_patterns`
+    on each of ``base`` times each mix. The rails' factor forms are
     contracted by one einsum over the S * R stacked pattern rows (the
     :func:`_near_min` order moves the last bits and the angles ``search-t8``
     finds); a row's value does not depend on the rows stacked with it, so a
-    mix scores the same alone as in any stack. Every caller's rails (T8's
-    groups, Q8_CR's and T8_CR's) have factor forms, so there is no
-    determinant fallback."""
-    sub = base.dispersion[[r - 1 for r in rails]]
-    pats = np.vstack(list(_patterns(_multipliers(constellation), len(rails))))
+    mix scores the same alone as in any stack. Rail sets whose forms are
+    byte-equal are scored once: a rail set's minima read only its forms, the
+    patterns (set by the constellation and w) and the mix, so equal forms
+    give bit-equal minima."""
+    distinct = {}  # factor-form bytes -> forms
+    for rails in groups:
+        forms = _det_factor_forms(base.dispersion[[r - 1 for r in rails]])
+        distinct.setdefault(forms.tobytes(), forms)
+    width = len(groups[0])
+    pats = np.vstack(list(_patterns(_multipliers(constellation), width)))
     scale = constellation.d_min ** (2 * base.nt)
-    forms = _det_factor_forms(sub)
 
     def min_dets(mixes: np.ndarray) -> np.ndarray:
-        coeffs = (pats @ mixes).reshape(-1, len(rails))
-        q = np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs)
-        dets = (np.prod(q, axis=1) ** 2).reshape(len(mixes), len(pats))
-        return dets.min(axis=1) * scale
+        coeffs = (pats @ mixes).reshape(-1, width)
+        dets = np.min([
+            np.prod(np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs),
+                    axis=1) ** 2 for forms in distinct.values()], axis=0)
+        return dets.reshape(len(mixes), len(pats)).min(axis=1) * scale
 
     return min_dets
 
@@ -466,25 +473,13 @@ def _zetas_of(min_dets, code: CodeDefinition) -> list:
 def _t8_objective(constellation: Constellation):
     """Diversity products of the rate-1 eight-antenna code with every group
     mixed by each of an (S, 4, 4) stack of mixes; the within-group power
-    cross-traces vanish, so the mixing needs no renormalisation.
-
-    Groups whose factor forms are byte-equal are scored once. An evaluator
-    reads only the forms, the patterns (set by the constellation and the
-    group width, which the forms' shape fixes) and the shared mix, so equal
-    forms give bit-equal minima and the minimum over the distinct forms is
-    the minimum over every group. T8's four groups share one set of forms.
-    """
+    cross-traces vanish, so the mixing needs no renormalisation. T8's four
+    groups have byte-equal factor forms, so one of them is scored."""
     base = build("T8")
-    distinct = {}  # factor-form bytes -> first group with those forms
-    for group in base.grouping:
-        sub = base.dispersion[[r - 1 for r in group]]
-        distinct.setdefault(_det_factor_forms(sub).tobytes(), group)
-    min_dets = [_mixed_min_det(base, constellation, group)
-                for group in distinct.values()]
+    min_dets = _mixed_min_det(base, constellation, base.grouping)
 
     def objective(mixes: np.ndarray) -> np.ndarray:
-        worst = np.min([min_det(mixes) for min_det in min_dets], axis=0)
-        return np.array(_zetas_of(worst, base))
+        return np.array(_zetas_of(min_dets(mixes), base))
 
     return objective
 
@@ -575,7 +570,7 @@ def search_q8_cr_angle() -> AngleSearchResult:
     base = build("Q8")
     phis = np.array([math.radians(deg) for deg in np.arange(0.25, 90.0, 0.25)])
     rot = transforms.cr_rotation(base.K, [(s, phis) for s in (4, 5, 6)])
-    worst = np.min([_mixed_min_det(base, make_qam(4), g)(_blocks(rot, g))
+    worst = np.min([_mixed_min_det(base, make_qam(4), [g])(_blocks(rot, g))
                     for g in build("Q8_CR").grouping], axis=0)
     zetas = _zetas_of(worst, base)
     best = int(np.argmax(zetas))  # the first angle of the best value
@@ -603,7 +598,8 @@ def search_t8_cr_steps() -> AngleSearchResult:
     # rotating a family's symbols merges its real and imaginary rail groups
     # into one group of T8_CR; group i holds family i
     merged = build("T8_CR").grouping
-    min_dets = [_mixed_min_det(base, make_qam(4), rails) for rails in merged]
+    min_dets = [_mixed_min_det(base, make_qam(4), [rails])
+                for rails in merged]
     top_deg = 30.0 - fine_deg  # keep 3d strictly inside [0, 90) degrees
 
     # the pair's value is the smaller of the two families' values, each a

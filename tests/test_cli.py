@@ -221,6 +221,51 @@ class TestErrors:
         assert err.strip()
 
 
+    def test_failed_open_keeps_the_existing_file(self, capsys, monkeypatch,
+                                                 tmp_path):
+        # e.g. a read-only file for a user other than root: open() fails
+        # before truncating, so the file must survive
+        path = tmp_path / "keep.json"
+        path.write_text("old\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        status, _, err = run_cli(capsys, ["catalog", "--code", "Q4", "--out",
+                                          str(path)])
+        assert status == 1
+        assert "Permission denied" in err and "Traceback" not in err
+        assert path.read_text() == "old\n"
+
+    def test_failed_write_removes_the_truncated_file(self, capsys,
+                                                     monkeypatch, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        def full_disk(*args, **kwargs):
+            return FullDisk(open(*args, **kwargs))
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        status, _, err = run_cli(capsys, ["catalog", "--code", "Q4", "--out",
+                                          str(path)])
+        assert status == 1 and "No space left" in err
+        assert not path.exists()
+
+
 SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
 
 

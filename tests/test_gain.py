@@ -133,6 +133,18 @@ class TestOptimalTheta:
         sweep = gain.theta_grid_search(make_qam(order), step_deg=0.05)
         assert abs(sweep.best_theta_deg - math.degrees(OPT_THETA_2D)) <= 0.05
 
+    @pytest.mark.parametrize("step, count, last", [
+        (0.07, 643, 44.94),  # 0.07 does not divide 45: 642 * 0.07 = 44.94
+        (1.0, 46, 45.0),
+    ])
+    def test_sweep_stays_within_45_degrees(self, step, count, last):
+        sweep = gain.theta_grid_search(QAM4, step_deg=step)
+        assert len(sweep.thetas_deg) == count
+        assert sweep.thetas_deg[-1] == pytest.approx(last, abs=1e-12)
+        assert sweep.thetas_deg.max() <= 45.0
+        assert np.array_equal(sweep.min_dets,
+                              reference_theta_sweep(QAM4, step)[:count])
+
     def test_grid_matches_full_pipeline_at_spot_angles(self):
         qam = make_qam(4)
         sweep = gain.theta_grid_search(qam, step_deg=1.0)
@@ -289,7 +301,7 @@ class TestAngleSearches:
                 np.einsum("rp,ptn->rtn", c @ mix, base.dispersion[rails]),
                 np.einsum("rp,ptn->rtn", c, code.dispersion[rails]),
                 rtol=0, atol=1e-12)
-            got = float(gain._mixed_min_det(base, QAM4, group)(mix[None])[0])
+            got = float(gain._mixed_min_det(base, QAM4, [group])(mix[None])[0])
             assert got == reference_mixed_min_det(base, QAM4, group, mix)
             assert got == pytest.approx(want.min_det, rel=1e-9)
             worst = min(worst, got)
@@ -309,7 +321,7 @@ class TestAngleSearches:
         rng = np.random.default_rng(67)
         for group in build(name).grouping:
             mixes = random_mixes(rng, 100, len(group))
-            got = gain._mixed_min_det(base, qam, group)(mixes)
+            got = gain._mixed_min_det(base, qam, [group])(mixes)
             assert got.tolist() == [
                 reference_mixed_min_det(base, qam, group, mix)
                 for mix in mixes]
@@ -324,7 +336,7 @@ class TestAngleSearches:
         qam = make_qam(order)
         rng = np.random.default_rng(71)
         for group in build(name).grouping:
-            min_det = gain._mixed_min_det(base, qam, group)
+            min_det = gain._mixed_min_det(base, qam, [group])
             for count in (1, 7, 64):
                 mixes = random_mixes(rng, count, len(group))
                 alone = [min_det(mix[None])[0] for mix in mixes]
@@ -445,13 +457,19 @@ def per_start_search(seed, starts):
     return gain.AngleSearchResult(angles=angles, zeta=-neg_zeta)
 
 
+def widen(rows, rails, n_rails):
+    """Rows over ``rails`` (0-based) as full-width rows over ``n_rails``
+    rails, zero off ``rails``."""
+    out = np.zeros((len(rows), n_rails))
+    out[:, rails] = rows
+    return out
+
+
 def reference_min_pattern(stack, mult, rails):
     """Unscreened scan: every nonzero pattern on ``rails`` scored with the
     exact determinant kernel. Returns the minimum, the first argmin in
     lexicographic order and the number of patterns attaining the minimum."""
-    rows = every_pattern(mult, len(rails))
-    coeffs = np.zeros((len(rows), len(stack)))
-    coeffs[:, rails] = rows
+    coeffs = widen(every_pattern(mult, len(rails)), rails, len(stack))
     dets = gain._batched_dets(stack, coeffs)
     k = int(np.argmin(dets))
     return float(dets[k]), coeffs[k], int(np.count_nonzero(dets == dets[k]))
@@ -462,11 +480,9 @@ def reference_theta_sweep(constellation, step_deg):
     at a time."""
     base = build("Q4")
     mult = gain._multipliers(constellation)
-    coeffs = np.vstack([
-        gain._embed(every_pattern(mult, len(group)),
-                    [r - 1 for r in group], 8)
-        for group in base.grouping
-    ])
+    coeffs = np.vstack([widen(every_pattern(mult, len(group)),
+                              [r - 1 for r in group], 8)
+                        for group in base.grouping])
     thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
     mins = np.empty(len(thetas))
     for i, deg in enumerate(thetas):
@@ -507,9 +523,75 @@ class TestPatternPairs:
         for group in code.grouping:
             rails = [r - 1 for r in group]
             rows = next(gain._patterns(mult, len(rails)))
-            coeffs = gain._embed(rows, rails, len(code.dispersion))
+            coeffs = widen(rows, rails, len(code.dispersion))
             assert np.array_equal(gain._batched_dets(code.dispersion, -coeffs),
                                   gain._batched_dets(code.dispersion, coeffs))
+
+
+class TestRailLocalRows:
+    """A rail set's rows, scored on its own sub-stack, give the determinants
+    of the zero-padded full-width rows bit for bit, on every row."""
+
+    @pytest.mark.parametrize("name, order", [
+        (name, order) for order in (4, 16) for name in CODE_NAMES
+        if (name, order) != ("T8_CR", 16)
+    ])
+    def test_every_group_pattern(self, name, order):
+        code = build(name)
+        mult = gain._multipliers(make_qam(order))
+        for group in code.grouping:
+            rails = [r - 1 for r in group]
+            rows = np.vstack(list(gain._patterns(mult, len(rails))))
+            got = gain._batched_dets(code.dispersion[rails], rows)
+            want = gain._batched_dets(
+                code.dispersion, widen(rows, rails, len(code.dispersion)))
+            assert (got == want).all()
+
+    def test_rotated_pair_rows_of_the_sweep(self):
+        # every rotated pattern of sweep-theta at 16-QAM, step 0.01, on
+        # each of Q4's rail pairs
+        base = build("Q4")
+        mult = gain._multipliers(make_qam(16))
+        a, b = np.vstack(list(gain._patterns(mult, 2))).T
+        degs = np.arange(0.0, 45.0 + 0.005, 0.01)
+        c = np.array([math.cos(math.radians(d)) for d in degs])[:, None]
+        s = np.array([math.sin(math.radians(d)) for d in degs])[:, None]
+        rows = np.stack([a * c - b * s, a * s + b * c], axis=-1)
+        rows = rows.reshape(-1, 2)
+        for q, v in base.grouping:
+            rails = [q - 1, v - 1]
+            got = gain._batched_dets(base.dispersion[rails], rows)
+            want = gain._batched_dets(base.dispersion, widen(rows, rails, 8))
+            assert (got == want).all()
+
+
+class TestFactorForms:
+    """Every catalog rail set has factor forms; a stack without them is
+    rejected, so no enumeration goes unscreened."""
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_every_group_and_the_full_stack(self, name):
+        code = build(name)
+        for rails in (*code.grouping, range(1, 2 * code.K + 1)):
+            idx = [r - 1 for r in rails]
+            forms = gain._det_factor_forms(code.dispersion[idx])
+            assert forms.shape == (code.nt // 2, len(idx), len(idx))
+
+    def test_odd_antenna_count_raises(self):
+        rng = np.random.default_rng(73)
+        stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal(
+            (4, 3, 3))
+        with pytest.raises(ValueError, match="Nt must be even"):
+            gain._det_factor_forms(stack)
+
+    def test_unstructured_stack_raises(self):
+        rng = np.random.default_rng(79)
+        stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal(
+            (6, 4, 4))
+        with pytest.raises(ValueError, match="quadratic forms"):
+            gain._det_factor_forms(stack)
+        with pytest.raises(ValueError, match="quadratic forms"):
+            gain._min_pattern(stack, gain._multipliers(QAM4), [0, 2, 5])
 
 
 class TestScreenedSearch:
@@ -562,7 +644,6 @@ class TestScreenedSearch:
         code = build(name)
         rails = [code.grouping[0][r] - 1 for r in rails]
         mult = gain._multipliers(make_qam(order))
-        assert gain._det_factor_forms(code.dispersion[rails]) is not None
         got_val, got_pat = gain._min_pattern(code.dispersion, mult, rails)
         want_val, want_pat, _ = reference_min_pattern(code.dispersion, mult,
                                                       rails)
