@@ -249,10 +249,18 @@ def _cmd_sweep_theta(args) -> int:
     header = ["theta_deg", "min_det"] + [f"det_m{m}_n{n}" for m, n in pairs]
     lines = [f"# qostbc sweep-theta mod={args.mod} step={args.step}",
              ",".join(header)]
-    lines += [",".join(map(str, [deg, overall, *cases.values()]))
+    lines += [_csv_line([deg, overall, *cases.values()])
               for deg, overall, cases in rows]
     _write_artifact(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _csv_line(values) -> str:
+    """The values' ``str`` joined by commas, each distinct nonzero value
+    formatted once. Zeros are formatted one by one, since ``0.0 == -0.0``
+    would merge them as keys."""
+    text = {v: str(v) for v in dict.fromkeys(values) if v}
+    return ",".join([text[v] if v else str(v) for v in values])
 
 
 def _cmd_search_t8(args) -> int:

@@ -65,9 +65,19 @@ stacks at 4-QAM, the screened and LU values differ by at most
 smallest upper bound in its block, so every row whose exact determinant
 attains the minimum survives, and the first survivor with the minimal exact
 value is the first argmin of the unscreened scan. Every catalog rail set
-has factor forms; a stack without them is rejected with ValueError.
+has factor forms; a stack without them is rejected with ValueError; the
+forms of a sub-stack are derived once per content (a bounded cache).
+
+Every einsum over pattern rows (:func:`_batched_dets`, the tables of
+:func:`_form_blocks`, :func:`_mixed_min_det`) keeps the row axis contiguous
+and innermost, so numpy's inner loop runs over many rows instead of the
+2-4 summed entries of one. Only the free row index moves: each output adds
+the same products in the same order, lexicographic over its summed indices
+from 0, so every value equals the row-major layout's bit for bit (the
+row-major forms are kept as test oracles).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,12 +165,21 @@ def _patterns(mult: np.ndarray, width: int):
 
 
 def _batched_dets(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Gram determinants of sum_p coeffs[r, p] * A_p for every row r."""
+    """Gram determinants of sum_p coeffs[r, p] * A_p for every row r.
+
+    Rows are the innermost, contiguous axis of both contractions: the
+    coefficients are stored (P, R), the combinations (T, Nt, R) and the
+    Grams (Nt, Nt, R), so each einsum loops over the rows rather than over
+    the 1-12 summed entries. Only the free row index moved inward: each
+    entry still adds the same products in the same order (over p, and for
+    the Gram over t, from 0) as the row-major "rp,ptn->rtn" and
+    "rtm,rtn->rmn", so every determinant is bit-equal.
+    """
     out = np.empty(len(coeffs))
     for lo in range(0, len(coeffs), PATTERN_CHUNK):
-        c = coeffs[lo:lo + PATTERN_CHUNK]
-        dc = np.einsum("rp,ptn->rtn", c, stack)
-        gram = np.einsum("rtm,rtn->rmn", dc.conj(), dc)
+        c = np.ascontiguousarray(coeffs[lo:lo + PATTERN_CHUNK].T)
+        dc = np.einsum("pr,ptn->tnr", c, stack)
+        gram = np.moveaxis(np.einsum("tmr,tnr->mnr", dc.conj(), dc), -1, 0)
         out[lo:lo + PATTERN_CHUNK] = np.linalg.det(gram).real
     return out
 
@@ -183,13 +202,17 @@ def _form_blocks(forms: np.ndarray, mult: np.ndarray):
     q_k = a^T M_aa a + b^T M_bb b + 2 a^T M_ab b. The two square terms are
     tabled once over every prefix and every suffix; the cross term is one
     matrix product per block of prefixes. Row i * L^w2 + j (prefix i, suffix
-    j, L multipliers) keeps the lexicographic order.
+    j, L multipliers) keeps the lexicographic order. The square-term tables
+    contract the prefixes and suffixes stored (rail, row), rows innermost;
+    each entry adds (c_a M_ab) c_b over (a, b) in lexicographic order from
+    0, as the row-major contraction does, so the tables are bit-equal.
     """
     f, width, _ = forms.shape
     w1 = width // 2
     heads, tails = lex_vectors(mult, w1), lex_vectors(mult, width - w1)
-    qa = np.einsum("ia,fab,ib->fi", heads, forms[:, :w1, :w1], heads)
-    qb = np.einsum("ja,fab,jb->fj", tails, forms[:, w1:, w1:], tails)
+    ha, tb = np.ascontiguousarray(heads.T), np.ascontiguousarray(tails.T)
+    qa = np.einsum("ai,fab,bi->fi", ha, forms[:, :w1, :w1], ha)
+    qb = np.einsum("aj,fab,bj->fj", tb, forms[:, w1:, w1:], tb)
     cross = 2 * forms[:, :w1, w1:]
     n_tails = len(tails)
     half = len(mult) ** width // 2
@@ -359,12 +382,17 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
     absolute units (scaled by d_min^8), the cases of :func:`case_dets` bit
     for bit. A block of angles is scored at once: the cases (0, n) and
     (m, 0) share the values (k^2 cos 2 theta)^4, and every fourth power is
-    Python's (libm ``pow``), which ``np.power`` does not always equal.
+    Python's (libm ``pow``), which ``np.power`` does not always equal. Each
+    pair is computed once for (m, n) and (n, m), m <= n: the cross terms of
+    (n, m) are the exact negatives of those of (m, n), and
+    ``pow(-x, 4) == pow(x, 4)``.
     """
     top = constellation.levels_per_rail - 1
     k = np.arange(1, top + 1)
-    m, n = (v.ravel() for v in np.meshgrid(k, k, indexing="ij"))
-    pairs = list(zip(m.tolist(), n.tolist()))
+    m, n = (v + 1 for v in np.triu_indices(top))  # m <= n
+    column = np.zeros((top, top), dtype=np.intp)  # (m, n) -> its m <= n case
+    column[m - 1, n - 1] = column[n - 1, m - 1] = np.arange(len(m))
+    pairs = [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)]
     scale = constellation.d_min ** 8
     sweep = theta_grid_search(constellation, step_deg)
     degs, overall = sweep.thetas_deg.tolist(), sweep.min_dets.tolist()
@@ -378,7 +406,7 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
             np.minimum(axis[:, n - 1], axis[:, m - 1]),
             np.minimum(_fourth_powers(cross - 2 * m * n * s2),
                        _fourth_powers(cross + 2 * m * n * s2))) * scale
-        for i, row in enumerate(cases.tolist()):
+        for i, row in enumerate(cases[:, column.ravel()].tolist()):
             yield degs[lo + i], overall[lo + i], dict(zip(pairs, row))
 
 
@@ -397,11 +425,22 @@ def _det_factor_forms(sub_stack: np.ndarray) -> np.ndarray:
     For the catalog codes the Grams of every real combination of a group's
     (or the whole code's) dispersion matrices commute, so the determinant
     factors as det = prod_k (c^T M_k c)^2 over Nt/2 fixed symmetric forms
-    M_k in the combination coefficients c. Returns the (Nt/2, m, m) form
-    stack; raises ValueError when the structure does not hold (odd Nt, or a
-    random draw whose direct determinant the forms do not reproduce).
+    M_k in the combination coefficients c. Returns the read-only
+    (Nt/2, m, m) form stack; raises ValueError when the structure does not
+    hold (odd Nt, or a random draw whose direct determinant the forms do not
+    reproduce). Forms are derived once per sub-stack content, never keyed by
+    code name: ``transforms.apply_gclt`` and ``apply_cr`` name every
+    transformed code after its base, whatever its angles. A stack that
+    raises is not cached.
     """
     sub = np.asarray(sub_stack)
+    return _stack_forms(sub.tobytes(), sub.shape, sub.dtype.str)
+
+
+@functools.lru_cache(maxsize=256)
+def _stack_forms(stack_bytes: bytes, shape: tuple, dtype: str) -> np.ndarray:
+    """:func:`_det_factor_forms` of a sub-stack given by its bytes."""
+    sub = np.frombuffer(stack_bytes, dtype=dtype).reshape(shape)
     m, _, nt = sub.shape
     if nt % 2:
         raise ValueError(f"a stack with {nt} transmit antennas has no "
@@ -423,6 +462,7 @@ def _det_factor_forms(sub_stack: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"the distance determinant of this {m}-rail stack does not "
                 f"factor into quadratic forms ({fac!r} != {direct!r})")
+    forms.flags.writeable = False
     return forms
 
 
@@ -442,11 +482,14 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation,
     on each of ``base`` times each mix. The rails' factor forms are
     contracted by one einsum over the S * R stacked pattern rows (the
     :func:`_near_min` order moves the last bits and the angles ``search-t8``
-    finds); a row's value does not depend on the rows stacked with it, so a
-    mix scores the same alone as in any stack. Rail sets whose forms are
-    byte-equal are scored once: a rail set's minima read only its forms, the
-    patterns (set by the constellation and w) and the mix, so equal forms
-    give bit-equal minima."""
+    finds). The coefficients are stored (w, S * R), rows innermost, so the
+    einsum loops over the rows; each q_k still adds (c_a M_ab) c_b over
+    (a, b) in lexicographic order from 0, as the row-major "ra,fab,rb->rf"
+    does, so no bit moves. A row's value does not depend on the rows
+    stacked with it, so a mix scores the same alone as in any stack. Rail
+    sets whose forms are byte-equal are scored once: a rail set's minima
+    read only its forms, the patterns (set by the constellation and w) and
+    the mix, so equal forms give bit-equal minima."""
     distinct = {}  # factor-form bytes -> forms
     for rails in groups:
         forms = _det_factor_forms(base.dispersion[[r - 1 for r in rails]])
@@ -456,10 +499,10 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation,
     scale = constellation.d_min ** (2 * base.nt)
 
     def min_dets(mixes: np.ndarray) -> np.ndarray:
-        coeffs = (pats @ mixes).reshape(-1, width)
+        coeffs = np.ascontiguousarray((pats @ mixes).reshape(-1, width).T)
         dets = np.min([
-            np.prod(np.einsum("ra,fab,rb->rf", coeffs, forms, coeffs),
-                    axis=1) ** 2 for forms in distinct.values()], axis=0)
+            np.prod(np.einsum("ar,fab,br->fr", coeffs, forms, coeffs),
+                    axis=0) ** 2 for forms in distinct.values()], axis=0)
         return dets.reshape(len(mixes), len(pats)).min(axis=1) * scale
 
     return min_dets

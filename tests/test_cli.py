@@ -153,6 +153,14 @@ class TestGainCommands:
         best = max(rows, key=lambda r: float(r[1]))
         assert abs(float(best[0]) - 13.2825) <= 0.5
 
+    def test_csv_line_keeps_signed_zeros_apart(self):
+        # a repeated value is formatted once, but 0.0 == -0.0 must not
+        # merge the two zeros
+        x = 0.1 + 0.2
+        assert (cli._csv_line([0.0, -0.0, x, x])
+                == "0.0,-0.0,0.30000000000000004,0.30000000000000004")
+        assert cli._csv_line([-0.0, 0.0]) == "-0.0,0.0"
+
     def test_search_t8_reports_angles(self, capsys):
         status, out, _ = run_cli(capsys, ["search-t8", "--starts", "2",
                                           "--seed", "1", "--workers", "1"])

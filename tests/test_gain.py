@@ -724,3 +724,161 @@ class TestFormTables:
         rails = [r - 1 for r in code.grouping[0][:width]]
         forms = gain._det_factor_forms(code.dispersion[rails])
         assert_form_blocks_are_exact(forms, gain._multipliers(make_qam(order)))
+
+
+# --------------------------------------------------------------------------
+# the row-major einsum layouts, kept as oracles: the kernels put the
+# pattern-row axis innermost and must give these values bit for bit
+
+def row_major_mixed_min_det(base, constellation, groups):
+    """``gain._mixed_min_det`` with the rows outermost: one einsum
+    ``"ra,fab,rb->rf"`` over the (S * R, w) stacked rows."""
+    forms = [gain._det_factor_forms(base.dispersion[[r - 1 for r in rails]])
+             for rails in groups]
+    width = len(groups[0])
+    pats = np.vstack(list(gain._patterns(gain._multipliers(constellation),
+                                         width)))
+    scale = constellation.d_min ** (2 * base.nt)
+
+    def min_dets(mixes):
+        coeffs = (pats @ mixes).reshape(-1, width)
+        dets = np.min([
+            np.prod(np.einsum("ra,fab,rb->rf", coeffs, f, coeffs),
+                    axis=1) ** 2 for f in forms], axis=0)
+        return dets.reshape(len(mixes), len(pats)).min(axis=1) * scale
+
+    return min_dets
+
+
+def row_major_batched_dets(stack, coeffs):
+    """``gain._batched_dets`` with the rows outermost."""
+    dc = np.einsum("rp,ptn->rtn", coeffs, stack)
+    gram = np.einsum("rtm,rtn->rmn", dc.conj(), dc)
+    return np.linalg.det(gram).real
+
+
+def row_major_form_blocks(forms, mult):
+    """``gain._form_blocks`` with the prefix and suffix tables built over
+    row-major prefix and suffix rows."""
+    f, width, _ = forms.shape
+    w1 = width // 2
+    heads, tails = lex_vectors(mult, w1), lex_vectors(mult, width - w1)
+    qa = np.einsum("ia,fab,ib->fi", heads, forms[:, :w1, :w1], heads)
+    qb = np.einsum("ja,fab,jb->fj", tails, forms[:, w1:, w1:], tails)
+    cross = 2 * forms[:, :w1, w1:]
+    n_tails = len(tails)
+    half = len(mult) ** width // 2
+    step = max(1, gain.PATTERN_CHUNK // n_tails)
+    for i in range(0, -(-half // n_tails), step):
+        q = (heads[i:i + step] @ cross) @ tails.T
+        q += qa[:, i:i + step, None]
+        q += qb[:, None, :]
+        lo = i * n_tails
+        yield lo, q.reshape(f, -1)[:, :half - lo]
+
+
+class TestRowsInnermost:
+    """The contractions that keep the pattern-row axis innermost sum every
+    entry's terms in the row-major order, so they equal (==) the row-major
+    layouts on every value."""
+
+    @pytest.mark.parametrize("base_name, name, order", [
+        ("T8", "T8", 4), ("T8", "T8", 16), ("Q8", "Q8_CR", 4),
+        ("Q8", "Q8_CR", 16), ("T8", "T8_CR", 4),
+    ])
+    def test_mixed_min_det(self, base_name, name, order):
+        base = build(base_name)
+        qam = make_qam(order)
+        rng = np.random.default_rng(83)
+        grouping = build(name).grouping
+        for groups in [[g] for g in grouping] + [list(grouping)]:
+            got = gain._mixed_min_det(base, qam, groups)
+            want = row_major_mixed_min_det(base, qam, groups)
+            for count in (1, 7, 64):
+                mixes = random_mixes(rng, count, len(groups[0]))
+                assert got(mixes).tolist() == want(mixes).tolist()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 12])
+    def test_batched_dets(self, width):
+        rng = np.random.default_rng(89 + width)
+        for name in CODE_NAMES:
+            code = build(name)
+            if 2 * code.K < width:
+                continue
+            for _ in range(3):
+                rails = np.sort(rng.choice(2 * code.K, width, replace=False))
+                sub = code.dispersion[rails]
+                rows = rng.standard_normal((300, width)) * 2.5
+                got = gain._batched_dets(sub, rows)
+                assert (got == row_major_batched_dets(sub, rows)).all()
+
+    def test_batched_dets_over_several_chunks(self):
+        code = build("Q4_CR")
+        sub = code.dispersion[[0, 3]]
+        rows = np.random.default_rng(97).uniform(
+            -3, 3, (gain.PATTERN_CHUNK + 5, 2))
+        got = gain._batched_dets(sub, rows)
+        assert (got == row_major_batched_dets(sub, rows)).all()
+
+    @pytest.mark.parametrize("width, order", [
+        (width, 4) for width in range(1, 9)
+    ] + [(width, 16) for width in range(1, 7)] + [
+        (width, 64) for width in range(1, 6)
+    ] + [(width, 256) for width in range(1, 5)])
+    def test_form_blocks(self, width, order):
+        # with symmetric forms, (c_a M_ab) c_b and (c_b M_ab) c_a round
+        # alike unless c_a and c_b have distinct odd parts above 1, so only
+        # 64- and 256-QAM tables can tell the order of a and b apart
+        code = build("T8_CR")
+        rails = [r - 1 for r in code.grouping[0][:width]]
+        forms = gain._det_factor_forms(code.dispersion[rails])
+        mult = gain._multipliers(make_qam(order))
+        got = list(gain._form_blocks(forms, mult))
+        want = list(row_major_form_blocks(forms, mult))
+        assert [lo for lo, _ in got] == [lo for lo, _ in want]
+        for (_, q), (_, ref) in zip(got, want):
+            assert q.shape == ref.shape and (q == ref).all()
+
+
+class TestFormCache:
+    """Factor forms are derived once per sub-stack content."""
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_cached_forms_equal_a_fresh_derivation(self, name):
+        code = build(name)
+        for rails in (*code.grouping, range(1, 2 * code.K + 1)):
+            sub = code.dispersion[[r - 1 for r in rails]]
+            cached = gain._det_factor_forms(sub)
+            fresh = gain._stack_forms.__wrapped__(sub.tobytes(), sub.shape,
+                                                  sub.dtype.str)
+            assert gain._det_factor_forms(sub) is cached
+            assert (cached == fresh).all()
+
+    def test_alike_named_codes_get_their_own_forms(self):
+        base = build("Q4")
+        codes = [transforms.apply_gclt(base, transforms.GcltSpec.rotations_2d(
+            base.grouping, theta)) for theta in (0.2, OPT_THETA_2D)]
+        assert codes[0].name == codes[1].name
+        rails = [r - 1 for r in base.grouping[0]]
+        first, second = (gain._det_factor_forms(c.dispersion[rails])
+                         for c in codes)
+        assert not np.array_equal(first, second)
+        assert gain.min_det_search(codes[1], QAM4).min_det == pytest.approx(
+            0.64 * D4 ** 8, rel=1e-9)
+
+    def test_forms_are_read_only(self):
+        code = build("T8")
+        forms = gain._det_factor_forms(code.dispersion[:4])
+        assert not forms.flags.writeable
+        with pytest.raises(ValueError):
+            forms[0, 0, 0] = 1.0
+
+    def test_a_stack_without_forms_is_not_cached(self):
+        rng = np.random.default_rng(101)
+        stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal(
+            (6, 4, 4))
+        size = gain._stack_forms.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="quadratic forms"):
+                gain._det_factor_forms(stack)
+        assert gain._stack_forms.cache_info().currsize == size

@@ -4,7 +4,8 @@ its digest in ``bench/pins.json``.
 The calls are the benchmark's own (``bench/run.py``): the seedless gain
 calls and seed 0 of the seeded ``simulate`` curves and ``search-t8``, and
 ``search-t8`` at its 31 further pinned seeds. A change that moves one byte
-of any of them fails here.
+of any of them fails here. A few more gain artifacts, outside the
+benchmark, are pinned by digests kept in this file.
 """
 
 import importlib.util
@@ -40,3 +41,26 @@ def test_search_t8_matches_its_pin_at_more_seeds(seed):
     want = run.pinned_digest(PINS, SEARCH_T8, seed)
     assert want is not None, f"no pin for {SEARCH_T8.key} at seed {seed}"
     assert run.digest(SEARCH_T8.run(seed)) == want
+
+
+#: SHA-256 of more gain artifacts, outside the benchmark's calls: the sweep
+#: at the other QAM orders, a full-scope search, and ``search-t8`` with 64
+#: starts over two workers
+MORE_GAIN_PINS = {
+    ("sweep-theta", "--mod", "4qam", "--step", "0.01"):
+        "8c6774eb31860e4d7f74dab26041be9c5322298d59fa1b72203d15d3a166f47f",
+    ("sweep-theta", "--mod", "64qam", "--step", "0.05"):
+        "79b5669de5346c531b86c2bb8e7a520384d7eb16d8e74248f9578ff9363207c9",
+    ("sweep-theta", "--mod", "256qam", "--step", "0.05"):
+        "f0236d9536a4299551f481dc0290743dafe3472dfba860bb6041b44708828d3a",
+    ("mindet", "--code", "Q4_LT", "--mod", "16qam", "--scope", "full"):
+        "fb546546ffb6614b7b05445c6d9a14937d390aa826fd2c90e20ac5fe238a3709",
+    ("search-t8", "--starts", "64", "--seed", "0", "--workers", "2"):
+        "ae1d77cbaaaaa698323c601377a12a2bcc442e7db217b847e5d99e52385ef6ff",
+}
+
+
+@pytest.mark.parametrize("argv", MORE_GAIN_PINS, ids=" ".join)
+def test_more_gain_artifacts_match_their_pins(argv):
+    call = run.Call(" ".join(argv), argv)
+    assert run.digest(call.run(0)) == MORE_GAIN_PINS[argv]
