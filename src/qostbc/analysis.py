@@ -1,17 +1,20 @@
-"""Quasi-orthogonality analysis: pair checks, grouping discovery, equivalent channel.
+"""Quasi-orthogonality analysis: pair table, grouping discovery, equivalent channel.
 
 Two dispersion matrices A_p, A_q form an orthogonal pair when their Hermitian
-anticommutator vanishes, A_p^H A_q + A_q^H A_p = 0. Pairs that violate this
-couple after matched filtering; the connected components of the violation
-graph are the code's symbol groups, and the real matched-filter Gram H^T H is
+anticommutator vanishes, A_p^H A_q + A_q^H A_p = 0. :func:`qo_table` holds
+that check for every rail pair, from one table of anticommutator norms.
+Pairs that violate it couple after matched filtering; the connected
+components of the violation graph are the code's symbol groups
+(:func:`components_from_stack`), and the real matched-filter Gram H^T H is
 block-diagonal along exactly that partition.
 
 :func:`equivalent_channel` is the package's single equivalent-channel
-implementation. It takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike
-and is one matrix product: the (n*Nr, 2Nt) channel rails (Re h, Im h) of
-every receive antenna times the code's real dispersion expansions laid out
-as a (2Nt, 2T*2K) matrix. The simulator, the detectors and the Gram checks
-all call it.
+implementation. It takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike,
+with no 1-D form (one receive antenna is an (Nt, 1) column), and is one
+matrix product: the (n*Nr, 2Nt) channel rails (Re h, Im h) of every receive
+antenna times the code's real dispersion expansions laid out as a
+(2Nt, 2T*2K) matrix. The simulator, the detectors and the Gram checks all
+call it.
 
 Symbol/rail indices are 1-based everywhere (rails 1..K are the real parts of
 the K complex symbols, rails K+1..2K the imaginary parts), matching the
@@ -28,21 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: tolerance on the anticommutator max-norm (catalog matrices are exact)
 QO_TOL = 1e-12
-
-
-def anticommutator_norm(a_p, a_q) -> float:
-    """Max-norm of A_p^H A_q + A_q^H A_p (zero iff the pair is orthogonal)."""
-    a_p = np.asarray(a_p, dtype=np.complex128)
-    a_q = np.asarray(a_q, dtype=np.complex128)
-    if a_p.shape != a_q.shape:
-        raise ValueError(f"dimension mismatch: {a_p.shape} vs {a_q.shape}")
-    m = a_p.conj().T @ a_q + a_q.conj().T @ a_p
-    return float(np.abs(m).max())
-
-
-def qo_pair_check(a_p, a_q) -> bool:
-    """True when the two dispersion matrices form an orthogonal pair."""
-    return anticommutator_norm(a_p, a_q) < QO_TOL
 
 
 def qo_table(code: "CodeDefinition") -> np.ndarray:
@@ -95,34 +83,6 @@ def components_from_stack(stack):
     return tuple(groups)
 
 
-@dataclass(frozen=True)
-class SkewSymmetryReport:
-    real_part_skew: bool
-    imag_part_symmetric: bool
-
-
-def skew_symmetry_check(a_p, a_q) -> SkewSymmetryReport:
-    """For an orthogonal pair, check Re(A_p^H A_q) skew and Im(A_p^H A_q) symmetric.
-
-    These two conditions are what force the real expansions to anticommute and
-    hence the matched-filter Gram to be block-diagonal. Raises if the pair is
-    not orthogonal in the first place.
-    """
-    if not qo_pair_check(a_p, a_q):
-        raise ValueError(
-            "skew-symmetry check requires an orthogonal pair "
-            "(the matrices belong to the same group)"
-        )
-    m = np.asarray(a_p, dtype=np.complex128).conj().T @ np.asarray(
-        a_q, dtype=np.complex128
-    )
-    re, im = m.real, m.imag
-    return SkewSymmetryReport(
-        real_part_skew=bool(np.abs(re + re.T).max(initial=0.0) < QO_TOL),
-        imag_part_symmetric=bool(np.abs(im - im.T).max(initial=0.0) < QO_TOL),
-    )
-
-
 def real_expansion(a) -> np.ndarray:
     """Return the real block form [[Re, -Im], [Im, Re]] of a complex matrix,
     or of each matrix of a stack (..., m, k).
@@ -141,19 +101,6 @@ def expansion_stack(code: "CodeDefinition") -> np.ndarray:
     return real_expansion(code.dispersion)
 
 
-def as_channel(h) -> np.ndarray:
-    """Coerce a channel to complex (Nt, Nr) or (n, Nt, Nr); 1-D input
-    becomes a column."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim == 1:
-        h = h[:, None]
-    if h.ndim not in (2, 3):
-        raise ValueError(
-            f"channel must be (Nt, Nr) or (n, Nt, Nr), got shape {h.shape}"
-        )
-    return h
-
-
 def equivalent_channel(code: "CodeDefinition", h,
                        stack: np.ndarray = None) -> np.ndarray:
     """Real equivalent channel H of shape (2T*Nr, 2K), or (n, 2T*Nr, 2K)
@@ -162,9 +109,14 @@ def equivalent_channel(code: "CodeDefinition", h,
     Column p stacks, per receive antenna, the real expansion of A_p applied
     to that antenna's stacked channel rails (Re h, Im h); the received
     vector layout is (Re r_i, Im r_i) blocks of length T per antenna i.
-    ``stack`` is the code's :func:`expansion_stack`, computed when omitted.
+    ``h`` is (Nt, Nr) or (n, Nt, Nr), never 1-D. ``stack`` is the code's
+    :func:`expansion_stack`, computed when omitted.
     """
-    h = as_channel(h)
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim not in (2, 3):
+        raise ValueError(
+            f"channel must be (Nt, Nr) or (n, Nt, Nr), got shape {h.shape}"
+        )
     if h.shape[-2] != code.nt:
         raise ValueError(
             f"channel has {h.shape[-2]} transmit rows, code expects {code.nt}"

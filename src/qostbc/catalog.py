@@ -336,14 +336,3 @@ def code_to_dict(code: CodeDefinition) -> dict:
         ],
         "grouping": [list(g) for g in code.grouping],
     }
-
-
-def code_from_dict(data: dict) -> CodeDefinition:
-    """Rebuild a code from :func:`code_to_dict` output (grouping rediscovered)."""
-    mats = np.array(
-        [[[re + 1j * im for (re, im) in row] for row in mat]
-         for mat in data["matrices"]],
-        dtype=np.complex128,
-    )
-    return make_code(data["name"], data["T"], data["Nt"], data["K"], mats)
-

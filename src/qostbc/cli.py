@@ -91,6 +91,10 @@ def _parse_snr(text: str):
     start, step, stop = (float(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, step, stop)):
         raise UsageError(f"snr grid {text!r} is not finite")
+    if max(abs(start), abs(stop)) > simulate.MAX_SNR_DB:
+        raise UsageError(
+            f"snr grid {text!r} reaches beyond +-{simulate.MAX_SNR_DB} dB"
+        )
     if step <= 0 or stop < start:
         raise UsageError(f"snr grid {text!r} is not increasing")
     if (stop + 1e-9 - start) / step >= MAX_SNR_POINTS:

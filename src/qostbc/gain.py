@@ -117,33 +117,6 @@ class PatternBudgetError(ValueError):
         self.count = count
 
 
-def distance_det(code: CodeDefinition, deltas) -> float:
-    """det((DC)^H DC) for the error pattern DC = sum_p deltas[p] A_p."""
-    d = np.asarray(deltas, dtype=np.float64)
-    if d.shape != (2 * code.K,):
-        raise ValueError(
-            f"error pattern has shape {d.shape}, expected ({2 * code.K},)"
-        )
-    return float(_batched_dets(code.dispersion, d[None])[0])
-
-
-def case_dets(m: int, n: int, theta: float):
-    """The four error-case determinants for a rotated rail pair, over d_min^8.
-
-    Cases: (0, n*d), (m*d, 0), (m*d, n*d), (m*d, -n*d) with integer
-    multipliers 1 <= m, n <= sqrt(M) - 1.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("multipliers must be positive integers")
-    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
-    return (
-        (n * n * c2) ** 4,
-        (m * m * c2) ** 4,
-        ((m * m - n * n) * c2 - 2 * m * n * s2) ** 4,
-        ((m * m - n * n) * c2 + 2 * m * n * s2) ** 4,
-    )
-
-
 # --------------------------------------------------------------------------
 # pattern enumeration
 
@@ -379,9 +352,12 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
     """Rows for the per-(m, n) determinant-vs-angle curves.
 
     Yields (theta_deg, overall_min, {(m, n): case_min}) with determinants in
-    absolute units (scaled by d_min^8), the cases of :func:`case_dets` bit
-    for bit. A block of angles is scored at once: the cases (0, n) and
-    (m, 0) share the values (k^2 cos 2 theta)^4, and every fourth power is
+    absolute units (scaled by d_min^8). case_min is the least of the four
+    error cases (0, n d), (m d, 0), (m d, n d) and (m d, -n d) of a rotated
+    rail pair, 1 <= m, n <= sqrt(M) - 1: bit for bit the scalar formulas
+    (n^2 c)^4, (m^2 c)^4 and ((m^2 - n^2) c -+ 2 m n s)^4, c = cos 2 theta
+    and s = sin 2 theta. A block of angles is scored at once: the cases
+    (0, n) and (m, 0) share the values (k^2 c)^4, and every fourth power is
     Python's (libm ``pow``), which ``np.power`` does not always equal. Each
     pair is computed once for (m, n) and (n, m), m <= n: the cross terms of
     (n, m) are the exact negatives of those of (m, n), and
@@ -508,11 +484,6 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation,
     return min_dets
 
 
-def _zetas_of(min_dets, code: CodeDefinition) -> list:
-    """:func:`_zeta_of` of each of a sequence of minima, as floats."""
-    return [_zeta_of(v, code) for v in np.asarray(min_dets).tolist()]
-
-
 def _t8_objective(constellation: Constellation):
     """Diversity products of the rate-1 eight-antenna code with every group
     mixed by each of an (S, 4, 4) stack of mixes; the within-group power
@@ -522,7 +493,7 @@ def _t8_objective(constellation: Constellation):
     min_dets = _mixed_min_det(base, constellation, base.grouping)
 
     def objective(mixes: np.ndarray) -> np.ndarray:
-        return np.array(_zetas_of(min_dets(mixes), base))
+        return np.array([_zeta_of(v, base) for v in min_dets(mixes).tolist()])
 
     return objective
 
@@ -615,7 +586,7 @@ def search_q8_cr_angle() -> AngleSearchResult:
     rot = transforms.cr_rotation(base.K, [(s, phis) for s in (4, 5, 6)])
     worst = np.min([_mixed_min_det(base, make_qam(4), [g])(_blocks(rot, g))
                     for g in build("Q8_CR").grouping], axis=0)
-    zetas = _zetas_of(worst, base)
+    zetas = [_zeta_of(v, base) for v in worst.tolist()]
     best = int(np.argmax(zetas))  # the first angle of the best value
     return AngleSearchResult(angles=(float(phis[best]),), zeta=zetas[best])
 

@@ -3,11 +3,14 @@
 Reference oracles for the tests: the mixed (Q4_LT) and rotated (Q4_CR)
 codes' decision metrics written out from the matched-filter terms of the
 code matrices, as in the paper, and the mixed code's distance determinant
-(:func:`q4lt_det_closed_form`). Time slots whose row carries conjugated
-symbols contribute conj(h)*r instead of h*conj(r). The tests pin the argmin
+(:func:`q4lt_det_closed_form`), and the four error-case determinants of a
+rotated rail pair (:func:`case_dets`), which the theta sweep's case rows
+equal bit for bit. Time slots whose row carries conjugated symbols
+contribute conj(h)*r instead of h*conj(r). The tests pin the argmin
 equivalence of these metrics against the generic grouped detector.
 :func:`stack_received` and :func:`unstack_received` convert between complex
-received samples and the detector's real layout.
+received samples and the detector's real layout, and
+:func:`decode_code_json` reads a code back from its JSON form.
 """
 
 import math
@@ -44,6 +47,33 @@ def q4lt_det_closed_form(deltas, theta: float) -> float:
     s2 = ((t[0] - t[3]) ** 2 + (t[1] + t[2]) ** 2
           + (t[4] - t[7]) ** 2 + (t[5] + t[6]) ** 2)
     return float((s1 * s2) ** 2)
+
+
+def case_dets(m: int, n: int, theta: float):
+    """The four error-case determinants for a rotated rail pair, over d_min^8.
+
+    Cases: (0, n*d), (m*d, 0), (m*d, n*d), (m*d, -n*d) with integer
+    multipliers 1 <= m, n <= sqrt(M) - 1.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("multipliers must be positive integers")
+    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
+    return (
+        (n * n * c2) ** 4,
+        (m * m * c2) ** 4,
+        ((m * m - n * n) * c2 - 2 * m * n * s2) ** 4,
+        ((m * m - n * n) * c2 + 2 * m * n * s2) ** 4,
+    )
+
+
+def decode_code_json(data: dict):
+    """(dispersion, grouping) of a code's JSON form (``catalog.code_to_dict``
+    and the ``catalog``/``transform`` commands): the complex (2K, T, Nt)
+    stack from its [re, im] entries and the ``grouping`` field as tuples."""
+    pairs = np.asarray(data["matrices"], dtype=np.float64)
+    assert pairs.shape == (2 * data["K"], data["T"], data["Nt"], 2)
+    return (pairs[..., 0] + 1j * pairs[..., 1],
+            tuple(tuple(group) for group in data["grouping"]))
 
 
 def matched_filter_terms(h, received):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qostbc import analysis
 from qostbc.analysis import real_expansion
-from qostbc.catalog import build
+from qostbc.catalog import CODE_NAMES, build
 
 from closed_form import (matched_filter_terms, stack_received,
                          unstack_received)
@@ -31,20 +31,13 @@ Q4CR_TABLE_X = {
 
 class TestPairCheck:
     def test_orthogonal_pair(self):
-        q4 = build("Q4")
-        assert analysis.qo_pair_check(q4.dispersion[0], q4.dispersion[1])
+        assert analysis.qo_table(build("Q4"))[0, 1]
 
     def test_coupled_pair(self):
-        q4 = build("Q4")
-        assert not analysis.qo_pair_check(q4.dispersion[0], q4.dispersion[3])
+        assert not analysis.qo_table(build("Q4"))[0, 3]
 
     def test_rotated_code_coupled_pair(self):
-        q4cr = build("Q4_CR")
-        assert not analysis.qo_pair_check(q4cr.dispersion[3], q4cr.dispersion[4])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            analysis.qo_pair_check(np.eye(2), np.eye(3))
+        assert not analysis.qo_table(build("Q4_CR"))[3, 4]
 
     @pytest.mark.parametrize("name,expected", [
         ("Q4", Q4_TABLE_X), ("Q4_CR", Q4CR_TABLE_X),
@@ -90,14 +83,18 @@ class TestGrouping:
 
 class TestSkewSymmetry:
     def test_orthogonal_pairs_pass(self):
-        q4 = build("Q4")
-        for p, q in ((0, 1), (0, 4), (1, 7)):
-            rep = analysis.skew_symmetry_check(q4.dispersion[p], q4.dispersion[q])
-            assert rep.real_part_skew and rep.imag_part_symmetric
-
-    def test_same_group_pair_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal pair"):
-            analysis.skew_symmetry_check(np.eye(4), np.eye(4))
+        # for every pair the table marks orthogonal, in every catalog code,
+        # Re(A_p^H A_q) is skew and Im(A_p^H A_q) symmetric: what forces the
+        # real expansions to anticommute and the Gram to be block-diagonal
+        for name in CODE_NAMES:
+            code = build(name)
+            p, q = np.nonzero(analysis.qo_table(code))
+            assert len(p), name
+            m = np.einsum("rji,rjk->rik", code.dispersion[p].conj(),
+                          code.dispersion[q])
+            re, im = m.real, m.imag
+            assert np.abs(re + re.transpose(0, 2, 1)).max() < 1e-12, name
+            assert np.abs(im - im.transpose(0, 2, 1)).max() < 1e-12, name
 
     def test_expansion_anticommutes_for_orthogonal_pairs(self):
         # the real expansions of an orthogonal pair anticommute, which is
@@ -255,8 +252,6 @@ class TestGramBlockReport:
 
 
 def test_block_diagonality_all_codes_both_antenna_counts():
-    from qostbc.catalog import CODE_NAMES
-
     rng = np.random.default_rng(17)
     for name in CODE_NAMES:
         code = build(name)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from qostbc import catalog
-from qostbc.catalog import build, code_from_dict, code_to_dict, encode, validate_power
+from qostbc.analysis import components_from_stack
+from qostbc.catalog import build, code_to_dict, encode, validate_power
+
+from closed_form import decode_code_json
 
 C = np.conj
 RT2 = math.sqrt(2.0)
@@ -240,9 +243,10 @@ class TestSerialization:
         code = build(name)
         data = code_to_dict(code)
         assert set(data) == {"name", "T", "Nt", "K", "matrices", "grouping"}
-        back = code_from_dict(data)
-        assert back.grouping == code.grouping
-        assert np.abs(back.dispersion - code.dispersion).max() < 1e-15
+        dispersion, grouping = decode_code_json(data)
+        assert grouping == code.grouping
+        assert components_from_stack(dispersion) == code.grouping
+        assert np.abs(dispersion - code.dispersion).max() < 1e-15
 
     def test_matrix_entries_are_re_im_pairs(self):
         data = code_to_dict(build("Q4"))

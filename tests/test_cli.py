@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qostbc import catalog, cli, simulate
+from qostbc import analysis, catalog, cli, simulate
+
+from closed_form import decode_code_json
 
 
 def run_cli(capsys, argv):
@@ -65,11 +67,9 @@ class TestTransform:
                                           "--gclt-theta", repr(theta)])
         assert status == 0
         data = json.loads(out)
-        from qostbc.catalog import build, code_from_dict
-
-        got = code_from_dict(data)
-        want = build("Q4_LT")
-        assert np.abs(got.dispersion - want.dispersion).max() < 1e-12
+        dispersion, _ = decode_code_json(data)
+        want = catalog.build("Q4_LT")
+        assert np.abs(dispersion - want.dispersion).max() < 1e-12
         assert data["transform"]["type"] == "gclt"
         assert data["transform"]["theta"]["deg"][0] == pytest.approx(theta)
 
@@ -78,11 +78,11 @@ class TestTransform:
                                           "--cr-angle", "45",
                                           "--cr-symbols", "3,4"])
         assert status == 0
-        from qostbc.catalog import build, code_from_dict
-
-        got = code_from_dict(json.loads(out))
-        assert np.abs(got.dispersion - build("Q4_CR").dispersion).max() < 1e-12
-        assert got.grouping == ((1, 4, 5, 8), (2, 3, 6, 7))
+        dispersion, grouping = decode_code_json(json.loads(out))
+        want = catalog.build("Q4_CR").dispersion
+        assert np.abs(dispersion - want).max() < 1e-12
+        assert grouping == ((1, 4, 5, 8), (2, 3, 6, 7))
+        assert analysis.components_from_stack(dispersion) == grouping
 
     def test_quad_group_mixing(self, capsys):
         args = ["transform", "--code", "T8", "--gclt-givens",
@@ -292,6 +292,8 @@ SIMULATE = ["simulate", "--code", "Q4", "--max-uses", "4096"]
     SIMULATE + ["--snr", "0:1e-6:1"],
     SIMULATE + ["--snr", "4000:1:4000"],
     SIMULATE + ["--snr", "-1e308:1:1e308"],
+    SIMULATE + ["--snr", "1e16:1:1e16"],
+    SIMULATE + ["--snr", "1e308:1:1e308"],
     ["sweep-theta", "--mod", "4qam", "--step", "1e-6"],
     ["search-t8", "--workers", "1000000", "--starts", "1000000"],
     ["search-t8", "--starts", "1", "--workers", "1000000"],

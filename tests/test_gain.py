@@ -22,25 +22,21 @@ THETA_OPT = 0.5 * math.atan(0.5)
 
 class TestDistanceDet:
     def test_zero_pattern(self):
-        assert gain.distance_det(build("Q4"), np.zeros(8)) == 0.0
+        assert gain._batched_dets(build("Q4").dispersion,
+                                  np.zeros((1, 8)))[0] == 0.0
 
     def test_single_rail_error(self):
         # the error matrix is d * identity, so the Gram determinant is d^8
-        deltas = np.zeros(8)
-        deltas[0] = D4
-        assert gain.distance_det(build("Q4"), deltas) == pytest.approx(
-            D4 ** 8, rel=1e-12
-        )
+        deltas = np.zeros((1, 8))
+        deltas[0, 0] = D4
+        assert gain._batched_dets(build("Q4").dispersion, deltas)[0] \
+            == pytest.approx(D4 ** 8, rel=1e-12)
 
     def test_mixed_code_worst_pair(self):
-        deltas = np.zeros(8)
-        deltas[0] = deltas[3] = D4
-        got = gain.distance_det(build("Q4_LT"), deltas)
+        deltas = np.zeros((1, 8))
+        deltas[0, 0] = deltas[0, 3] = D4
+        got = gain._batched_dets(build("Q4_LT").dispersion, deltas)[0]
         assert got == pytest.approx(0.64 * D4 ** 8, rel=1e-9)
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError, match="shape"):
-            gain.distance_det(build("Q4"), np.zeros(6))
 
 
 class TestClosedForm:
@@ -60,31 +56,32 @@ class TestClosedForm:
         # closed form against the generic Gram determinant of the mixed code
         code = build("Q4_LT")
         rng = np.random.default_rng(41)
-        for _ in range(2000):
-            deltas = rng.integers(-3, 4, size=8).astype(float) * D4
-            numeric = gain.distance_det(code, deltas)
+        patterns = np.array([rng.integers(-3, 4, size=8)
+                             for _ in range(2000)]).astype(float) * D4
+        numeric = gain._batched_dets(code.dispersion, patterns)
+        for deltas, det in zip(patterns, numeric):
             closed = closed_form.q4lt_det_closed_form(deltas, THETA_OPT)
-            assert numeric == pytest.approx(closed, rel=1e-9, abs=1e-9)
+            assert det == pytest.approx(closed, rel=1e-9, abs=1e-9)
 
 
 class TestCaseDets:
     def test_unit_multipliers_at_optimum(self):
-        dets = gain.case_dets(1, 1, THETA_OPT)
+        dets = closed_form.case_dets(1, 1, THETA_OPT)
         assert dets == pytest.approx((0.64,) * 4, rel=1e-12)
 
     def test_mixed_multipliers_at_optimum(self):
         # (m^2 - m n - n^2)^4 * 0.64 for the third case
-        dets = gain.case_dets(2, 1, THETA_OPT)
+        dets = closed_form.case_dets(2, 1, THETA_OPT)
         assert dets[2] == pytest.approx((4 - 2 - 1) ** 4 * 0.64, rel=1e-12)
 
     def test_rank_collapse_at_45_degrees(self):
-        dets = gain.case_dets(3, 2, math.pi / 4)
+        dets = closed_form.case_dets(3, 2, math.pi / 4)
         assert dets[0] == pytest.approx(0.0, abs=1e-12)
         assert dets[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_pairwise_symmetry_over_angles(self):
         for theta in np.linspace(0.0, math.pi / 4, 17):
-            d = gain.case_dets(1, 1, theta)
+            d = closed_form.case_dets(1, 1, theta)
             assert d[0] == pytest.approx(d[1], rel=1e-12, abs=1e-15)
             assert d[2] == pytest.approx(d[3], rel=1e-12, abs=1e-15)
 
@@ -93,7 +90,7 @@ class TestCaseDets:
         # unit-pair value, with equality only at m = n = 1
         for m in range(1, 8):
             for n in range(1, 8):
-                worst = min(gain.case_dets(m, n, THETA_OPT))
+                worst = min(closed_form.case_dets(m, n, THETA_OPT))
                 if (m, n) == (1, 1):
                     assert worst == pytest.approx(0.64, rel=1e-12)
                 else:
@@ -109,7 +106,7 @@ class TestCaseDets:
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            gain.case_dets(0, 1, 0.1)
+            closed_form.case_dets(0, 1, 0.1)
 
 
 def assert_sweep_rows_equal_case_dets(qam, step_deg):
@@ -117,7 +114,7 @@ def assert_sweep_rows_equal_case_dets(qam, step_deg):
     levels = range(1, qam.levels_per_rail)
     for deg, _, cases in gain.case_sweep_rows(qam, step_deg=step_deg):
         assert cases == {
-            (m, n): min(gain.case_dets(m, n, math.radians(deg)))
+            (m, n): min(closed_form.case_dets(m, n, math.radians(deg)))
             * qam.d_min ** 8 for m in levels for n in levels
         }
 
