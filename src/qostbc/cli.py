@@ -23,6 +23,7 @@ import sys
 
 from . import (analysis, catalog, checks, decoder, gain, modem, simulate,
                transforms)
+from .gain import MAX_STARTS
 from .simulate import MAX_WORKERS
 
 EXIT_OK = 0
@@ -32,9 +33,6 @@ EXIT_BUDGET = 3
 
 #: most points an SNR grid may have (one Monte Carlo point each)
 MAX_SNR_POINTS = 10_000
-
-#: most multi-start runs ``search-t8 --starts`` may ask for
-MAX_STARTS = 10_000
 
 
 class UsageError(Exception):
@@ -253,7 +251,7 @@ def _cmd_sweep_theta(args) -> int:
     header = ["theta_deg", "min_det"] + [f"det_m{m}_n{n}" for m, n in pairs]
     lines = [f"# qostbc sweep-theta mod={args.mod} step={args.step}",
              ",".join(header)]
-    lines += [_csv_line([deg, overall, *cases.values()])
+    lines += [_csv_line([deg, overall, *cases])
               for deg, overall, cases in rows]
     _write_artifact(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

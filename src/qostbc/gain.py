@@ -45,9 +45,10 @@ materialised pattern rows (:func:`_form_blocks`): with c = (a, b) split into
 its first w // 2 rails and the rest, q_k = a^T M_aa a + b^T M_bb b
 + 2 a^T M_ab b, the square terms tabled once over the prefixes and the
 suffixes and the cross term one matrix product per block of prefixes. The
-angle sweep screens each rotated rail pair with that pair's 2 x 2 block of
-the forms. Only the rows the screen keeps are built, bit for bit as the
-unscreened scan builds them, and given the exact determinant
+angle sweep (:func:`case_sweep_rows`) screens each block of rotated pair
+rows with each pair's own forms, contracted as in :func:`_mixed_min_det`.
+Only the rows the screen keeps (built only then from the tables, bit for
+bit as the unscreened scan builds them) are given the exact determinant
 (:func:`_batched_dets`, an LU per row). The screen never drops a possible
 minimum: both the screened value and the LU determinant of a row lie within
 SCREEN_RTOL * ||G||^Nt of the true determinant, where ||G|| = max_k |q_k| is
@@ -100,8 +101,8 @@ PATTERN_CHUNK = 65536
 #: most angles one theta sweep may evaluate
 MAX_THETA_POINTS = 10_000
 
-#: angles of a theta sweep whose case rows are computed at once
-CASE_BLOCK = 512
+#: most multi-start runs one :func:`search_t8_angles` call may make
+MAX_STARTS = 10_000
 
 #: bound on the error of a screened or LU determinant, relative to the row's
 #: Gram norm to the power Nt; about 1e5 times the LU perturbation bound
@@ -285,28 +286,37 @@ def diversity_product(code: CodeDefinition,
 
 
 # --------------------------------------------------------------------------
-# mixing-angle grid search for the pairwise-grouped four-antenna code
+# mixing-angle sweep for the pairwise-grouped four-antenna code
 
-@dataclass(frozen=True)
-class ThetaSweep:
-    thetas_deg: np.ndarray
-    min_dets: np.ndarray
-    best_theta_deg: float
+def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
+    """Rows of the four-antenna code's determinant-vs-mixing-angle curves.
 
+    Yields (theta_deg, overall_min, cases) for theta over [0, 45] degrees in
+    steps of ``step_deg``; angles above 45 degrees, which a step that does
+    not divide 45 would reach, are left out. Determinants are in absolute
+    units (scaled by d_min^8).
 
-def theta_grid_search(constellation: Constellation,
-                      step_deg: float = 0.01) -> ThetaSweep:
-    """Sweep the pair-mixing angle of the four-antenna code over [0, 45] deg.
+    overall_min is the within-group minimum determinant of Q4 with every
+    rail pair mixed by :func:`transforms.rotation_2d` (the mixing of
+    ``transform --gclt-theta``), scored on the base dispersion: a pattern
+    (a, b) of a pair becomes a * mix[0] + b * mix[1], one product and one
+    sum per entry as the inline a cos - b sin, a sin + b cos. One pass over
+    the angles takes blocks of at most PATTERN_CHUNK rotated rows. Each
+    pair's rows get their factor values from that pair's own forms, in
+    :func:`_mixed_min_det`'s contraction with one more free index (the
+    pair); a row is kept when it can be its angle's minimum over all four
+    pairs, and the kept rows get the exact determinant on their pair's
+    (2, T, Nt) sub-stack.
 
-    For each angle the within-group minimum determinant of the mixed code is
-    evaluated numerically (batched Gram determinants on the base dispersion;
-    the pair mixing only rotates the error coefficients). Every pattern lies
-    on one rail pair, so a block of angles is screened from the rotated pairs
-    and each pair's 2 x 2 block of Q4's factor forms; each angle's minimum is
-    taken over the exact determinants of the rows that survive, built only
-    then as 2-rail rows and scored on their pair's (2, T, Nt) sub-stack.
-    Angles above 45 degrees, which a step that does not divide 45 would
-    reach, are left out.
+    cases lists, in (m, n) order with n fastest, 1 <= m, n <= sqrt(M) - 1,
+    the least of the four error cases (0, n d), (m d, 0), (m d, n d) and
+    (m d, -n d) of a rotated rail pair: bit for bit the scalar formulas
+    (n^2 c)^4, (m^2 c)^4 and ((m^2 - n^2) c -+ 2 m n s)^4, c = cos 2 theta
+    and s = sin 2 theta. The cases (0, n) and (m, 0) share the values
+    (k^2 c)^4, and every fourth power is Python's (libm ``pow``), which
+    ``np.power`` does not always equal. Each pair is computed once for
+    (m, n) and (n, m), m <= n: the cross terms of (n, m) are the exact
+    negatives of those of (m, n), and ``pow(-x, 4) == pow(x, 4)``.
     """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"angle step {step_deg} must be positive and finite")
@@ -315,75 +325,41 @@ def theta_grid_search(constellation: Constellation,
             f"angle step {step_deg} gives more than {MAX_THETA_POINTS} angles"
         )
     base = build("Q4")
-    a, b = np.vstack(list(_patterns(_multipliers(constellation), 2))).T
-    scale = constellation.d_min ** 8
-    thetas = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
-    thetas = thetas[thetas <= 45.0]
-    cos = np.array([math.cos(math.radians(deg)) for deg in thetas])
-    sin = np.array([math.sin(math.radians(deg)) for deg in thetas])
-    forms = _det_factor_forms(base.dispersion)
-    qs, vs = (np.array(rails) - 1 for rails in zip(*base.grouping))
-    pairs = [base.dispersion[[q, v]] for q, v in zip(qs, vs)]
-    # q_k of a row on rail pair (q, v) from the pair's 2 x 2 block of M_k:
-    # coefficients (F, G, 3) of the monomials x^2, x y, y^2
-    pair_forms = np.stack([forms[:, qs, qs], 2 * forms[:, qs, vs],
-                           forms[:, vs, vs]], axis=-1)
-    mins = np.full(len(thetas), math.inf)
-    block = max(1, PATTERN_CHUNK // (len(qs) * len(a)))
-    for lo in range(0, len(thetas), block):
-        c = cos[lo:lo + block, None]
-        s = sin[lo:lo + block, None]
-        x = a * c - b * s  # (angles, patterns), the same for every pair
-        y = a * s + b * c
-        q = pair_forms @ np.stack([x * x, x * y, y * y]).reshape(3, -1)
-        keep = _near_min(q.reshape(q.shape[:2] + x.shape), axis=(0, 2))
-        for pair, kept in zip(pairs, keep):
-            angle, row = np.nonzero(kept)
-            rows = np.stack([x[angle, row], y[angle, row]], axis=1)
-            np.minimum.at(mins, lo + angle, _batched_dets(pair, rows))
-    mins *= scale
-    best = int(np.argmax(mins))
-    return ThetaSweep(
-        thetas_deg=thetas, min_dets=mins, best_theta_deg=float(thetas[best])
-    )
-
-
-def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
-    """Rows for the per-(m, n) determinant-vs-angle curves.
-
-    Yields (theta_deg, overall_min, {(m, n): case_min}) with determinants in
-    absolute units (scaled by d_min^8). case_min is the least of the four
-    error cases (0, n d), (m d, 0), (m d, n d) and (m d, -n d) of a rotated
-    rail pair, 1 <= m, n <= sqrt(M) - 1: bit for bit the scalar formulas
-    (n^2 c)^4, (m^2 c)^4 and ((m^2 - n^2) c -+ 2 m n s)^4, c = cos 2 theta
-    and s = sin 2 theta. A block of angles is scored at once: the cases
-    (0, n) and (m, 0) share the values (k^2 c)^4, and every fourth power is
-    Python's (libm ``pow``), which ``np.power`` does not always equal. Each
-    pair is computed once for (m, n) and (n, m), m <= n: the cross terms of
-    (n, m) are the exact negatives of those of (m, n), and
-    ``pow(-x, 4) == pow(x, 4)``.
-    """
+    pairs = [base.dispersion[[q - 1, v - 1]] for q, v in base.grouping]
+    forms = np.stack([_det_factor_forms(pair) for pair in pairs])
+    pats = np.vstack(list(_patterns(_multipliers(constellation), 2)))
+    a, b = pats[:, :1], pats[:, 1:]
     top = constellation.levels_per_rail - 1
     k = np.arange(1, top + 1)
     m, n = (v + 1 for v in np.triu_indices(top))  # m <= n
     column = np.zeros((top, top), dtype=np.intp)  # (m, n) -> its m <= n case
     column[m - 1, n - 1] = column[n - 1, m - 1] = np.arange(len(m))
-    pairs = [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)]
     scale = constellation.d_min ** 8
-    sweep = theta_grid_search(constellation, step_deg)
-    degs, overall = sweep.thetas_deg.tolist(), sweep.min_dets.tolist()
-    for lo in range(0, len(degs), CASE_BLOCK):
-        block = [math.radians(deg) for deg in degs[lo:lo + CASE_BLOCK]]
-        c2 = np.array([math.cos(2 * theta) for theta in block])[:, None]
-        s2 = np.array([math.sin(2 * theta) for theta in block])[:, None]
+    degs = np.arange(0.0, 45.0 + step_deg / 2, step_deg)
+    degs = degs[degs <= 45.0].tolist()
+    block = max(1, PATTERN_CHUNK // (len(pairs) * len(pats)))
+    for lo in range(0, len(degs), block):
+        thetas = [math.radians(deg) for deg in degs[lo:lo + block]]
+        mix = transforms.rotation_2d(thetas)
+        rows = a * mix[:, None, 0] + b * mix[:, None, 1]  # (angles, R, 2)
+        coeffs = np.ascontiguousarray(rows.reshape(-1, 2).T)
+        q = np.einsum("ar,gfab,br->fgr", coeffs, forms, coeffs)
+        keep = _near_min(q.reshape(q.shape[:2] + rows.shape[:2]),
+                         axis=(0, 2))
+        mins = np.full(len(thetas), math.inf)
+        for pair, kept in zip(pairs, keep):
+            angle, row = np.nonzero(kept)
+            np.minimum.at(mins, angle, _batched_dets(pair, rows[angle, row]))
+        c2 = np.array([math.cos(2 * theta) for theta in thetas])[:, None]
+        s2 = np.array([math.sin(2 * theta) for theta in thetas])[:, None]
         axis = _fourth_powers(k * k * c2)  # cases (0, n) and (m, 0)
         cross = (m * m - n * n) * c2
         cases = np.minimum(
             np.minimum(axis[:, n - 1], axis[:, m - 1]),
             np.minimum(_fourth_powers(cross - 2 * m * n * s2),
                        _fourth_powers(cross + 2 * m * n * s2))) * scale
-        for i, row in enumerate(cases[:, column.ravel()].tolist()):
-            yield degs[lo + i], overall[lo + i], dict(zip(pairs, row))
+        yield from zip(degs[lo:lo + block], (mins * scale).tolist(),
+                       cases[:, column.ravel()].tolist())
 
 
 def _fourth_powers(x: np.ndarray) -> np.ndarray:
@@ -540,8 +516,8 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
     count, with ties broken toward the lexicographically smallest angle
     vector.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    if not 1 <= starts <= MAX_STARTS:
+        raise ValueError(f"starts must be between 1 and {MAX_STARTS}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= workers <= MAX_WORKERS:

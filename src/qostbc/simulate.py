@@ -237,6 +237,8 @@ def curve_svg(curves) -> str:
     y_hi = 10.0 ** math.ceil(math.log10(max(ys)))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    if y_hi == y_lo:  # every BER the same power of ten
+        y_hi = y_lo * 10.0
     margin, pw, ph = 50, width - 100, height - 100
 
     def sx(x):

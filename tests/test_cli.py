@@ -200,6 +200,19 @@ class TestSimulateCommand:
         assert any(row.startswith("Q4_LT,4qam") for row in body)
         assert svg.read_text().count("<polyline") == 2
 
+    def test_svg_of_a_single_ber_decade(self, capsys, tmp_path):
+        # the one point has BER 0.1 (4 of 40 bits), so the plot's BER range
+        # is a single power of ten until the plot widens it
+        csv, svg = tmp_path / "o.csv", tmp_path / "o.svg"
+        status, _, err = run_cli(capsys, [
+            "simulate", "--code", "Q4", "--snr", "0:1:0", "--max-uses", "5",
+            "--min-errors", "1", "--seed", "10", "--workers", "1",
+            "--out", str(csv), "--svg", str(svg)])
+        assert (status, err) == (0, "")
+        assert csv.read_text().splitlines()[2].split(",")[4:7] == [
+            "40", "4", "0.1"]
+        assert svg.read_text().count("<polyline") == 1
+
     def test_bad_snr_grid(self, capsys):
         status, _, err = run_cli(capsys, ["simulate", "--code", "Q4",
                                           "--snr", "10:2:0"])

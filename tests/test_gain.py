@@ -110,13 +110,20 @@ class TestCaseDets:
 
 
 def assert_sweep_rows_equal_case_dets(qam, step_deg):
-    """Every cell of the sweep's case rows equals (==) its case_dets value."""
+    """Every cell of the sweep's case rows equals (==) its case_dets value,
+    the cells in (m, n) order with n fastest."""
     levels = range(1, qam.levels_per_rail)
     for deg, _, cases in gain.case_sweep_rows(qam, step_deg=step_deg):
-        assert cases == {
-            (m, n): min(closed_form.case_dets(m, n, math.radians(deg)))
+        assert cases == [
+            min(closed_form.case_dets(m, n, math.radians(deg)))
             * qam.d_min ** 8 for m in levels for n in levels
-        }
+        ]
+
+
+def sweep_columns(qam, step_deg):
+    """The angle and min_det columns of the sweep's rows, as arrays."""
+    degs, mins, _ = zip(*gain.case_sweep_rows(qam, step_deg=step_deg))
+    return np.array(degs), np.array(mins)
 
 
 class TestOptimalTheta:
@@ -127,32 +134,31 @@ class TestOptimalTheta:
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_grid_search_argmax(self, order):
-        sweep = gain.theta_grid_search(make_qam(order), step_deg=0.05)
-        assert abs(sweep.best_theta_deg - math.degrees(OPT_THETA_2D)) <= 0.05
+        degs, mins = sweep_columns(make_qam(order), 0.05)
+        best_deg = degs[int(np.argmax(mins))]
+        assert abs(best_deg - math.degrees(OPT_THETA_2D)) <= 0.05
 
     @pytest.mark.parametrize("step, count, last", [
         (0.07, 643, 44.94),  # 0.07 does not divide 45: 642 * 0.07 = 44.94
         (1.0, 46, 45.0),
     ])
     def test_sweep_stays_within_45_degrees(self, step, count, last):
-        sweep = gain.theta_grid_search(QAM4, step_deg=step)
-        assert len(sweep.thetas_deg) == count
-        assert sweep.thetas_deg[-1] == pytest.approx(last, abs=1e-12)
-        assert sweep.thetas_deg.max() <= 45.0
-        assert np.array_equal(sweep.min_dets,
-                              reference_theta_sweep(QAM4, step)[:count])
+        degs, mins = sweep_columns(QAM4, step)
+        assert len(degs) == count
+        assert degs[-1] == pytest.approx(last, abs=1e-12)
+        assert degs.max() <= 45.0
+        assert np.array_equal(mins, reference_theta_sweep(QAM4, step)[:count])
 
     def test_grid_matches_full_pipeline_at_spot_angles(self):
         qam = make_qam(4)
-        sweep = gain.theta_grid_search(qam, step_deg=1.0)
+        degs, mins = sweep_columns(qam, 1.0)
         base = build("Q4")
         for idx in (0, 7, 13, 20):
-            theta = math.radians(sweep.thetas_deg[idx])
+            theta = math.radians(degs[idx])
             spec = transforms.GcltSpec.rotations_2d(base.grouping, theta)
             mixed = transforms.apply_gclt(base, spec)
             want = gain.min_det_search(mixed, qam).min_det
-            assert sweep.min_dets[idx] == pytest.approx(want, rel=1e-9,
-                                                        abs=1e-12)
+            assert mins[idx] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestMinDetSearch:
@@ -370,6 +376,14 @@ class TestAngleSearches:
         with pytest.raises(ValueError):
             gain.search_t8_angles(starts=0)
 
+    def test_rejects_more_starts_than_the_cap(self, monkeypatch):
+        def no_objective(*args, **kwargs):
+            raise AssertionError("rejected input built the objective")
+
+        monkeypatch.setattr(gain, "_t8_objective", no_objective)
+        with pytest.raises(ValueError, match="starts"):
+            gain.search_t8_angles(starts=gain.MAX_STARTS + 1)
+
     def test_rejects_negative_seed_before_the_pool(self, monkeypatch):
         def no_threads(*args, **kwargs):
             raise AssertionError("rejected input started a thread pool")
@@ -545,16 +559,25 @@ class TestRailLocalRows:
             assert (got == want).all()
 
     def test_rotated_pair_rows_of_the_sweep(self):
-        # every rotated pattern of sweep-theta at 16-QAM, step 0.01, on
-        # each of Q4's rail pairs
+        # every rotated pattern of sweep-theta at step 0.01: the rows that
+        # rotation_2d mixes are the inline a cos - b sin, a sin + b cos bit
+        # for bit at every order, and at 16-QAM each of Q4's rail pairs
+        # scores them as the zero-padded full-width rows
         base = build("Q4")
-        mult = gain._multipliers(make_qam(16))
-        a, b = np.vstack(list(gain._patterns(mult, 2))).T
         degs = np.arange(0.0, 45.0 + 0.005, 0.01)
         c = np.array([math.cos(math.radians(d)) for d in degs])[:, None]
         s = np.array([math.sin(math.radians(d)) for d in degs])[:, None]
-        rows = np.stack([a * c - b * s, a * s + b * c], axis=-1)
-        rows = rows.reshape(-1, 2)
+        mix = transforms.rotation_2d([math.radians(d) for d in degs])
+        rows = {}
+        for order in (4, 16, 64, 256):
+            pats = np.vstack(list(gain._patterns(
+                gain._multipliers(make_qam(order)), 2)))
+            a, b = pats.T
+            inline = np.stack([a * c - b * s, a * s + b * c], axis=-1)
+            rows[order] = (pats[:, :1] * mix[:, None, 0]
+                           + pats[:, 1:] * mix[:, None, 1])
+            assert rows[order].tobytes() == inline.tobytes()
+        rows = rows[16].reshape(-1, 2)
         for q, v in base.grouping:
             rails = [q - 1, v - 1]
             got = gain._batched_dets(base.dispersion[rails], rows)
@@ -647,11 +670,19 @@ class TestScreenedSearch:
         assert got_val == want_val
         assert np.array_equal(got_pat, want_pat)
 
+    #: per order, an angle step whose sweep spans at least two angle blocks
+    CROSS_BLOCK_STEP = {4: 0.01, 16: 0.05, 64: 0.25, 256: 1.0}
+
     @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_theta_sweep_matches_unscreened(self, order):
         qam = make_qam(order)
-        sweep = gain.theta_grid_search(qam, step_deg=1.0)
-        assert np.array_equal(sweep.min_dets, reference_theta_sweep(qam, 1.0))
+        step = self.CROSS_BLOCK_STEP[order]
+        patterns = (len(gain._multipliers(qam)) ** 2 - 1) // 2
+        block = gain.PATTERN_CHUNK // (len(build("Q4").grouping) * patterns)
+        assert 45.0 / step + 1 > block
+        for step_deg in sorted({1.0, step}):
+            _, mins = sweep_columns(qam, step_deg)
+            assert np.array_equal(mins, reference_theta_sweep(qam, step_deg))
 
     def test_screen_keeps_few_rows_and_the_minimum(self):
         code = build("Q8_LT")

@@ -1,10 +1,12 @@
-"""Layout guard: every public top-level function or class of the package
-has a caller in the library or the benchmark.
+"""Layout guard: every public top-level function or class and every
+upper-case module-level constant of the package has a reader in the library
+or the benchmark.
 
 A name counts as referenced when some file under ``src/`` or ``bench/``
-names it (a bare name, an attribute or an import) outside its own
-definition. Test-only entry points belong in the tests, next to the
-assertions that use them.
+reads it (a bare name, an attribute or an import) outside its own
+definition or assignment. Test-only entry points belong in the tests, next
+to the assertions that use them, and a deleted code path takes its
+constants with it.
 """
 
 import ast
@@ -19,11 +21,11 @@ UNCALLED = {"search_t8_cr_steps"}
 
 
 def _names(node) -> set:
-    """Every name that ``node`` refers to: bare names, attributes and
-    imported names."""
+    """Every name that ``node`` reads: bare names not assigned to,
+    attributes and imported names."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -39,6 +41,19 @@ def _public_definitions():
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 yield node.name, path
+
+
+def _constants():
+    """(name, path) of every upper-case module-level constant."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Name) and sub.id.isupper():
+                            yield sub.id, path
 
 
 def _references() -> dict:
@@ -63,3 +78,9 @@ def test_every_public_name_has_a_library_or_bench_caller():
         if not refs.get(name, set()) - {(path, name)}
     }
     assert uncalled == UNCALLED
+
+
+def test_every_constant_is_read_in_the_library_or_bench():
+    refs = _references()
+    unread = {name for name, _ in _constants() if name not in refs}
+    assert unread == set()

@@ -230,6 +230,14 @@ class TestArtifacts:
         assert svg.count("<polyline") == 2
         assert "SNR (dB)" in svg
 
+    @pytest.mark.parametrize("ber", [0.1, 1.0])
+    def test_svg_of_a_single_ber_decade(self, ber):
+        # every BER the same power of ten: the axis spans it and the next
+        svg = simulate.curve_svg([synthetic_curve([(0.0, ber)])])
+        decade = round(math.log10(ber))
+        assert svg.count("<polyline") == 1
+        assert f">1e{decade}<" in svg and f">1e{decade + 1}<" in svg
+
 
 def synthetic_curve(points):
     """BerCurve from (snr, ber) pairs at a large fixed bit count."""
