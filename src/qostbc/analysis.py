@@ -5,23 +5,24 @@ anticommutator vanishes, A_p^H A_q + A_q^H A_p = 0. :func:`qo_table` holds
 that check for every rail pair, from one table of anticommutator norms.
 Pairs that violate it couple after matched filtering; the connected
 components of the violation graph are the code's symbol groups
-(:func:`components_from_stack`), and the real matched-filter Gram H^T H is
-block-diagonal along exactly that partition.
+(:func:`components_from_stack`, run once on a code's stack when the
+:class:`CodeDefinition` is made; ``code.grouping`` is its result), and the
+real matched-filter Gram H^T H is block-diagonal along exactly that
+partition.
 
 :func:`equivalent_channel` is the package's single equivalent-channel
 implementation. It takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike,
 with no 1-D form (one receive antenna is an (Nt, 1) column), and is one
 matrix product: the (n*Nr, 2Nt) channel rails (Re h, Im h) of every receive
 antenna times the code's real dispersion expansions laid out as a
-(2Nt, 2T*2K) matrix. The simulator, the detectors and the Gram checks all
-call it.
+(2Nt, 2T*2K) matrix. The simulator, the detectors and the Gram check
+(:func:`checks.gram_block_diagonality`) all call it.
 
 Symbol/rail indices are 1-based everywhere (rails 1..K are the real parts of
 the K complex symbols, rails K+1..2K the imaginary parts), matching the
 reports and JSON emitted by the CLI.
 """
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,15 +43,6 @@ def qo_table(code: "CodeDefinition") -> np.ndarray:
     return _anticommutator_table(code.dispersion) < QO_TOL
 
 
-def discover_grouping(code: "CodeDefinition"):
-    """Partition rails 1..2K into groups joined by anticommutator violations.
-
-    Groups are the connected components of the non-orthogonality graph,
-    each sorted ascending, listed in order of their smallest member.
-    """
-    return components_from_stack(code.dispersion)
-
-
 def _anticommutator_table(stack) -> np.ndarray:
     """(2K, 2K) matrix of anticommutator max-norms for every rail pair."""
     stack = np.asarray(stack, dtype=np.complex128)
@@ -59,7 +51,8 @@ def _anticommutator_table(stack) -> np.ndarray:
 
 
 def components_from_stack(stack):
-    """Grouping discovery on a raw (2K, T, Nt) dispersion stack."""
+    """Symbol groups of a (2K, T, Nt) dispersion stack: the components of
+    its pair-check violations, each sorted, ordered by smallest rail."""
     n = len(stack)
     coupled = _anticommutator_table(stack) >= QO_TOL
     np.fill_diagonal(coupled, False)
@@ -128,35 +121,6 @@ def equivalent_channel(code: "CodeDefinition", h,
     weights = stack.transpose(2, 1, 0).reshape(2 * code.nt, -1)
     cols = rails @ weights                                 # (n*Nr, 2T*2K)
     return cols.reshape(*h.shape[:-2], h.shape[-1] * 2 * code.T, 2 * code.K)
-
-
-@dataclass(frozen=True)
-class GramBlockReport:
-    gram: np.ndarray
-    max_off_group: float
-    max_entry: float
-
-
-def gram_block_report(code: "CodeDefinition", h) -> GramBlockReport:
-    """Compute H^T H and the largest entry magnitude outside the group blocks."""
-    H = equivalent_channel(code, h)
-    gram = H.T @ H
-    off = off_group_mask(code.grouping, gram.shape[0])
-    max_off = float(np.abs(gram[off]).max()) if off.any() else 0.0
-    return GramBlockReport(
-        gram=gram,
-        max_off_group=max_off,
-        max_entry=float(np.abs(gram).max()),
-    )
-
-
-def off_group_mask(grouping, n: int) -> np.ndarray:
-    """Boolean (n, n) mask of entries whose row/col rails lie in different groups."""
-    label = np.empty(n, dtype=np.int64)
-    for gi, group in enumerate(grouping):
-        for rail in group:
-            label[rail - 1] = gi
-    return label[:, None] != label[None, :]
 
 
 def joint_detection_size(code: "CodeDefinition") -> int:

@@ -1,11 +1,12 @@
 """Catalog of quasi-orthogonal and orthogonal space-time block codes.
 
-Every code is a :class:`CodeDefinition`: a stack of 2K dispersion matrices of
-size T x Nt (rails 1..K modulate the real parts of the K complex symbols,
-rails K+1..2K the imaginary parts), the discovered symbol grouping, and the
-dimensions. Codewords are C = sum_p s_p A_p for real rail values s_p, and
-every dispersion matrix satisfies the power constraint
-tr(A_p^H A_p) = T*Nt/K.
+Every code is a :class:`CodeDefinition`: a name and a stack of 2K dispersion
+matrices of size T x Nt (rails 1..K modulate the real parts of the K complex
+symbols, rails K+1..2K the imaginary parts). Everything else is read off the
+stack: T, Nt and K from its shape, and the symbol grouping from its
+anticommutator pattern (:func:`analysis.components_from_stack`). Codewords
+are C = sum_p s_p A_p for real rail values s_p, and every dispersion matrix
+satisfies the power constraint tr(A_p^H A_p) = T*Nt/K.
 
 The catalog covers four families:
 
@@ -21,7 +22,7 @@ The catalog covers four families:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -63,32 +64,42 @@ T8_LT_FACTOR_ORDER = ((2, 4), (3, 4), (1, 3), (1, 2), (2, 3), (1, 4))
 
 @dataclass(frozen=True)
 class CodeDefinition:
-    """A linear space-time block code over real symbol rails.
+    """A linear space-time block code over real symbol rails: a name and its
+    dispersion stack.
 
-    ``dispersion`` has shape (2K, T, Nt); ``grouping`` is a partition of the
-    1-based rail indices 1..2K into jointly-detected sets, sorted by smallest
-    member.
+    ``dispersion`` is stored as a read-only complex copy of shape
+    (2K, T, Nt), from which T, Nt and K are read; ``grouping`` is computed
+    from it: the partition of the 1-based rails 1..2K into jointly-detected
+    sets, sorted by smallest member.
     """
 
     name: str
-    T: int
-    nt: int
-    K: int
     dispersion: np.ndarray
-    grouping: tuple
+    grouping: tuple = field(init=False)
 
     def __post_init__(self):
-        d = self.dispersion
-        if d.shape != (2 * self.K, self.T, self.nt):
+        d = np.array(self.dispersion, dtype=np.complex128)
+        if d.ndim != 3 or 0 in d.shape or d.shape[0] % 2:
             raise ValueError(
-                f"dispersion shape {d.shape} does not match "
-                f"(2K, T, Nt) = ({2 * self.K}, {self.T}, {self.nt})"
+                f"dispersion shape {d.shape} is not a (2K, T, Nt) stack"
             )
-        if not np.all(np.isfinite(d.real)) or not np.all(np.isfinite(d.imag)):
+        if not np.isfinite(d).all():
             raise ValueError("dispersion entries must be finite")
-        flat = sorted(i for g in self.grouping for i in g)
-        if flat != list(range(1, 2 * self.K + 1)):
-            raise ValueError("grouping is not a partition of 1..2K")
+        d.setflags(write=False)
+        object.__setattr__(self, "dispersion", d)
+        object.__setattr__(self, "grouping", components_from_stack(d))
+
+    @property
+    def K(self) -> int:
+        return self.dispersion.shape[0] // 2
+
+    @property
+    def T(self) -> int:
+        return self.dispersion.shape[1]
+
+    @property
+    def nt(self) -> int:
+        return self.dispersion.shape[2]
 
     @property
     def rate(self) -> Fraction:
@@ -98,16 +109,6 @@ class CodeDefinition:
     def power_target(self) -> float:
         """Required trace of every A_p^H A_p."""
         return self.T * self.nt / self.K
-
-
-def make_code(name: str, T: int, nt: int, K: int, dispersion) -> CodeDefinition:
-    """Build a CodeDefinition from a dispersion stack, discovering its grouping."""
-    stack = np.asarray(dispersion, dtype=np.complex128).copy()
-    stack.setflags(write=False)
-    grouping = components_from_stack(stack)
-    return CodeDefinition(
-        name=name, T=T, nt=nt, K=K, dispersion=stack, grouping=grouping
-    )
 
 
 def encode(code: CodeDefinition, real_symbols) -> np.ndarray:
@@ -256,16 +257,16 @@ def _builders():
     from . import transforms
 
     def q4():
-        return make_code("Q4", 4, 4, 4, _Q4_DISPERSION)
+        return CodeDefinition("Q4", _Q4_DISPERSION)
 
     def q8():
-        return make_code("Q8", 8, 8, 6, _dispersion_from_encoder(_q8_codeword, 6))
+        return CodeDefinition("Q8", _dispersion_from_encoder(_q8_codeword, 6))
 
     def t8():
-        return make_code("T8", 8, 8, 8, _dispersion_from_encoder(_t8_codeword, 8))
+        return CodeDefinition("T8", _dispersion_from_encoder(_t8_codeword, 8))
 
     def g4c():
-        return make_code("G4C", 8, 4, 4, _dispersion_from_encoder(_g4c_codeword, 4))
+        return CodeDefinition("G4C", _dispersion_from_encoder(_g4c_codeword, 4))
 
     def q4_cr():
         spec = transforms.CrSpec.uniform((3, 4), CR_ANGLE_DEFAULT)

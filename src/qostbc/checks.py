@@ -48,13 +48,9 @@ def power_traces():
 
 
 def groupings():
-    """Every code's built and rediscovered symbol groups are the pinned
-    ones."""
-    bad = []
-    for name, (_, want) in GROUPINGS.items():
-        code = catalog.build(name)
-        if not code.grouping == want == analysis.discover_grouping(code):
-            bad.append(name)
+    """Every code's symbol groups are the pinned ones."""
+    bad = [name for name, (_, want) in GROUPINGS.items()
+           if catalog.build(name).grouping != want]
     return "grouping regressions", not bad, f"mismatches: {bad or 'none'}"
 
 
@@ -66,17 +62,23 @@ def joint_detection_sizes():
 
 
 def gram_block_diagonality(seed: int, draws: int):
-    """The matched-filter Gram has no off-group entry, for ``draws``
-    channels per code and receive-antenna count (1 and 2)."""
+    """The matched-filter Gram H^T H has no off-group entry, for ``draws``
+    channels per code and receive-antenna count (1 and 2); the worst ratio
+    of an off-group entry to the largest entry is reported."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     worst = 0.0
     for name in catalog.CODE_NAMES:
         code = catalog.build(name)
+        label = np.empty(2 * code.K, dtype=np.intp)
+        for gi, group in enumerate(code.grouping):
+            label[np.array(group) - 1] = gi
+        off = label[:, None] != label[None, :]
         for nr in (1, 2):
             for _ in range(draws):
-                h = simulate.draw_channel(rng, code.nt, nr)
-                rep = analysis.gram_block_report(code, h)
-                worst = max(worst, rep.max_off_group / rep.max_entry)
+                H = analysis.equivalent_channel(
+                    code, simulate.draw_channel(rng, code.nt, nr))
+                gram = np.abs(H.T @ H)
+                worst = max(worst, gram[off].max(initial=0.0) / gram.max())
     return ("gram block-diagonality", worst < 1e-10,
             f"max off-group ratio {worst:.2e}")
 

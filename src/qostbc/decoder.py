@@ -203,6 +203,10 @@ def detect_from_equivalent_batch(code: CodeDefinition,
     ``rho`` is the SNR of the transmission model. Returns the decided rails,
     shape (n, 2K). Each row's decision depends only on that row.
     """
+    if (H.ndim != 3 or H.shape[2] != 2 * code.K or not H.shape[1]
+            or H.shape[1] % (2 * code.T)):
+        raise ValueError(f"equivalent channels have shape {H.shape}, expected"
+                         f" (n, {2 * code.T}*Nr, {2 * code.K})")
     received_batch = np.asarray(received_batch, dtype=np.float64)
     if received_batch.shape != H.shape[:2]:
         raise ValueError(

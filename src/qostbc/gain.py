@@ -127,15 +127,11 @@ def _multipliers(constellation: Constellation) -> np.ndarray:
     return np.arange(-top, top + 1)
 
 
-def _patterns(mult: np.ndarray, width: int):
-    """Yield the patterns of ``width`` rails whose first nonzero multiplier
-    is negative, one of each nonzero pair +-c: the lexicographic indices
-    below the zero pattern's, as float rows (first rail slowest) in chunks
-    of at most PATTERN_CHUNK rows."""
-    half = len(mult) ** width // 2
-    for lo in range(0, half, PATTERN_CHUNK):
-        yield lex_vectors(mult, width,
-                          np.arange(lo, min(lo + PATTERN_CHUNK, half)))
+def _patterns(mult: np.ndarray, width: int) -> np.ndarray:
+    """The patterns of ``width`` rails whose first nonzero multiplier is
+    negative, one of each nonzero pair +-c: the lexicographic indices below
+    the zero pattern's, as float rows (first rail slowest)."""
+    return lex_vectors(mult, width, np.arange(len(mult) ** width // 2))
 
 
 def _batched_dets(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -327,7 +323,7 @@ def case_sweep_rows(constellation: Constellation, step_deg: float = 0.05):
     base = build("Q4")
     pairs = [base.dispersion[[q - 1, v - 1]] for q, v in base.grouping]
     forms = np.stack([_det_factor_forms(pair) for pair in pairs])
-    pats = np.vstack(list(_patterns(_multipliers(constellation), 2)))
+    pats = _patterns(_multipliers(constellation), 2)
     a, b = pats[:, :1], pats[:, 1:]
     top = constellation.levels_per_rail - 1
     k = np.arange(1, top + 1)
@@ -447,7 +443,7 @@ def _mixed_min_det(base: CodeDefinition, constellation: Constellation,
         forms = _det_factor_forms(base.dispersion[[r - 1 for r in rails]])
         distinct.setdefault(forms.tobytes(), forms)
     width = len(groups[0])
-    pats = np.vstack(list(_patterns(_multipliers(constellation), width)))
+    pats = _patterns(_multipliers(constellation), width)
     scale = constellation.d_min ** (2 * base.nt)
 
     def min_dets(mixes: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ class Constellation:
         """Map bits of shape (..., K*log2(M)) to rails (..., 2K).
 
         Rail order is I rails of all K symbols followed by Q rails, so that
-        symbol q is rails[q] + 1j * rails[K + q].
+        symbol q is rails[q] + 1j * rails[K + q]. Every bit must be 0 or 1.
         """
         bits = np.asarray(bits, dtype=np.int64)
         bps = self.bits_per_symbol
@@ -52,6 +52,9 @@ class Constellation:
             raise ValueError(
                 f"bit count {bits.shape[-1]} is not a positive multiple of {bps}"
             )
+        if bits.size and (bits.min() < 0 or bits.max() > 1):
+            raise ValueError(f"bits must be 0 or 1, got values in "
+                             f"[{bits.min()}, {bits.max()}]")
         K = bits.shape[-1] // bps
         b = self.bits_per_rail
         rows = bits.reshape(*bits.shape[:-1], 2 * K, b)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CodeDefinition, make_code
+from .catalog import CodeDefinition
 
 #: orthogonality tolerance for mixing matrices
 ORTHO_TOL = 1e-12
@@ -213,7 +213,7 @@ def apply_gclt(code: CodeDefinition, spec: GcltSpec, name: str = None) -> CodeDe
                     f"zero power trace"
                 )
             new[rail - 1] = m * math.sqrt(target / trace)
-    return make_code(name or f"{code.name}+GCLT", code.T, code.nt, code.K, new)
+    return CodeDefinition(name or f"{code.name}+GCLT", new)
 
 
 @dataclass(frozen=True)
@@ -274,4 +274,4 @@ def apply_cr(code: CodeDefinition, spec: CrSpec, name: str = None) -> CodeDefini
         a_re, a_im = code.dispersion[i], code.dispersion[j]
         new[i] = rot[i, i] * a_re + rot[i, j] * a_im
         new[j] = rot[j, i] * a_re + rot[j, j] * a_im
-    return make_code(name or f"{code.name}+CR", code.T, code.nt, code.K, new)
+    return CodeDefinition(name or f"{code.name}+CR", new)

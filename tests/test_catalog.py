@@ -1,6 +1,7 @@
 """Catalog construction tests against hand-built codeword matrices and
 frozen dispersion-matrix fixtures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from qostbc import catalog
 from qostbc.analysis import components_from_stack
-from qostbc.catalog import build, code_to_dict, encode, validate_power
+from qostbc.catalog import (CodeDefinition, build, code_to_dict, encode,
+                            validate_power)
 
 from closed_form import decode_code_json
 
@@ -40,6 +42,15 @@ def q4cr_codeword(x):
     ])
 
 
+#: (T, Nt, K, rate) of every catalog code, as in the README table
+SIZES = {
+    "Q4": (4, 4, 4, "1"), "Q4_CR": (4, 4, 4, "1"), "Q4_LT": (4, 4, 4, "1"),
+    "Q8": (8, 8, 6, "3/4"), "Q8_CR": (8, 8, 6, "3/4"),
+    "Q8_LT": (8, 8, 6, "3/4"), "T8": (8, 8, 8, "1"), "T8_CR": (8, 8, 8, "1"),
+    "T8_LT": (8, 8, 8, "1"), "G4C": (8, 4, 4, "1/2"),
+}
+
+
 def rails_of(x):
     return np.concatenate([np.real(x), np.imag(x)])
 
@@ -50,11 +61,8 @@ class TestBuild:
             build("Q5")
 
     def test_dimensions_and_rates(self):
-        dims = {
-            "Q4": (4, 4, 4, "1"), "Q8": (8, 8, 6, "3/4"),
-            "T8": (8, 8, 8, "1"), "G4C": (8, 4, 4, "1/2"),
-        }
-        for name, (T, nt, K, rate) in dims.items():
+        # every catalog code's size and rate, as in the README table
+        for name, (T, nt, K, rate) in SIZES.items():
             code = build(name)
             assert (code.T, code.nt, code.K) == (T, nt, K)
             assert str(code.rate) == rate
@@ -70,6 +78,39 @@ class TestBuild:
         code = build("Q4")
         with pytest.raises(ValueError):
             code.dispersion[0, 0, 0] = 5.0
+
+
+class TestCodeDefinition:
+    """A code is its name and its dispersion stack; the sizes and the
+    grouping are read off the stack."""
+
+    def test_init_fields_are_name_and_dispersion(self):
+        assert [f.name for f in dataclasses.fields(CodeDefinition)
+                if f.init] == ["name", "dispersion"]
+
+    @pytest.mark.parametrize("shape", [(8, 4), (3, 4, 4), (0, 4, 4)])
+    def test_rejects_a_shape_that_is_not_2k_t_nt(self, shape):
+        with pytest.raises(ValueError, match="not a \\(2K, T, Nt\\) stack"):
+            CodeDefinition("x", np.ones(shape))
+
+    def test_rejects_a_non_finite_entry(self):
+        stack = np.array(build("Q4").dispersion)
+        stack[3, 1, 2] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            CodeDefinition("x", stack)
+
+    def test_copies_its_input(self):
+        stack = np.array(build("Q4").dispersion)
+        code = CodeDefinition("x", stack)
+        stack[0, 0, 0] = 5.0
+        assert np.array_equal(code.dispersion, build("Q4").dispersion)
+        assert not code.dispersion.flags.writeable
+        assert code.dispersion.dtype == np.complex128
+
+    @pytest.mark.parametrize("name", catalog.CODE_NAMES)
+    def test_grouping_follows_the_stack(self, name):
+        code = build(name)
+        assert CodeDefinition("x", code.dispersion).grouping == code.grouping
 
 
 class TestEncode:

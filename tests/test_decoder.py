@@ -2,6 +2,7 @@
 metric cross-checks."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,14 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError, match="received batch"):
             decoder.detect_from_equivalent_batch(code, QAM4, H,
                                                  np.zeros((3, 16)), 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 10), (2, 8, 6), (2, 12, 8),
+                                       (2, 0, 8), (8, 8)])
+    def test_channel_shape_checked(self, shape):
+        # Q4 needs 2K = 8 columns and a positive multiple of 2T = 8 rows
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            decoder.detect_from_equivalent_batch(
+                build("Q4"), QAM4, np.ones(shape), np.zeros(shape[:2]), 1.0)
 
     def test_exhaustive_budget_guard(self):
         code = build("T8")

@@ -166,6 +166,14 @@ def test_bit_count_validation():
         qam.modulate(np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_bit_value_validation(order, bad):
+    qam = modem.make_qam(order)
+    with pytest.raises(ValueError, match=f"0 or 1.*{bad}"):
+        qam.modulate(np.array([bad, 0, 0, 0]))
+
+
 def test_unsupported_order_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         modem.make_qam(32)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qostbc import transforms
-from qostbc.analysis import discover_grouping
-from qostbc.catalog import build, make_code, validate_power
+from qostbc.analysis import components_from_stack
+from qostbc.catalog import CodeDefinition, build, validate_power
 
 THETA_OPT = 0.5 * math.atan(0.5)
 
@@ -174,7 +174,7 @@ class TestApplyGclt:
         # duplicated dispersion matrices make one mixed output vanish
         base = build("Q4").dispersion
         stack = np.stack([base[0], base[0]])
-        code = make_code("dup", 4, 4, 1, stack)
+        code = CodeDefinition("dup", stack)
         assert code.grouping == ((1, 2),)
         spec = transforms.GcltSpec.rotations_2d(code.grouping, math.pi / 4)
         with pytest.raises(ValueError, match="degenerate"):
@@ -268,4 +268,5 @@ def test_grouping_recomputed_not_copied():
     code = build("Q4")
     spec = transforms.CrSpec.uniform((3, 4), math.pi / 4)
     out = transforms.apply_cr(code, spec)
-    assert discover_grouping(out) == out.grouping
+    assert components_from_stack(out.dispersion) == out.grouping
+    assert out.grouping != code.grouping
