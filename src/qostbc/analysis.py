@@ -11,9 +11,9 @@ real matched-filter Gram H^T H is block-diagonal along exactly that
 partition.
 
 :func:`equivalent_channel` is the package's single equivalent-channel
-implementation. It takes one (Nt, Nr) channel or a batch (n, Nt, Nr) alike,
-with no 1-D form (one receive antenna is an (Nt, 1) column), and is one
-matrix product: the (n*Nr, 2Nt) channel rails (Re h, Im h) of every receive
+implementation. It takes only a batch (n, Nt, Nr) of channels (one channel
+is a batch of one, one receive antenna an Nr of 1) and is one matrix
+product: the (n*Nr, 2Nt) channel rails (Re h, Im h) of every receive
 antenna times the code's real dispersion expansions laid out as a
 (2Nt, 2T*2K) matrix. The simulator, the detectors and the Gram check
 (:func:`checks.gram_block_diagonality`) all call it.
@@ -96,31 +96,28 @@ def expansion_stack(code: "CodeDefinition") -> np.ndarray:
 
 def equivalent_channel(code: "CodeDefinition", h,
                        stack: np.ndarray = None) -> np.ndarray:
-    """Real equivalent channel H of shape (2T*Nr, 2K), or (n, 2T*Nr, 2K)
-    for a batch of channels.
+    """Real equivalent channels H of shape (n, 2T*Nr, 2K) of a batch of
+    (n, Nt, Nr) channels.
 
     Column p stacks, per receive antenna, the real expansion of A_p applied
     to that antenna's stacked channel rails (Re h, Im h); the received
     vector layout is (Re r_i, Im r_i) blocks of length T per antenna i.
-    ``h`` is (Nt, Nr) or (n, Nt, Nr), never 1-D. ``stack`` is the code's
+    One channel is a batch of one. ``stack`` is the code's
     :func:`expansion_stack`, computed when omitted.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim not in (2, 3):
-        raise ValueError(
-            f"channel must be (Nt, Nr) or (n, Nt, Nr), got shape {h.shape}"
-        )
-    if h.shape[-2] != code.nt:
-        raise ValueError(
-            f"channel has {h.shape[-2]} transmit rows, code expects {code.nt}"
-        )
+    if h.ndim != 3:
+        raise ValueError(f"channel must be (n, Nt, Nr), got shape {h.shape}")
+    if h.shape[1] != code.nt:
+        raise ValueError(f"channel has {h.shape[1]} transmit rows, code "
+                         f"expects {code.nt}")
     if stack is None:
         stack = expansion_stack(code)
-    rails = np.concatenate([h.real, h.imag], axis=-2)       # (..., 2Nt, Nr)
-    rails = np.swapaxes(rails, -1, -2).reshape(-1, 2 * code.nt)
+    rails = np.concatenate([h.real, h.imag], axis=1)        # (n, 2Nt, Nr)
+    rails = np.swapaxes(rails, 1, 2).reshape(-1, 2 * code.nt)
     weights = stack.transpose(2, 1, 0).reshape(2 * code.nt, -1)
     cols = rails @ weights                                 # (n*Nr, 2T*2K)
-    return cols.reshape(*h.shape[:-2], h.shape[-1] * 2 * code.T, 2 * code.K)
+    return cols.reshape(len(h), h.shape[2] * 2 * code.T, 2 * code.K)
 
 
 def joint_detection_size(code: "CodeDefinition") -> int:

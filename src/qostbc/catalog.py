@@ -62,7 +62,7 @@ T8_LT_ANGLES_DEG = {
 T8_LT_FACTOR_ORDER = ((2, 4), (3, 4), (1, 3), (1, 2), (2, 3), (1, 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeDefinition:
     """A linear space-time block code over real symbol rails: a name and its
     dispersion stack.
@@ -70,7 +70,7 @@ class CodeDefinition:
     ``dispersion`` is stored as a read-only complex copy of shape
     (2K, T, Nt), from which T, Nt and K are read; ``grouping`` is computed
     from it: the partition of the 1-based rails 1..2K into jointly-detected
-    sets, sorted by smallest member.
+    sets, sorted by smallest member. Codes compare and hash by identity.
     """
 
     name: str

@@ -76,7 +76,7 @@ def gram_block_diagonality(seed: int, draws: int):
         for nr in (1, 2):
             for _ in range(draws):
                 H = analysis.equivalent_channel(
-                    code, simulate.draw_channel(rng, code.nt, nr))
+                    code, simulate.draw_channel(rng, code.nt, nr, 1))[0]
                 gram = np.abs(H.T @ H)
                 worst = max(worst, gram[off].max(initial=0.0) / gram.max())
     return ("gram block-diagonality", worst < 1e-10,
@@ -120,22 +120,24 @@ def grouped_vs_exhaustive(codes, trials: int, seed: int, rho: float):
     """Grouped ML decides like exhaustive ML on ``trials`` noisy 4-QAM
     blocks per code, drawn from ``SeedSequence([seed, i])`` with ``i`` the
     code's index in :data:`catalog.CODE_NAMES`, so each code gets its own
-    draws."""
+    draws. Each trial draws its channel, bits and noise in turn; the trials
+    are then sent and detected as one batch."""
     qam = modem.make_qam(4)
     hits = 0
     for name in codes:
         code = catalog.build(name)
         rng = np.random.default_rng(np.random.SeedSequence(
             [seed, catalog.CODE_NAMES.index(name)]))
-        for _ in range(trials):
-            h = simulate.draw_channel(rng, code.nt, 1)
-            bits = rng.integers(0, 2, (1, code.K * qam.bits_per_symbol))
-            H = analysis.equivalent_channel(code, h[None])
-            noise = rng.standard_normal((1, H.shape[1])) * math.sqrt(0.5)
-            r = simulate.transmit(code, H, qam.modulate(bits), rho, noise)
-            g = decoder.detect_from_equivalent_batch(code, qam, H, r, rho)
-            e = decoder.exhaustive_ml_detect(code, qam, h, r[0], rho)
-            hits += bool(np.array_equal(g[0], e))
+        draws = [(simulate.draw_channel(rng, code.nt, 1, 1),
+                  rng.integers(0, 2, (1, code.K * qam.bits_per_symbol)),
+                  rng.standard_normal((1, 2 * code.T)) * math.sqrt(0.5))
+                 for _ in range(trials)]
+        h, bits, noise = (np.concatenate(parts) for parts in zip(*draws))
+        H = analysis.equivalent_channel(code, h)
+        r = simulate.transmit(code, H, qam.modulate(bits), rho, noise)
+        g = decoder.detect_from_equivalent_batch(code, qam, H, r, rho)
+        e = decoder.exhaustive_ml_detect(code, qam, H, r, rho)
+        hits += int((g == e).all(axis=1).sum())
     total = trials * len(codes)
     detail = (f"{total} trials" if hits == total
               else f"{hits} of {total} trials agree")

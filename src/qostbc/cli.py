@@ -6,12 +6,12 @@ codes, ``transform`` applies group mixing or constellation rotation,
 gain machinery, ``simulate`` produces BER curves, and ``verify`` runs the
 cross-module invariant checks of :mod:`qostbc.checks`.
 
-Exit codes: 0 success, 1 usage error (unknown flags, codes or modulations),
-2 verification failure, 3 infeasible enumeration budget. Angles are degrees
-on the command line; JSON artifacts carry both degrees and radians. Every
-subcommand is deterministic given its arguments and seed. Output files are
-written whole after the computation finishes, so failures leave no partial
-artifacts behind.
+Exit codes: 0 success, 1 bad input (any ``ValueError``, with a ``--help``
+hint) or I/O error, 2 verification failure, 3 infeasible enumeration
+budget. Angles are degrees on the command line; JSON artifacts carry both
+degrees and radians. Every subcommand is deterministic given its arguments
+and seed. Output files are written whole after the computation finishes,
+so failures leave no partial artifacts behind.
 """
 
 import argparse
@@ -35,13 +35,9 @@ EXIT_BUDGET = 3
 MAX_SNR_POINTS = 10_000
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to exit code 1
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _angles_block(radians) -> dict:
@@ -85,20 +81,18 @@ def _angle(text: str) -> float:
 def _parse_snr(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"snr grid {text!r} is not start:step:stop")
+        raise ValueError(f"snr grid {text!r} is not start:step:stop")
     start, step, stop = (float(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, step, stop)):
-        raise UsageError(f"snr grid {text!r} is not finite")
+        raise ValueError(f"snr grid {text!r} is not finite")
     if max(abs(start), abs(stop)) > simulate.MAX_SNR_DB:
-        raise UsageError(
-            f"snr grid {text!r} reaches beyond +-{simulate.MAX_SNR_DB} dB"
-        )
+        raise ValueError(f"snr grid {text!r} reaches beyond "
+                         f"+-{simulate.MAX_SNR_DB} dB")
     if step <= 0 or stop < start:
-        raise UsageError(f"snr grid {text!r} is not increasing")
+        raise ValueError(f"snr grid {text!r} is not increasing")
     if (stop + 1e-9 - start) / step >= MAX_SNR_POINTS:
-        raise UsageError(
-            f"snr grid {text!r} has more than {MAX_SNR_POINTS} points"
-        )
+        raise ValueError(f"snr grid {text!r} has more than "
+                         f"{MAX_SNR_POINTS} points")
     grid = []
     value = start
     while value <= stop + 1e-9:
@@ -116,31 +110,12 @@ def _parse_curves(code_arg: str, default_mod: str):
             continue
         name, _, mod = token.partition(":")
         if name not in catalog.CODE_NAMES:
-            raise UsageError(
-                f"unknown code {name!r}; valid: {', '.join(catalog.CODE_NAMES)}"
-            )
-        try:
-            constellation = modem.parse_modulation(mod or default_mod)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        curves.append((name, constellation))
+            raise ValueError(f"unknown code {name!r}; valid: "
+                             f"{', '.join(catalog.CODE_NAMES)}")
+        curves.append((name, modem.parse_modulation(mod or default_mod)))
     if not curves:
-        raise UsageError("no codes given")
+        raise ValueError("no codes given")
     return curves
-
-
-def _get_code(name: str) -> catalog.CodeDefinition:
-    try:
-        return catalog.build(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _get_modulation(name: str) -> modem.Constellation:
-    try:
-        return modem.parse_modulation(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -151,13 +126,13 @@ def _cmd_catalog(args) -> int:
         payload = [catalog.code_to_dict(catalog.build(n))
                    for n in catalog.CODE_NAMES]
     else:
-        payload = catalog.code_to_dict(_get_code(args.code))
+        payload = catalog.code_to_dict(catalog.build(args.code))
     _write_artifact(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    code = _get_code(args.code)
+    code = catalog.build(args.code)
     table = analysis.qo_table(code)
     payload = {
         "code": code.name,
@@ -174,11 +149,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    code = _get_code(args.code)
+    code = catalog.build(args.code)
     chosen = [v is not None for v in (args.gclt_theta, args.gclt_givens,
                                       args.cr_angle)]
     if sum(chosen) != 1:
-        raise UsageError(
+        raise ValueError(
             "choose exactly one of --gclt-theta, --gclt-givens, --cr-angle"
         )
     if args.gclt_theta is not None:
@@ -193,7 +168,7 @@ def _cmd_transform(args) -> int:
                 "angles": _angles_block(args.gclt_givens)}
     else:
         if not args.cr_symbols:
-            raise UsageError("--cr-angle requires --cr-symbols")
+            raise ValueError("--cr-angle requires --cr-symbols")
         symbols = [int(v) for v in args.cr_symbols.split(",")]
         spec = transforms.CrSpec.uniform(symbols, args.cr_angle)
         out = transforms.apply_cr(code, spec)
@@ -209,8 +184,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_mindet(args) -> int:
-    code = _get_code(args.code)
-    constellation = _get_modulation(args.mod)
+    code = catalog.build(args.code)
+    constellation = modem.parse_modulation(args.mod)
     report = gain.min_det_search(code, constellation, scope=args.scope)
     payload = {
         "code": code.name,
@@ -229,8 +204,8 @@ def _cmd_mindet(args) -> int:
 
 
 def _cmd_divprod(args) -> int:
-    code = _get_code(args.code)
-    constellation = _get_modulation(args.mod)
+    code = catalog.build(args.code)
+    constellation = modem.parse_modulation(args.mod)
     report = gain.diversity_product(code, constellation)
     payload = {
         "code": code.name,
@@ -244,7 +219,7 @@ def _cmd_divprod(args) -> int:
 
 
 def _cmd_sweep_theta(args) -> int:
-    constellation = _get_modulation(args.mod)
+    constellation = modem.parse_modulation(args.mod)
     rows = gain.case_sweep_rows(constellation, step_deg=args.step)
     top = constellation.levels_per_rail - 1
     pairs = [(m, n) for m in range(1, top + 1) for n in range(1, top + 1)]
@@ -424,14 +399,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        print("run 'qostbc --help' for usage", file=sys.stderr)
-        return EXIT_USAGE
     except (gain.PatternBudgetError, decoder.CandidateBudgetError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        print("run 'qostbc --help' for usage", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

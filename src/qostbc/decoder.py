@@ -38,11 +38,12 @@ never changes a decision. A group may have at most
 :data:`GROUP_CANDIDATE_CAP` candidates (:class:`CandidateBudgetError`
 otherwise).
 
-A single block is a batch of one. The exhaustive detector minimises the full
-residual ||r - sqrt(rho/Nt) H s||^2 over every codeword of one block and
-exists as the oracle. Both break metric ties toward the lexicographically
-smallest candidate (candidates are enumerated over ascending PAM levels), so
-their decisions are comparable event by event.
+A single block is a batch of one. The exhaustive detector takes, checks and
+returns what the grouped one does, minimises each frame's full residual
+||r - sqrt(rho/Nt) H s||^2 over every codeword and exists as the oracle.
+Both break metric ties toward the lexicographically smallest candidate
+(candidates are enumerated over ascending PAM levels), so their decisions
+are comparable event by event.
 """
 
 import functools
@@ -192,6 +193,27 @@ def metric_block_frames(count: int) -> int:
     return max(METRIC_BLOCK_MIN_FRAMES, METRIC_BLOCK_BYTES // (8 * count))
 
 
+def check_rho(rho: float) -> None:
+    """Raise ``ValueError`` unless the SNR ``rho`` is finite and positive."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
+
+
+def _check_batch(code: CodeDefinition, H: np.ndarray, received_batch,
+                 rho: float) -> np.ndarray:
+    """Validate a detector's inputs; returns the received batch as float64."""
+    if (H.ndim != 3 or H.shape[2] != 2 * code.K or not H.shape[1]
+            or H.shape[1] % (2 * code.T)):
+        raise ValueError(f"equivalent channels have shape {H.shape}, expected"
+                         f" (n, {2 * code.T}*Nr, {2 * code.K})")
+    received_batch = np.asarray(received_batch, dtype=np.float64)
+    if received_batch.shape != H.shape[:2]:
+        raise ValueError(f"received batch has shape {received_batch.shape}, "
+                         f"expected {H.shape[:2]}")
+    check_rho(rho)
+    return received_batch
+
+
 def detect_from_equivalent_batch(code: CodeDefinition,
                                  constellation: Constellation,
                                  H: np.ndarray, received_batch: np.ndarray,
@@ -203,16 +225,7 @@ def detect_from_equivalent_batch(code: CodeDefinition,
     ``rho`` is the SNR of the transmission model. Returns the decided rails,
     shape (n, 2K). Each row's decision depends only on that row.
     """
-    if (H.ndim != 3 or H.shape[2] != 2 * code.K or not H.shape[1]
-            or H.shape[1] % (2 * code.T)):
-        raise ValueError(f"equivalent channels have shape {H.shape}, expected"
-                         f" (n, {2 * code.T}*Nr, {2 * code.K})")
-    received_batch = np.asarray(received_batch, dtype=np.float64)
-    if received_batch.shape != H.shape[:2]:
-        raise ValueError(
-            f"received batch has shape {received_batch.shape}, expected "
-            f"{H.shape[:2]}"
-        )
+    received_batch = _check_batch(code, H, received_batch, rho)
     check_candidate_budget(code, constellation)
     n = H.shape[0]
     gram = np.swapaxes(H, 1, 2) @ H
@@ -238,21 +251,17 @@ def detect_from_equivalent_batch(code: CodeDefinition,
 
 
 def exhaustive_ml_detect(code: CodeDefinition, constellation: Constellation,
-                         h, received, rho: float) -> np.ndarray:
-    """Oracle ML for one block: minimise the residual over all M^K codewords.
-
-    ``h`` is the complex (Nt, Nr) channel and ``received`` the stacked
-    vector of length 2*T*Nr; returns the decided rails (2K,).
-    """
+                         H: np.ndarray, received_batch: np.ndarray,
+                         rho: float) -> np.ndarray:
+    """Oracle ML: each frame's decision minimises ||r - sqrt(rho/Nt) H s||^2
+    over all M^K codewords. Takes and returns what
+    :func:`detect_from_equivalent_batch` does."""
+    received_batch = _check_batch(code, H, received_batch, rho)
     count = constellation.order ** code.K
     if count > EXHAUSTIVE_BUDGET:
-        raise ValueError(
-            f"exhaustive search over {count} codewords exceeds budget "
-            f"{EXHAUSTIVE_BUDGET}"
-        )
-    r = np.asarray(received, dtype=np.float64)
-    H = equivalent_channel(code, h)
+        raise ValueError(f"exhaustive search over {count} codewords exceeds "
+                         f"budget {EXHAUSTIVE_BUDGET}")
     cands = group_candidates(constellation, 2 * code.K)
-    resid = r[None, :] - math.sqrt(rho / code.nt) * cands @ H.T
-    vals = np.einsum("ct,ct->c", resid, resid)
-    return cands[int(np.argmin(vals))]
+    factor = math.sqrt(rho / code.nt)
+    resids = (r - factor * cands @ Hf.T for Hf, r in zip(H, received_batch))
+    return cands[[np.argmin(np.einsum("ct,ct->c", e, e)) for e in resids]]

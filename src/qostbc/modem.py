@@ -23,12 +23,13 @@ SUPPORTED_ORDERS = (4, 16, 64, 256)
 class Constellation:
     """Unit-average-energy square QAM decomposed into two PAM rails.
 
-    ``pam_levels`` holds the rail levels in descending order; position ``i``
-    carries the Gray code of ``i`` as its bit label.
+    ``pam_levels`` holds the rail levels in descending order (``==`` skips
+    them: they follow from the order); position ``i`` carries the Gray code
+    of ``i`` as its bit label.
     """
 
     order: int
-    pam_levels: np.ndarray = field(repr=False)
+    pam_levels: np.ndarray = field(repr=False, compare=False)
     d_min: float
     bits_per_symbol: int
 

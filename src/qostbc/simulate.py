@@ -11,6 +11,9 @@ unit variance per complex sample (0.5 per real rail). With the codes'
 power-normalised dispersion matrices this makes rho the per-receive-antenna
 SNR, independent of the number of transmit antennas.
 
+Every stage takes a batch of n codewords, from (n, Nt, Nr) channels to
+(n, 2K) decisions; one codeword is a batch of one.
+
 Determinism contract: every SNR point consumes a sequence of fixed-size
 chunks; chunk ``c`` of point ``i`` draws all its randomness from
 ``Philox(SeedSequence([seed, i, c]))`` in the order bits, channel, noise.
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import equivalent_channel, expansion_stack
+from .analysis import equivalent_channel
 from .catalog import CodeDefinition, build
-from .decoder import check_candidate_budget, detect_from_equivalent_batch
+from .decoder import (check_candidate_budget, check_rho,
+                      detect_from_equivalent_batch)
 from .modem import Constellation, make_qam, modulation_name
 
 #: codewords simulated per deterministic chunk
@@ -48,13 +52,12 @@ CSV_COLUMNS = ("code", "mod", "nr", "snr_db", "bits", "bit_errors", "ber",
                "frames", "frame_errors", "fer", "seed")
 
 
-def draw_channel(rng: np.random.Generator, nt: int, nr: int = 1,
-                 batch: int = None) -> np.ndarray:
-    """One (Nt, Nr) matrix of unit-variance circular complex Gaussian gains,
-    or a (batch, Nt, Nr) stack of independent ones."""
-    shape = (nt, nr) if batch is None else (batch, nt, nr)
-    return (rng.standard_normal(shape)
-            + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+def draw_channel(rng: np.random.Generator, nt: int, nr: int,
+                 n: int) -> np.ndarray:
+    """An (n, Nt, Nr) stack of independent (Nt, Nr) channels of
+    unit-variance circular complex Gaussian gains."""
+    return (rng.standard_normal((n, nt, nr))
+            + 1j * rng.standard_normal((n, nt, nr))) / math.sqrt(2.0)
 
 
 def transmit(code: CodeDefinition, H: np.ndarray, real_symbols: np.ndarray,
@@ -63,8 +66,10 @@ def transmit(code: CodeDefinition, H: np.ndarray, real_symbols: np.ndarray,
 
     ``H`` holds the equivalent channels (n, 2*T*Nr, 2K), ``real_symbols``
     the rails (n, 2K) and ``noise`` the stacked noise (n, 2*T*Nr), drawn by
-    the caller with variance 0.5 per rail; returns the received batch.
+    the caller with variance 0.5 per rail; ``rho`` must be finite and
+    positive. Returns the received batch.
     """
+    check_rho(rho)
     scale = math.sqrt(rho / code.nt)
     return scale * np.einsum("btp,bp->bt", H, real_symbols) + noise
 
@@ -129,16 +134,15 @@ def _chunk_rng(seed: int, point_index: int, chunk_index: int) -> np.random.Gener
 
 
 def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
-                    stack: np.ndarray, nr: int, rho: float,
-                    rng: np.random.Generator, n: int):
+                    nr: int, rho: float, rng: np.random.Generator, n: int):
     """Simulate n codewords; returns (bit_errors, frame_errors, bits)."""
     bps = constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=(n, code.K * bps))
-    h = draw_channel(rng, code.nt, nr, batch=n)
+    h = draw_channel(rng, code.nt, nr, n)
     noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
 
     s = constellation.modulate(bits)
-    H = equivalent_channel(code, h, stack)
+    H = equivalent_channel(code, h)
     r = transmit(code, H, s, rho, noise)
     decided = detect_from_equivalent_batch(code, constellation, H, r, rho)
     errors = constellation.demap(decided) != bits
@@ -147,7 +151,7 @@ def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
 
 
 def _run_point(code: CodeDefinition, constellation: Constellation,
-               stack: np.ndarray, config: SimConfig, point_index: int) -> BerPoint:
+               config: SimConfig, point_index: int) -> BerPoint:
     snr_db = config.snr_db[point_index]
     rho = 10.0 ** (snr_db / 10.0)
     bit_errors = frame_errors = frames = bits = 0
@@ -155,9 +159,8 @@ def _run_point(code: CodeDefinition, constellation: Constellation,
     while bit_errors < config.min_bit_errors and frames < config.max_channel_uses:
         n = min(CHUNK_FRAMES, config.max_channel_uses - frames)
         rng = _chunk_rng(config.seed, point_index, chunk_index)
-        be, fe, nb = _simulate_chunk(
-            code, constellation, stack, config.nr, rho, rng, n
-        )
+        be, fe, nb = _simulate_chunk(code, constellation, config.nr, rho,
+                                     rng, n)
         bit_errors += be
         frame_errors += fe
         frames += n
@@ -182,17 +185,15 @@ def run_ber(config: SimConfig) -> BerCurve:
     code = build(config.code)
     constellation = make_qam(config.modulation)
     check_candidate_budget(code, constellation)
-    stack = expansion_stack(code)
     indices = range(len(config.snr_db))
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             points = list(pool.map(
-                lambda i: _run_point(code, constellation, stack, config, i),
+                lambda i: _run_point(code, constellation, config, i),
                 indices,
             ))
     else:
-        points = [_run_point(code, constellation, stack, config, i)
-                  for i in indices]
+        points = [_run_point(code, constellation, config, i) for i in indices]
     return BerCurve(config=config, points=tuple(points))
 
 

@@ -134,14 +134,14 @@ def test_criterion_09_decoder_oracle_equivalence():
     rng = np.random.default_rng(np.random.SeedSequence([909, 42]))
     hits = 0
     for _ in range(1000):
-        h = simulate.draw_channel(rng, 4, 1)
+        h = simulate.draw_channel(rng, 4, 1, 1)
         s = QAM4.modulate(rng.integers(0, 2, 8))
-        H = analysis.equivalent_channel(code, h)[None]
+        H = analysis.equivalent_channel(code, h)
         noise = rng.standard_normal((1, H.shape[1])) * math.sqrt(0.5)
         r = simulate.transmit(code, H, s[None], rho, noise)
         g = decoder.detect_from_equivalent_batch(code, QAM4, H, r, rho)[0]
         received = closed_form.unstack_received(r[0], 4)
-        lit = closed_form.q4lt_detect(QAM4, h, received)
+        lit = closed_form.q4lt_detect(QAM4, h[0], received)
         hits += int(np.array_equal(g, lit))
     report_checks(9, oracle, ("closed-form metric", hits == 1000,
                               f"{hits}/1000"), elapsed(t0, 60.0))

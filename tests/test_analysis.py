@@ -1,6 +1,8 @@
 """Quasi-orthogonality analysis tests: pair-check tables, grouping
 regressions, and the matched-filter Gram structure."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,37 +174,33 @@ def test_expansion_determinant_is_squared_magnitude(seed, n):
 class TestEquivalentChannel:
     def test_unit_channel_selects_first_columns(self):
         code = build("Q4")
-        h = np.zeros((4, 1), dtype=complex)
-        h[0, 0] = 1.0
-        H = analysis.equivalent_channel(code, h)
+        h = np.zeros((1, 4, 1), dtype=complex)
+        h[0, 0, 0] = 1.0
+        H = analysis.equivalent_channel(code, h)[0]
         for p in range(8):
             exp = real_expansion(code.dispersion[p])
             assert np.allclose(H[:, p], exp[:, 0], atol=1e-15)
 
     def test_zero_channel(self):
-        H = analysis.equivalent_channel(build("Q4"), np.zeros((4, 1)))
-        assert np.all(H == 0)
+        H = analysis.equivalent_channel(build("Q4"), np.zeros((1, 4, 1)))
+        assert H.shape == (1, 8, 8) and np.all(H == 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="transmit"):
-            analysis.equivalent_channel(build("Q4"), np.zeros((3, 1)))
+            analysis.equivalent_channel(build("Q4"), np.zeros((1, 3, 1)))
 
     def test_shape_with_two_receive_antennas(self):
         code = build("Q8")
         rng = np.random.default_rng(5)
-        h = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        h = (rng.standard_normal((3, 8, 2))
+             + 1j * rng.standard_normal((3, 8, 2)))
         H = analysis.equivalent_channel(code, h)
-        assert H.shape == (2 * 8 * 2, 12)
+        assert H.shape == (3, 2 * 8 * 2, 12)
 
-    def test_batch_matches_single(self):
-        code = build("T8_CR")
-        rng = np.random.default_rng(19)
-        h = rng.standard_normal((16, 8, 2)) + 1j * rng.standard_normal((16, 8, 2))
-        batch = analysis.equivalent_channel(code, h)
-        assert batch.shape == (16, 2 * 8 * 2, 16)
-        for i in range(16):
-            assert np.array_equal(batch[i],
-                                  analysis.equivalent_channel(code, h[i]))
+    @pytest.mark.parametrize("shape", [(4, 1), (4,), (1, 1, 4, 1)])
+    def test_rejects_a_channel_that_is_not_a_batch(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            analysis.equivalent_channel(build("Q4"), np.zeros(shape))
 
     def test_matched_filter_reproduces_metric_terms(self):
         # H^T r equals the real/imaginary parts of the per-symbol matched
@@ -212,7 +210,7 @@ class TestEquivalentChannel:
         for _ in range(100):
             h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
             r = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-            H = analysis.equivalent_channel(code, h)
+            H = analysis.equivalent_channel(code, h[None])[0]
             z = H.T @ stack_received(r)
             alpha, beta, chi, delta, _, _, _ = matched_filter_terms(h, r)
             assert z[0] == pytest.approx(-alpha.real, abs=1e-10)
@@ -226,8 +224,8 @@ class TestEquivalentChannel:
 
 
 def gram(code, h):
-    """The matched-filter Gram H^T H of one channel."""
-    H = analysis.equivalent_channel(code, h)
+    """The matched-filter Gram H^T H of one (Nt, Nr) channel."""
+    H = analysis.equivalent_channel(code, h[None])[0]
     return H.T @ H
 
 

@@ -112,6 +112,16 @@ class TestCodeDefinition:
         code = build(name)
         assert CodeDefinition("x", code.dispersion).grouping == code.grouping
 
+    def test_codes_compare_and_hash_by_identity(self):
+        # transformed codes share their base's name, so equal names and
+        # equal stacks do not make two codes the same
+        code = build("Q4")
+        twin = CodeDefinition("Q4", code.dispersion)
+        assert (code == twin) is False
+        assert (code == build("Q4")) is True
+        assert len({code, twin, build("Q4")}) == 2
+        assert hash(code) == hash(build("Q4"))
+
 
 class TestEncode:
     @pytest.mark.parametrize("name", catalog.CODE_NAMES)

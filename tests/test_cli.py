@@ -577,3 +577,16 @@ def test_fuzzed_command_lines_fail_cleanly(case, plot):
             assert not os.path.exists(out), argv
         if rejected:
             assert status == 1 and not pools, argv
+
+
+def test_library_value_error_prints_the_help_hint(capsys, tmp_path):
+    # a bad value the library rejects is bad input like an unknown flag:
+    # one message, then the hint, exit 1 and no artifact
+    out = tmp_path / "out.json"
+    status, stdout, err = run_cli(capsys, [
+        "transform", "--code", "Q4", "--cr-angle", "45", "--cr-symbols", "9",
+        "--out", str(out)])
+    assert status == 1 and stdout == ""
+    assert err == ("symbol index 9 outside 1..4\n"
+                   "run 'qostbc --help' for usage\n")
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Detector tests: grouped vs exhaustive ML agreement and the closed-form
 metric cross-checks."""
 
+import inspect
 import itertools
 import re
 import tracemalloc
@@ -22,21 +23,29 @@ QAM4 = make_qam(4)
 
 
 def send(code, s, h, rho, noise):
-    """Transmit one codeword as a batch of one."""
-    H = equivalent_channel(code, h)
-    return transmit(code, H[None], s[None], rho, noise[None])[0]
+    """Transmit one codeword through one (Nt, Nr) channel as a batch of one."""
+    H = equivalent_channel(code, h[None])
+    return transmit(code, H, s[None], rho, noise[None])[0]
+
+
+def one_block(detector, code, constellation, h, r, rho):
+    """``detector``'s decision on one block, passed as a batch of one."""
+    H = equivalent_channel(code, h[None])
+    return detector(code, constellation, H, r[None], rho)[0]
 
 
 def grouped_detect(code, constellation, h, r, rho):
-    """Grouped detection of one block as a batch of one."""
-    H = equivalent_channel(code, h)
-    return decoder.detect_from_equivalent_batch(
-        code, constellation, H[None], r[None], rho
-    )[0]
+    return one_block(decoder.detect_from_equivalent_batch, code,
+                     constellation, h, r, rho)
+
+
+def exhaustive_detect(code, constellation, h, r, rho):
+    return one_block(decoder.exhaustive_ml_detect, code, constellation, h, r,
+                     rho)
 
 
 def random_transmission(code, constellation, rng, rho, nr=1):
-    h = draw_channel(rng, code.nt, nr)
+    h = draw_channel(rng, code.nt, nr, 1)[0]
     bits = rng.integers(0, 2, code.K * constellation.bits_per_symbol)
     s = constellation.modulate(bits)
     noise = rng.standard_normal(2 * code.T * nr) * np.sqrt(0.5)
@@ -51,7 +60,7 @@ class TestNoiselessConsistency:
         code = build(name)
         rng = np.random.default_rng(997)
         for _ in range(5):
-            h = draw_channel(rng, code.nt, 1)
+            h = draw_channel(rng, code.nt, 1, 1)[0]
             bits = rng.integers(0, 2, code.K * QAM4.bits_per_symbol)
             s = QAM4.modulate(bits)
             r = send(code, s, h, 10.0, np.zeros(2 * code.T))
@@ -69,7 +78,7 @@ class TestOracleEquivalence:
         for _ in range(250):
             h, s, r = random_transmission(code, QAM4, rng, rho, nr)
             g = grouped_detect(code, QAM4, h, r, rho)
-            e = decoder.exhaustive_ml_detect(code, QAM4, h, r, rho)
+            e = exhaustive_detect(code, QAM4, h, r, rho)
             assert np.array_equal(g, e)
 
     def test_batch_matches_single(self):
@@ -83,7 +92,7 @@ class TestOracleEquivalence:
         rho = 8.0
         received = np.empty((n, 8))
         for i in range(n):
-            H = equivalent_channel(code, h[i])
+            H = equivalent_channel(code, h[i:i + 1])[0]
             received[i] = np.sqrt(rho / 4) * (H @ s[i]) \
                 + rng.standard_normal(8) * np.sqrt(0.5)
         batch = decoder.detect_from_equivalent_batch(
@@ -108,11 +117,38 @@ class TestOracleEquivalence:
             decoder.detect_from_equivalent_batch(
                 build("Q4"), QAM4, np.ones(shape), np.zeros(shape[:2]), 1.0)
 
+    def test_oracle_batch_decides_like_batches_of_one(self):
+        code = build("Q4_CR")
+        H, r, rho = random_batch(code, QAM4, 64, 37)
+        batch = decoder.exhaustive_ml_detect(code, QAM4, H, r, rho)
+        assert batch.shape == (64, 2 * code.K)
+        for i in range(64):
+            single = decoder.exhaustive_ml_detect(code, QAM4, H[i:i + 1],
+                                                  r[i:i + 1], rho)
+            assert np.array_equal(batch[i:i + 1], single)
+        assert np.array_equal(
+            batch, decoder.detect_from_equivalent_batch(code, QAM4, H, r,
+                                                        rho))
+
+    @pytest.mark.parametrize("shape", [(2, 8, 10), (2, 0, 8), (8, 8)])
+    def test_oracle_channel_shape_checked(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            decoder.exhaustive_ml_detect(
+                build("Q4"), QAM4, np.ones(shape), np.zeros(shape[:2]), 1.0)
+
+    def test_oracle_received_shape_checked(self):
+        code = build("Q4")
+        H = equivalent_channel(code, np.ones((3, 4, 1)))
+        with pytest.raises(ValueError, match="received batch"):
+            decoder.exhaustive_ml_detect(code, QAM4, H, np.zeros((3, 16)),
+                                         1.0)
+
     def test_exhaustive_budget_guard(self):
         code = build("T8")
         with pytest.raises(ValueError, match="budget"):
             decoder.exhaustive_ml_detect(code, make_qam(16),
-                                         np.zeros((8, 1)), np.zeros(32), 1.0)
+                                         np.zeros((1, 16, 16)),
+                                         np.zeros((1, 16)), 1.0)
 
     def test_zero_channel_tie_break(self):
         # all metrics tie at zero; both detectors must pick the
@@ -121,10 +157,34 @@ class TestOracleEquivalence:
         h = np.zeros((4, 1), dtype=complex)
         r = np.zeros(8)
         g = grouped_detect(code, QAM4, h, r, 1.0)
-        e = decoder.exhaustive_ml_detect(code, QAM4, h, r, 1.0)
+        e = exhaustive_detect(code, QAM4, h, r, 1.0)
         lowest = np.min(QAM4.pam_levels)
         assert np.all(g == lowest)
         assert np.array_equal(g, e)
+
+
+DETECTORS = (decoder.detect_from_equivalent_batch,
+             decoder.exhaustive_ml_detect)
+
+
+class TestOneInterface:
+    """Both detectors take (code, constellation, H, received_batch, rho)
+    and check these inputs the same way."""
+
+    def test_detectors_share_parameter_names(self):
+        names = [list(inspect.signature(d).parameters) for d in DETECTORS]
+        assert names[0] == names[1] == [
+            "code", "constellation", "H", "received_batch", "rho"]
+
+    @pytest.mark.parametrize("detector", DETECTORS,
+                             ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_a_rho_that_is_not_finite_and_positive(self, detector,
+                                                           rho):
+        code = build("Q4_LT")
+        H, r, _ = random_batch(code, QAM4, 4, 31)
+        with pytest.raises(ValueError, match=f"rho .*{rho}"):
+            detector(code, QAM4, H, r, rho)
 
 
 class TestCandidateCounts:
@@ -172,7 +232,7 @@ def random_batch(code, constellation, n, seed, snr_db=6.0, nr=1):
     """(H, r, rho) of n random codewords sent at ``snr_db``."""
     rng = np.random.default_rng(seed)
     rho = 10.0 ** (snr_db / 10.0)
-    h = draw_channel(rng, code.nt, nr, batch=n)
+    h = draw_channel(rng, code.nt, nr, n)
     bits = rng.integers(0, 2, (n, code.K * constellation.bits_per_symbol))
     H = equivalent_channel(code, h)
     noise = rng.standard_normal(H.shape[:2]) * np.sqrt(0.5)
@@ -252,7 +312,7 @@ class TestMetricMemory:
     def batch(name, constellation, n, seed):
         code = build(name)
         rng = np.random.default_rng(seed)
-        h = draw_channel(rng, code.nt, 1, batch=n)
+        h = draw_channel(rng, code.nt, 1, n)
         bits = rng.integers(0, 2, (n, code.K * constellation.bits_per_symbol))
         H = equivalent_channel(code, h)
         noise = rng.standard_normal((n, 2 * code.T)) * np.sqrt(0.5)
@@ -335,9 +395,9 @@ class TestMetricMemory:
             code = build(name)
             for nr in (1, 2):
                 for qam in (QAM4, make_qam(16)):
-                    h = draw_channel(rng, code.nt, nr)
+                    h = draw_channel(rng, code.nt, nr, 1)
                     r = rng.standard_normal(2 * code.T * nr)
-                    H = equivalent_channel(code, h)
+                    H = equivalent_channel(code, h)[0]
                     gram, z = H.T @ H, H.T @ r
                     factor = np.sqrt(1.0 / code.nt)
                     for group in code.grouping:
@@ -378,7 +438,7 @@ class TestTieBreak:
         h = np.zeros((code.nt, 1), dtype=complex)
         r = np.zeros(2 * code.T)
         g = grouped_detect(code, QAM4, h, r, 1.0)
-        e = decoder.exhaustive_ml_detect(code, QAM4, h, r, 1.0)
+        e = exhaustive_detect(code, QAM4, h, r, 1.0)
         assert np.all(g == np.min(QAM4.pam_levels))
         assert np.array_equal(g, e)
 
@@ -390,9 +450,9 @@ class TestTieBreak:
         # keep the smaller of the pair (first rail negative)
         code = build(name)
         rng = np.random.default_rng([67, len(name), code.K])
-        h = draw_channel(rng, code.nt, 1)
+        h = draw_channel(rng, code.nt, 1, 1)[0]
         r = np.zeros(2 * code.T)
-        H = equivalent_channel(code, h)
+        H = equivalent_channel(code, h[None])[0]
         g = grouped_detect(code, QAM4, h, r, 1.0)
         for group in code.grouping:
             idx = np.array(group) - 1
@@ -402,7 +462,7 @@ class TestTieBreak:
             assert np.array_equal(g[idx], cands[pick])
             assert metric[mirror] == metric[pick]
             assert g[idx][0] < 0
-        e = decoder.exhaustive_ml_detect(code, QAM4, h, r, 1.0)
+        e = exhaustive_detect(code, QAM4, h, r, 1.0)
         cands = decoder.group_candidates(QAM4, 2 * code.K)
         resid = r - np.sqrt(1.0 / code.nt) * cands @ H.T
         vals = np.einsum("ct,ct->c", resid, resid)
@@ -486,7 +546,7 @@ class TestOrthogonalBenchmarkDecoding:
         for _ in range(200):
             h, s, r = random_transmission(code, QAM4, rng, rho)
             out = grouped_detect(code, QAM4, h, r, rho)
-            H = equivalent_channel(code, h)
+            H = equivalent_channel(code, h[None])[0]
             z = H.T @ r
             gram = np.diag(H.T @ H)
             estimate = z / (np.sqrt(rho / code.nt) * gram)

@@ -141,6 +141,14 @@ class TestArithmeticDemap:
             assert np.array_equal(qam.demap(rails), argmin_demap(qam, rails))
 
 
+def test_constellations_compare_and_hash_by_their_order():
+    # the levels follow from the order and take no part in == or hash()
+    assert (modem.make_qam(4) == modem.make_qam(4)) is True
+    assert (modem.make_qam(4) == modem.make_qam(16)) is False
+    assert hash(modem.make_qam(16)) == hash(modem.make_qam(16))
+    assert len({modem.make_qam(order) for order in (4, 16, 4)}) == 2
+
+
 def test_demap_rejects_nan():
     qam = modem.make_qam(16)
     with pytest.raises(ValueError, match="NaN"):

@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: channel statistics, SNR calibration,
 determinism, and the curve-analysis helpers."""
 
+import inspect
 import math
 
 import numpy as np
@@ -15,22 +16,34 @@ from qostbc.modem import make_qam
 class TestChannelDraws:
     def test_mean_power(self):
         rng = np.random.default_rng(1)
-        h = simulate.draw_channel(rng, 4, 25000)
+        h = simulate.draw_channel(rng, 4, 25000, 1)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_component_variances(self):
         rng = np.random.default_rng(2)
-        h = simulate.draw_channel(rng, 4, 25000)
+        h = simulate.draw_channel(rng, 4, 25000, 1)
         assert np.var(h.real) == pytest.approx(0.5, abs=0.02)
         assert np.var(h.imag) == pytest.approx(0.5, abs=0.02)
 
     def test_seeded_reproducibility(self):
-        a = simulate.draw_channel(np.random.default_rng(7), 8, 2)
-        b = simulate.draw_channel(np.random.default_rng(7), 8, 2)
+        a = simulate.draw_channel(np.random.default_rng(7), 8, 2, 1)
+        b = simulate.draw_channel(np.random.default_rng(7), 8, 2, 1)
         assert np.array_equal(a, b)
 
+    def test_draws_a_batch_with_no_batch_parameter(self):
+        # (rng, nt, nr, n) and nothing else; a batch of one draws the real
+        # parts, then the imaginary parts, of one (Nt, Nr) channel
+        assert list(inspect.signature(simulate.draw_channel).parameters) == [
+            "rng", "nt", "nr", "n"]
+        h = simulate.draw_channel(np.random.default_rng(9), 4, 2, 1)
+        rng = np.random.default_rng(9)
+        want = (rng.standard_normal((4, 2))
+                + 1j * rng.standard_normal((4, 2))) / math.sqrt(2.0)
+        assert h.shape == (1, 4, 2)
+        assert np.array_equal(h[0], want)
+
     def test_batch_of_independent_draws(self):
-        h = simulate.draw_channel(np.random.default_rng(8), 4, 2, batch=6000)
+        h = simulate.draw_channel(np.random.default_rng(8), 4, 2, 6000)
         assert h.shape == (6000, 4, 2)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
         corr = np.mean(h[:, 0, 0] * np.conj(h[:, 1, 1]))
@@ -38,9 +51,9 @@ class TestChannelDraws:
 
 
 def send(code, s, h, rho, noise):
-    """Transmit one codeword as a batch of one."""
-    H = equivalent_channel(code, h)
-    return simulate.transmit(code, H[None], s[None], rho, noise[None])[0]
+    """Transmit one codeword through one (Nt, Nr) channel as a batch of one."""
+    H = equivalent_channel(code, h[None])
+    return simulate.transmit(code, H, s[None], rho, noise[None])[0]
 
 
 class TestTransmit:
@@ -48,12 +61,20 @@ class TestTransmit:
         code = build("Q4")
         qam = make_qam(4)
         rng = np.random.default_rng(3)
-        h = simulate.draw_channel(rng, 4, 1)
+        h = simulate.draw_channel(rng, 4, 1, 1)[0]
         s = qam.modulate(rng.integers(0, 2, 8))
         rho = 7.0
         r = send(code, s, h, rho, np.zeros(2 * code.T))
-        H = equivalent_channel(code, h)
+        H = equivalent_channel(code, h[None])[0]
         assert np.allclose(r, np.sqrt(rho / 4) * (H @ s), atol=1e-14)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_rho_that_is_not_finite_and_positive(self, rho):
+        code = build("Q4")
+        H = np.ones((2, 2 * code.T, 2 * code.K))
+        with pytest.raises(ValueError, match=f"rho .*{rho}"):
+            simulate.transmit(code, H, np.ones((2, 2 * code.K)), rho,
+                              np.zeros((2, 2 * code.T)))
 
     def test_noise_energy(self):
         code = build("Q4")
@@ -77,7 +98,7 @@ class TestTransmit:
         rng = np.random.default_rng(5)
         sig = noi = 0.0
         for _ in range(10000):
-            h = simulate.draw_channel(rng, code.nt, 1)
+            h = simulate.draw_channel(rng, code.nt, 1, 1)[0]
             s = qam.modulate(rng.integers(0, 2, 8))
             clean = send(code, s, h, 1.0, np.zeros(2 * code.T))
             sig += float(clean @ clean)
