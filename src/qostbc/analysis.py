@@ -1,14 +1,14 @@
 """Quasi-orthogonality analysis: pair table, grouping discovery, equivalent channel.
 
 Two dispersion matrices A_p, A_q form an orthogonal pair when their Hermitian
-anticommutator vanishes, A_p^H A_q + A_q^H A_p = 0. :func:`qo_table` holds
-that check for every rail pair, from one table of anticommutator norms.
-Pairs that violate it couple after matched filtering; the connected
-components of the violation graph are the code's symbol groups
-(:func:`components_from_stack`, run once on a code's stack when the
-:class:`CodeDefinition` is made; ``code.grouping`` is its result), and the
-real matched-filter Gram H^T H is block-diagonal along exactly that
-partition.
+anticommutator N_pq = P_pq + P_qp vanishes, P_pq = A_p^H A_q the package's
+one pair-product tensor (:func:`pair_products`; its real part gives the
+coding-gain factor forms, and N's blocks up to sign the decoder's Gram
+classes). :func:`qo_table` holds that check for every rail pair. Pairs that
+violate it couple after matched filtering; the connected components of the
+violation graph are the code's symbol groups (:func:`components_from_stack`,
+a transitive closure run once per :class:`CodeDefinition`; ``code.grouping``
+is its result), and H^T H is block-diagonal along exactly that partition.
 
 :func:`equivalent_channel` is the package's single equivalent-channel
 implementation. It takes only a batch (n, Nt, Nr) of channels (one channel
@@ -43,10 +43,15 @@ def qo_table(code: "CodeDefinition") -> np.ndarray:
     return _anticommutator_table(code.dispersion) < QO_TOL
 
 
+def pair_products(stack) -> np.ndarray:
+    """(m, m, Nt, Nt) pair products A_a^H A_b of an (m, T, Nt) stack."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    return np.einsum("pji,qjk->pqik", stack.conj(), stack)
+
+
 def _anticommutator_table(stack) -> np.ndarray:
     """(2K, 2K) matrix of anticommutator max-norms for every rail pair."""
-    stack = np.asarray(stack, dtype=np.complex128)
-    herm = np.einsum("pji,qjk->pqik", stack.conj(), stack)
+    herm = pair_products(stack)
     return np.abs(herm + herm.transpose(1, 0, 2, 3)).max(axis=(2, 3))
 
 
@@ -54,26 +59,11 @@ def components_from_stack(stack):
     """Symbol groups of a (2K, T, Nt) dispersion stack: the components of
     its pair-check violations, each sorted, ordered by smallest rail."""
     n = len(stack)
-    coupled = _anticommutator_table(stack) >= QO_TOL
-    np.fill_diagonal(coupled, False)
-
-    seen = np.zeros(n, dtype=bool)
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp, frontier = [], [start]
-        seen[start] = True
-        while frontier:
-            u = frontier.pop()
-            comp.append(u)
-            for v in np.nonzero(coupled[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    frontier.append(int(v))
-        groups.append(tuple(sorted(i + 1 for i in comp)))
-    groups.sort(key=lambda g: g[0])
-    return tuple(groups)
+    reach = (_anticommutator_table(stack) >= QO_TOL) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):  # paths of up to 2^k steps
+        reach = reach @ reach
+    return tuple(dict.fromkeys(tuple((np.flatnonzero(row) + 1).tolist())
+                               for row in reach))
 
 
 def real_expansion(a) -> np.ndarray:

@@ -14,20 +14,20 @@ which shares its argmin with the exact per-group ML metric.
 
 The metric is scored on the group's distinct Gram functionals. Gram entry
 (i, j) is the sum over receive antennas of x^T Q_ij x, x the antenna's
-channel rails and Q_ij = sym(S_i^T S_j) from the real expansions S of the
-dispersion matrices (:func:`gram_classes`). Entries whose form vanishes are
-zero for every channel, and entries whose forms agree up to sign are equal
-up to sign, so the g(g+1)/2 upper-triangle entries collapse to R classes:
-2 per group for Q4_CR, 6 for T8_CR; codes without such structure (T8_LT)
-keep all of them. The metric is then one matrix product per group: the
-(n, R + g) weights [sqrt(rho/Nt) G at each class's representative entry,
--2 z_g] times a (R + g, C) feature matrix whose row for a class is the
-signed sum of its pair products s_i s_j (doubled off the diagonal),
-followed by the candidate rails. In exact arithmetic this is the same
-metric, so the argmin and its tie-break are unchanged. The candidates and
-features depend only on the group's expansion sub-stack and the PAM levels;
-they are built once, cached by that content (never by code name) in a
-bounded cache, and read-only.
+channel rails and Q_ij the real expansion of N_ij / 2, with the pair
+anticommutator N_ij = A_i^H A_j + A_j^H A_i (:func:`gram_classes`). Entries
+whose form vanishes are zero for every channel, and entries whose forms
+agree up to sign are equal up to sign, so the g(g+1)/2 upper-triangle
+entries collapse to R classes: 2 per group for Q4_CR, 6 for T8_CR; codes
+without such structure (T8_LT) keep all of them. The metric is then one
+matrix product per group: the (n, R + g) weights [sqrt(rho/Nt) G at each
+class's representative entry, -2 z_g] times a (R + g, C) feature matrix
+whose row for a class is the signed sum of its pair products s_i s_j
+(doubled off the diagonal), followed by the candidate rails. In exact
+arithmetic this is the same metric, so the argmin and its tie-break are
+unchanged. The candidates and features depend only on the group's dispersion
+sub-stack and the PAM levels; they are built once, cached by that content
+(never by code name) in a bounded cache, and read-only.
 
 Frames are scored in blocks whose (frames, C) float64 metric stays within
 :data:`METRIC_BLOCK_BYTES`, about an L2 cache, and holds at least
@@ -51,8 +51,8 @@ import math
 
 import numpy as np
 
-from .analysis import (QO_TOL, equivalent_channel, expansion_stack,
-                       joint_detection_size)
+from .analysis import (QO_TOL, equivalent_channel, joint_detection_size,
+                       pair_products)
 from .catalog import CodeDefinition
 from .modem import Constellation, lex_vectors
 
@@ -101,32 +101,34 @@ def check_candidate_budget(code: CodeDefinition,
         raise CandidateBudgetError(count)
 
 
-def gram_classes(stack_rows):
+def gram_classes(sub_stack):
     """The distinct Gram functionals of a symbol group.
 
-    ``stack_rows`` is the group's (g, 2T, 2Nt) real expansion sub-stack.
-    Gram entry (i, j) is the sum over receive antennas of x^T Q_ij x, x the
-    antenna's channel rails and Q_ij = sym(S_i^T S_j), so entries whose
-    forms vanish are zero for every channel and entries whose forms agree
-    up to sign are equal up to sign. Forms within QO_TOL (max-norm) of zero
-    or of each other are treated as such. Returns ``reps``, the (R, 2)
-    group-local index pairs of each class's first upper-triangle entry, and
-    ``merge``, the (R, g(g+1)/2) matrix whose row r holds the sign (+1 or -1)
-    of every upper-triangle entry of class r relative to its representative.
+    ``sub_stack`` is the group's (g, T, Nt) dispersion sub-stack. Gram entry
+    (i, j) is the sum over receive antennas of x^T Q_ij x, x the antenna's
+    channel rails and Q_ij the real expansion of N_ij / 2 (N_ij the pair
+    anticommutator), so entries whose forms vanish are zero for every channel
+    and entries whose forms agree up to sign are equal up to sign. Forms
+    within QO_TOL (max-norm, so 2 QO_TOL on N_ij's real and imaginary parts)
+    of zero or of each other are treated as such. Returns ``reps``, the
+    (R, 2) group-local index pairs of each class's first upper-triangle
+    entry, and ``merge``, the (R, g(g+1)/2) matrix whose row r holds the sign
+    (+1 or -1) of every upper-triangle entry of class r relative to its
+    representative.
     """
-    stack_rows = np.asarray(stack_rows, dtype=np.float64)
-    prods = np.einsum("iab,jac->ijbc", stack_rows, stack_rows)
-    forms = 0.5 * (prods + prods.transpose(1, 0, 2, 3))
-    rows, cols = np.triu_indices(len(stack_rows))
+    prods = pair_products(sub_stack)
+    anti = prods + prods.transpose(1, 0, 2, 3)
+    forms = np.concatenate([anti.real, anti.imag], axis=-1)
+    rows, cols = np.triu_indices(len(forms))
     reps, merge = [], []
     for k, form in enumerate(forms[rows, cols]):
-        if np.abs(form).max() < QO_TOL:
+        if np.abs(form).max() < 2 * QO_TOL:
             continue
         for r, (a, b) in enumerate(reps):
-            if np.abs(form - forms[a, b]).max() < QO_TOL:
+            if np.abs(form - forms[a, b]).max() < 2 * QO_TOL:
                 merge[r][k] = 1.0
                 break
-            if np.abs(form + forms[a, b]).max() < QO_TOL:
+            if np.abs(form + forms[a, b]).max() < 2 * QO_TOL:
                 merge[r][k] = -1.0
                 break
         else:
@@ -145,7 +147,7 @@ def gram_classes(stack_rows):
 @functools.lru_cache(maxsize=256)
 def _stack_classes(stack_bytes: bytes, shape: tuple):
     """:func:`gram_classes` of a sub-stack given by its bytes, read-only."""
-    classes = gram_classes(np.frombuffer(stack_bytes).reshape(shape))
+    classes = gram_classes(np.frombuffer(stack_bytes, complex).reshape(shape))
     for table in classes:
         table.flags.writeable = False
     return classes
@@ -176,15 +178,15 @@ def _class_tables(levels: tuple, size: int, merge_bytes: bytes):
     return cands, features
 
 
-def group_tables(constellation: Constellation, stack_rows):
-    """Cached read-only tables of the group whose expansion sub-stack is
-    ``stack_rows`` (g, 2T, 2Nt): the candidates (equal to
+def group_tables(constellation: Constellation, sub_stack):
+    """Cached read-only tables of the group whose dispersion sub-stack is
+    ``sub_stack`` (g, T, Nt): the candidates (equal to
     :func:`group_candidates`), the class representatives of
     :func:`gram_classes` and the (R + g, C) metric features."""
-    stack_rows = np.ascontiguousarray(stack_rows, dtype=np.float64)
-    reps, merge = _stack_classes(stack_rows.tobytes(), stack_rows.shape)
+    sub_stack = np.ascontiguousarray(sub_stack, dtype=np.complex128)
+    reps, merge = _stack_classes(sub_stack.tobytes(), sub_stack.shape)
     cands, features = _class_tables(tuple(np.sort(constellation.pam_levels)),
-                                    len(stack_rows), merge.tobytes())
+                                    len(sub_stack), merge.tobytes())
     return cands, reps, features
 
 
@@ -199,19 +201,20 @@ def check_rho(rho: float) -> None:
         raise ValueError(f"rho must be finite and positive, got {rho}")
 
 
-def _check_batch(code: CodeDefinition, H: np.ndarray, received_batch,
-                 rho: float) -> np.ndarray:
-    """Validate a detector's inputs; returns the received batch as float64."""
+def _check_batch(code: CodeDefinition, H: np.ndarray, batch, rho: float,
+                 name: str = "received batch") -> np.ndarray:
+    """Validate ``H`` (n, 2*T*Nr, 2K), an (n, 2*T*Nr) ``batch`` (called
+    ``name`` in errors) and ``rho``; returns the batch as float64."""
     if (H.ndim != 3 or H.shape[2] != 2 * code.K or not H.shape[1]
             or H.shape[1] % (2 * code.T)):
         raise ValueError(f"equivalent channels have shape {H.shape}, expected"
                          f" (n, {2 * code.T}*Nr, {2 * code.K})")
-    received_batch = np.asarray(received_batch, dtype=np.float64)
-    if received_batch.shape != H.shape[:2]:
-        raise ValueError(f"received batch has shape {received_batch.shape}, "
-                         f"expected {H.shape[:2]}")
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.shape != H.shape[:2]:
+        raise ValueError(f"{name} has shape {batch.shape}, expected "
+                         f"{H.shape[:2]}")
     check_rho(rho)
-    return received_batch
+    return batch
 
 
 def detect_from_equivalent_batch(code: CodeDefinition,
@@ -231,13 +234,13 @@ def detect_from_equivalent_batch(code: CodeDefinition,
     gram = np.swapaxes(H, 1, 2) @ H
     z = (received_batch[:, None, :] @ H)[:, 0]
     factor = math.sqrt(rho / code.nt)
-    stack = expansion_stack(code)
 
     decided = np.empty((n, 2 * code.K))
     best = np.empty(n, dtype=np.intp)
     for group in code.grouping:
         idx = np.array(group) - 1
-        cands, reps, features = group_tables(constellation, stack[idx])
+        cands, reps, features = group_tables(constellation,
+                                               code.dispersion[idx])
         weights = np.concatenate(
             [factor * gram[:, idx[reps[:, 0]], idx[reps[:, 1]]],
              -2.0 * z[:, idx]], axis=1

@@ -39,8 +39,9 @@ widened to all 2K rails.
 
 Every enumeration is screened before it is scored. A QO-STBC Gram has paired
 eigenvalues q_1, q_1, ..., q_F, q_F (F = Nt/2), each a quadratic form
-q_k = c^T M_k c in the pattern c (:func:`_det_factor_forms`), so its
-determinant is prod_k q_k^2. The q_k come from small tables, not from
+q_k = c^T M_k c in the pattern c (:func:`_det_factor_forms`, read off the
+real part of :func:`analysis.pair_products`), so its determinant is
+prod_k q_k^2. The q_k come from small tables, not from
 materialised pattern rows (:func:`_form_blocks`): with c = (a, b) split into
 its first w // 2 rails and the rest, q_k = a^T M_aa a + b^T M_bb b
 + 2 a^T M_ab b, the square terms tabled once over the prefixes and the
@@ -85,6 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
+from .analysis import pair_products
 from .catalog import CodeDefinition, build, t8_cr_angles
 from .modem import Constellation, lex_vectors, make_qam
 from .simulate import MAX_WORKERS
@@ -393,7 +395,7 @@ def _stack_forms(stack_bytes: bytes, shape: tuple, dtype: str) -> np.ndarray:
     if nt % 2:
         raise ValueError(f"a stack with {nt} transmit antennas has no "
                          "factor forms (Nt must be even)")
-    gen = np.einsum("ati,btk->abik", sub.conj(), sub).real
+    gen = pair_products(sub).real
     rng = np.random.default_rng(np.random.SeedSequence([2024, m, nt]))
     c0 = rng.standard_normal(m)
     g0 = np.einsum("a,b,abik->ik", c0, c0, gen)

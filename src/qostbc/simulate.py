@@ -30,7 +30,7 @@ import numpy as np
 
 from .analysis import equivalent_channel
 from .catalog import CodeDefinition, build
-from .decoder import (check_candidate_budget, check_rho,
+from .decoder import (_check_batch, check_candidate_budget,
                       detect_from_equivalent_batch)
 from .modem import Constellation, make_qam, modulation_name
 
@@ -67,9 +67,12 @@ def transmit(code: CodeDefinition, H: np.ndarray, real_symbols: np.ndarray,
     ``H`` holds the equivalent channels (n, 2*T*Nr, 2K), ``real_symbols``
     the rails (n, 2K) and ``noise`` the stacked noise (n, 2*T*Nr), drawn by
     the caller with variance 0.5 per rail; ``rho`` must be finite and
-    positive. Returns the received batch.
+    positive; no shape is broadcast. Returns the received batch.
     """
-    check_rho(rho)
+    noise = _check_batch(code, H, noise, rho, "noise")
+    if np.shape(real_symbols) != (len(H), 2 * code.K):
+        raise ValueError(f"symbols have shape {np.shape(real_symbols)}, "
+                         f"expected ({len(H)}, {2 * code.K})")
     scale = math.sqrt(rho / code.nt)
     return scale * np.einsum("btp,bp->bt", H, real_symbols) + noise
 

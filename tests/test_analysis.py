@@ -14,6 +14,7 @@ from qostbc.catalog import CODE_NAMES, build
 
 from closed_form import (matched_filter_terms, stack_received,
                          unstack_received)
+from pair_reference import dfs_components, mixed_codes
 
 # non-orthogonal (X) cells of the pair-check table for the base
 # four-antenna code, 1-based column indices per row
@@ -82,6 +83,41 @@ class TestGrouping:
     ])
     def test_joint_detection_sizes(self, name, size):
         assert analysis.joint_detection_size(build(name)) == size
+
+
+class TestTransitiveClosure:
+    """The closure's groupings equal the depth-first search's, as tuples of
+    Python ints."""
+
+    @staticmethod
+    def assert_closure_matches(stack):
+        got = analysis.components_from_stack(stack)
+        assert got == dfs_components(stack)
+        assert all(type(rail) is int for group in got for rail in group)
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_catalog_and_permuted_rails(self, name):
+        # permuting the rails relabels the groups and reorders them
+        stack = build(name).dispersion
+        self.assert_closure_matches(stack)
+        rng = np.random.default_rng([CODE_NAMES.index(name), 7])
+        for _ in range(4):
+            self.assert_closure_matches(stack[rng.permutation(len(stack))])
+
+    @pytest.mark.parametrize("name", ["Q4", "Q8", "T8"])
+    def test_random_mixes_and_rotations(self, name):
+        gclt, cr = mixed_codes(name, 20, CODE_NAMES.index(name))
+        for code in gclt + cr:
+            self.assert_closure_matches(code.dispersion)
+
+    def test_pair_products(self):
+        stack = build("Q4_CR").dispersion
+        prods = analysis.pair_products(stack)
+        assert prods.shape == (8, 8, 4, 4)
+        for a in range(8):
+            for b in range(8):
+                assert np.allclose(prods[a, b], stack[a].conj().T @ stack[b],
+                                   rtol=0, atol=1e-15)
 
 
 class TestSkewSymmetry:

@@ -18,6 +18,7 @@ from qostbc.transforms import CrSpec, apply_cr
 
 import closed_form
 from closed_form import unstack_received
+from pair_reference import expansion_gram_classes, mixed_codes
 
 QAM4 = make_qam(4)
 
@@ -73,7 +74,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("nr", [1, 2])
     def test_grouped_equals_exhaustive(self, name, nr):
         code = build(name)
-        rng = np.random.default_rng(abs(hash((name, nr))) % 2 ** 32)
+        rng = np.random.default_rng([CODE_NAMES.index(name), nr])
         rho = 6.0
         for _ in range(250):
             h, s, r = random_transmission(code, QAM4, rng, rho, nr)
@@ -240,7 +241,7 @@ def random_batch(code, constellation, n, seed, snr_db=6.0, nr=1):
 
 
 def group_stack(code, group):
-    return expansion_stack(code)[np.array(group) - 1]
+    return code.dispersion[np.array(group) - 1]
 
 
 def group_metric(code, constellation, group, H, r, rho):
@@ -305,6 +306,31 @@ class TestCompressedMetric:
             assert np.array_equal(
                 decoder.detect_from_equivalent_batch(code, qam, H, r, rho),
                 uncompressed_detect(code, qam, H, r, rho))
+
+
+class TestPairProductClasses:
+    """The Gram classes read off the pair anticommutators equal the real
+    expansion reference's (the groupings are compared in test_analysis)."""
+
+    @staticmethod
+    def assert_classes_match(code):
+        rows = expansion_stack(code)
+        for group in code.grouping:
+            idx = np.array(group) - 1
+            reps, merge = decoder.gram_classes(code.dispersion[idx])
+            want_reps, want_merge = expansion_gram_classes(rows[idx])
+            assert np.array_equal(reps, want_reps), group
+            assert np.array_equal(merge, want_merge), group
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_catalog_groups(self, name):
+        self.assert_classes_match(build(name))
+
+    @pytest.mark.parametrize("name", ["Q4", "Q8", "T8"])
+    def test_random_mixes_and_rotations(self, name):
+        gclt, cr = mixed_codes(name, 20, CODE_NAMES.index(name))
+        for code in gclt + cr:
+            self.assert_classes_match(code)
 
 
 class TestMetricMemory:

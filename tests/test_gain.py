@@ -14,6 +14,7 @@ from qostbc.modem import lex_vectors, make_qam
 from qostbc.simulate import MAX_WORKERS
 
 import closed_form
+from pair_reference import einsum_factor_forms
 
 QAM4 = make_qam(4)
 D4 = QAM4.d_min
@@ -595,6 +596,15 @@ class TestFactorForms:
             idx = [r - 1 for r in rails]
             forms = gain._det_factor_forms(code.dispersion[idx])
             assert forms.shape == (code.nt // 2, len(idx), len(idx))
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_forms_equal_the_einsum_reference(self, name):
+        # Q4's groups are also the rail pairs of the angle sweep
+        code = build(name)
+        for rails in (*code.grouping, range(1, 2 * code.K + 1)):
+            sub = code.dispersion[[r - 1 for r in rails]]
+            assert np.array_equal(gain._det_factor_forms(sub),
+                                  einsum_factor_forms(sub))
 
     def test_odd_antenna_count_raises(self):
         rng = np.random.default_rng(73)

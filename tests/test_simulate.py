@@ -3,6 +3,7 @@ determinism, and the curve-analysis helpers."""
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ class TestTransmit:
         with pytest.raises(ValueError, match=f"rho .*{rho}"):
             simulate.transmit(code, H, np.ones((2, 2 * code.K)), rho,
                               np.zeros((2, 2 * code.T)))
+
+    # a Q4 batch of 3 frames: noise (3, 8), symbols (3, 8); one noise vector
+    # or symbol row is not broadcast to every frame
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (3, 16)])
+    def test_rejects_noise_that_is_not_one_row_per_frame(self, shape):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"noise has shape {shape}")):
+            simulate.transmit(build("Q4"), np.ones((3, 8, 8)),
+                              np.ones((3, 8)), 1.0, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (3, 6)])
+    def test_rejects_symbols_that_are_not_one_row_per_frame(self, shape):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"symbols have shape {shape}")):
+            simulate.transmit(build("Q4"), np.ones((3, 8, 8)),
+                              np.ones(shape), 1.0, np.zeros((3, 8)))
+
+    def test_rejects_channels_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("(3, 8, 6)")):
+            simulate.transmit(build("Q4"), np.ones((3, 8, 6)),
+                              np.ones((3, 8)), 1.0, np.zeros((3, 8)))
 
     def test_noise_energy(self):
         code = build("Q4")
