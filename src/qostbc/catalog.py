@@ -229,7 +229,7 @@ def _t8_lt_mixing() -> np.ndarray:
 
     The angle set attaches to this particular factor order and a sign
     conjugation of the fourth group position; other conventions reach the
-    same matrix through the raw-matrix GcltSpec interface.
+    same matrix by passing it to GcltSpec(groups, matrices) directly.
     """
     from .transforms import givens_product
 
@@ -269,31 +269,29 @@ def _builders():
         return CodeDefinition("G4C", _dispersion_from_encoder(_g4c_codeword, 4))
 
     def q4_cr():
-        spec = transforms.CrSpec.uniform((3, 4), CR_ANGLE_DEFAULT)
-        return transforms.apply_cr(build("Q4"), spec, name="Q4_CR")
+        angles = [(s, CR_ANGLE_DEFAULT) for s in (3, 4)]
+        return transforms.apply_cr(build("Q4"), angles, name="Q4_CR")
 
     def q4_lt():
         spec = transforms.GcltSpec.rotations_2d(build("Q4").grouping, OPT_THETA_2D)
         return transforms.apply_gclt(build("Q4"), spec, name="Q4_LT")
 
     def q8_cr():
-        spec = transforms.CrSpec.uniform((4, 5, 6), CR_ANGLE_DEFAULT)
-        return transforms.apply_cr(build("Q8"), spec, name="Q8_CR")
+        angles = [(s, CR_ANGLE_DEFAULT) for s in (4, 5, 6)]
+        return transforms.apply_cr(build("Q8"), angles, name="Q8_CR")
 
     def q8_lt():
         spec = transforms.GcltSpec.rotations_2d(build("Q8").grouping, OPT_THETA_2D)
         return transforms.apply_gclt(build("Q8"), spec, name="Q8_LT")
 
     def t8_cr():
-        spec = transforms.CrSpec(t8_cr_angles((T8_CR_STEP, T8_CR_STEP)))
-        return transforms.apply_cr(build("T8"), spec, name="T8_CR")
+        angles = t8_cr_angles((T8_CR_STEP, T8_CR_STEP))
+        return transforms.apply_cr(build("T8"), angles, name="T8_CR")
 
     def t8_lt():
         base = build("T8")
-        mix = _t8_lt_mixing()
-        spec = transforms.GcltSpec.from_matrices(
-            base.grouping, tuple(mix for _ in base.grouping)
-        )
+        spec = transforms.GcltSpec(base.grouping,
+                                   [_t8_lt_mixing()] * len(base.grouping))
         return transforms.apply_gclt(base, spec, name="T8_LT")
 
     return {

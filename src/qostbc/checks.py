@@ -95,7 +95,7 @@ def group_mixing(seed: int, draws: int):
                     transforms.givens_4d(list(rng.uniform(-np.pi / 2,
                                                           np.pi / 2, 6)))
                     for group in code.grouping]
-            spec = transforms.GcltSpec.from_matrices(code.grouping, mats)
+            spec = transforms.GcltSpec(code.grouping, mats)
             mixed = transforms.apply_gclt(code, spec)
             ok = (ok and mixed.grouping == code.grouping
                   and catalog.validate_power(mixed)[1])

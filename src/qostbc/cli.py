@@ -170,8 +170,7 @@ def _cmd_transform(args) -> int:
         if not args.cr_symbols:
             raise ValueError("--cr-angle requires --cr-symbols")
         symbols = [int(v) for v in args.cr_symbols.split(",")]
-        spec = transforms.CrSpec.uniform(symbols, args.cr_angle)
-        out = transforms.apply_cr(code, spec)
+        out = transforms.apply_cr(code, [(s, args.cr_angle) for s in symbols])
         meta = {
             "type": "cr",
             "symbols": symbols,
@@ -255,6 +254,9 @@ def _cmd_search_t8(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if None not in (args.out, args.svg) and "-" not in (args.out, args.svg) \
+            and os.path.abspath(args.out) == os.path.abspath(args.svg):
+        raise ValueError(f"--svg {args.svg} would overwrite the CSV at --out")
     curve_specs = _parse_curves(args.code, args.mod)
     curves = []
     for name, constellation in curve_specs:

@@ -77,24 +77,13 @@ def givens_product(n: int, factors) -> np.ndarray:
     return out
 
 
-def _givens_angles(angles) -> np.ndarray:
-    """Angle vectors of :func:`givens_4d` as an (..., 6) float array."""
-    values = np.asarray(angles, dtype=np.float64)
-    if values.ndim == 0 or values.shape[-1] != 6:
-        raise ValueError(f"expected six angles, got shape {values.shape}")
-    return values
-
-
 def givens_4d(angles) -> np.ndarray:
     """4-D orthogonal matrix from a sequence of six plane angles in the
     order of GIVENS_ORDER_4D; the product is taken left to right in that
     fixed order. An (S, 6) array of angle vectors gives the (S, 4, 4)
-    stack of their matrices.
-    """
-    values = _givens_angles(angles)
-    return givens_product(
-        4, [(i, k, values[..., j]) for j, (i, k) in enumerate(GIVENS_ORDER_4D)]
-    )
+    stack of their matrices. This is :func:`givens_4d_line` at j = 0."""
+    values = np.asarray(angles, dtype=np.float64)
+    return givens_4d_line(values, 0)(values[..., 0])
 
 
 def givens_4d_line(angles, j: int):
@@ -103,10 +92,11 @@ def givens_4d_line(angles, j: int):
 
     The factors other than j are built once, as is the prefix product of
     the factors before j; each call builds factor j and multiplies it and
-    the later factors in one at a time, so the product keeps the left to
-    right association of :func:`givens_4d`.
+    the later factors in one at a time, left to right in GIVENS_ORDER_4D.
     """
-    values = _givens_angles(angles)
+    values = np.asarray(angles, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] != 6:
+        raise ValueError(f"expected six angles, got shape {values.shape}")
     planes = GIVENS_ORDER_4D
     prefix = givens_product(4, [(i, k, values[..., p])
                                 for p, (i, k) in enumerate(planes[:j])])
@@ -128,17 +118,20 @@ class GcltSpec:
 
     ``groups`` lists 1-based rail index tuples; ``matrices[i]`` mixes the
     rails of ``groups[i]`` in their listed order (row r of the matrix builds
-    the new dispersion matrix of rail ``groups[i][r]``).
+    the new dispersion matrix of rail ``groups[i][r]``). Both are stored as
+    tuples, each matrix as a float copy, checked here and nowhere else.
     """
 
     groups: tuple
     matrices: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+        object.__setattr__(self, "matrices",
+                           tuple(np.array(m, dtype=float) for m in self.matrices))
         if len(self.groups) != len(self.matrices):
             raise ValueError("one mixing matrix per group is required")
         for group, mat in zip(self.groups, self.matrices):
-            mat = np.asarray(mat)
             n = len(group)
             if mat.shape != (n, n):
                 raise ValueError(
@@ -154,35 +147,13 @@ class GcltSpec:
 
     @classmethod
     def rotations_2d(cls, grouping, theta: float) -> "GcltSpec":
-        """The same plane rotation by ``theta`` for every two-rail group."""
-        for group in grouping:
-            if len(group) != 2:
-                raise ValueError(
-                    f"2-D rotation spec requires two-rail groups, got {group}"
-                )
-        mat = rotation_2d(theta)
-        return cls(tuple(tuple(g) for g in grouping),
-                   tuple(mat for _ in grouping))
+        """The same plane rotation by ``theta`` for every group."""
+        return cls(grouping, [rotation_2d(theta)] * len(grouping))
 
     @classmethod
     def givens_4d_spec(cls, grouping, angles) -> "GcltSpec":
-        """The same six-angle 4-D rotation applied to every four-rail group."""
-        mat = givens_4d(angles)
-        for group in grouping:
-            if len(group) != 4:
-                raise ValueError(
-                    f"4-D rotation spec requires four-rail groups, got {group}"
-                )
-        return cls(tuple(tuple(g) for g in grouping),
-                   tuple(mat for _ in grouping))
-
-    @classmethod
-    def from_matrices(cls, grouping, matrices) -> "GcltSpec":
-        """Raw interface: any orthogonal mixing matrix per group."""
-        return cls(
-            tuple(tuple(g) for g in grouping),
-            tuple(np.array(m, dtype=float) for m in matrices),
-        )
+        """The same six-angle 4-D rotation for every group."""
+        return cls(grouping, [givens_4d(angles)] * len(grouping))
 
 
 def apply_gclt(code: CodeDefinition, spec: GcltSpec, name: str = None) -> CodeDefinition:
@@ -216,48 +187,35 @@ def apply_gclt(code: CodeDefinition, spec: GcltSpec, name: str = None) -> CodeDe
     return CodeDefinition(name or f"{code.name}+GCLT", new)
 
 
-@dataclass(frozen=True)
-class CrSpec:
-    """Rotation angles per complex symbol, as sorted (symbol, angle) pairs.
-
-    Symbols are 1-based indices into x_1..x_K; angles live in [0, pi/2).
-    """
-
-    angles: tuple
-
-    def __post_init__(self):
-        symbols = [s for s, _ in self.angles]
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("duplicate symbol index in rotation spec")
-        for sym, angle in self.angles:
-            if not 0.0 <= angle < math.pi / 2:
-                raise ValueError(
-                    f"rotation angle {angle!r} for symbol {sym} outside [0, pi/2)"
-                )
-
-    @classmethod
-    def uniform(cls, symbols, angle: float) -> "CrSpec":
-        return cls(tuple((int(s), float(angle)) for s in sorted(symbols)))
-
-
 def cr_rotation(K: int, angles) -> np.ndarray:
     """The (2K, 2K) rail rotation of CR: rotation_2d(phi) on the rails
     (q, K+q) of every (symbol q, angle phi) in ``angles``, identity
     elsewhere; row p builds the rotated code's matrix of rail p. Angles
-    that are arrays of one shape give the stack of rotations."""
+    that are arrays of one shape give the stack of rotations. The one
+    check of a CR angle set: symbols in 1..K, none twice, and every angle
+    (every entry of an array) in [0, pi/2), so none is nan or infinite."""
     angles = list(angles)
+    symbols = [sym for sym, _ in angles]
+    if len(set(symbols)) < len(symbols):
+        raise ValueError(f"duplicate symbol index in CR angles {symbols}")
+    for sym, phi in angles:
+        if not 1 <= sym <= K:
+            raise ValueError(f"symbol index {sym} outside 1..{K}")
+        bad = [x for x in np.ravel(phi).tolist() if not 0.0 <= x < math.pi / 2]
+        if bad:
+            raise ValueError(f"rotation angle {bad[0]!r} for symbol {sym} "
+                             f"outside [0, pi/2)")
     shape = np.broadcast_shapes(*(np.shape(phi) for _, phi in angles))
     rot = np.empty(shape + (2 * K, 2 * K))
     rot[...] = _identity(2 * K)
     for sym, phi in angles:
-        if not 1 <= sym <= K:
-            raise ValueError(f"symbol index {sym} outside 1..{K}")
         rot[..., sym - 1::K, sym - 1::K] = rotation_2d(phi)  # rails q, K+q
     return rot
 
 
-def apply_cr(code: CodeDefinition, spec: CrSpec, name: str = None) -> CodeDefinition:
-    """Rotate the chosen complex symbols by their angles.
+def apply_cr(code: CodeDefinition, angles, name: str = None) -> CodeDefinition:
+    """Rotate the chosen complex symbols by their (symbol, angle) pairs,
+    scalar angles checked by :func:`cr_rotation`.
 
     For symbol x_q at angle phi the (real, imaginary) dispersion pair
     (A_q, A_{K+q}) becomes (cos*A_q + sin*A_{K+q}, -sin*A_q + cos*A_{K+q}),
@@ -267,9 +225,10 @@ def apply_cr(code: CodeDefinition, spec: CrSpec, name: str = None) -> CodeDefini
     entries into 0.0.
     """
     K = code.K
-    rot = cr_rotation(K, spec.angles)
+    angles = list(angles)
+    rot = cr_rotation(K, angles)
     new = np.array(code.dispersion, dtype=np.complex128)
-    for sym, _ in spec.angles:
+    for sym, _ in angles:
         i, j = sym - 1, K + sym - 1
         a_re, a_im = code.dispersion[i], code.dispersion[j]
         new[i] = rot[i, i] * a_re + rot[i, j] * a_im

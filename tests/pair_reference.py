@@ -14,7 +14,7 @@ import numpy as np
 
 from qostbc.analysis import QO_TOL, _anticommutator_table
 from qostbc.catalog import build
-from qostbc.transforms import CrSpec, GcltSpec, apply_cr, apply_gclt
+from qostbc.transforms import GcltSpec, apply_cr, apply_gclt
 
 
 def dfs_components(stack):
@@ -96,12 +96,11 @@ def mixed_codes(name, count, seed):
     for _ in range(count):
         mats = [np.linalg.qr(rng.standard_normal((len(g), len(g))))[0]
                 for g in base.grouping]
-        gclt.append(apply_gclt(base, GcltSpec.from_matrices(base.grouping,
-                                                            mats)))
+        gclt.append(apply_gclt(base, GcltSpec(base.grouping, mats)))
         symbols = np.flatnonzero(rng.random(base.K) < 0.5) + 1
         if not len(symbols):
             symbols = rng.integers(1, base.K + 1, 1)
         angles = rng.uniform(0.0, np.pi / 2, len(symbols))
-        cr.append(apply_cr(base, CrSpec(tuple(
-            (int(s), float(a)) for s, a in zip(symbols, angles)))))
+        cr.append(apply_cr(base, [(int(s), float(a))
+                                  for s, a in zip(symbols, angles)]))
     return gclt, cr

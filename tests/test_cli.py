@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -97,7 +99,7 @@ class TestTransform:
         status, _, err = run_cli(capsys, ["transform", "--code", "T8",
                                           "--gclt-theta", "10"])
         assert status == 1
-        assert "two-rail" in err
+        assert "needs a 4x4 mixing matrix" in err
 
     def test_requires_exactly_one_transform(self, capsys):
         status, _, err = run_cli(capsys, ["transform", "--code", "Q4"])
@@ -416,6 +418,29 @@ def test_failed_plot_leaves_no_csv(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_plot_path_equal_to_the_csv_path_is_rejected(capsys, tmp_path,
+                                                     monkeypatch):
+    # the SVG would overwrite the CSV: the paths match once made absolute,
+    # and the command stops before any chunk runs
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(simulate, "run_ber") as run_ber:
+        status, stdout, err = run_cli(capsys, SIMULATE + [
+            "--snr", "0:1:0", "--out", "out.csv",
+            "--svg", str(tmp_path / "out.csv")])
+    assert status == 1 and stdout == ""
+    assert "would overwrite the CSV" in err
+    assert not run_ber.called
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_and_plot_may_both_go_to_stdout(capsys):
+    status, out, _ = run_cli(capsys, SIMULATE + [
+        "--snr", "0:1:0", "--max-uses", "64", "--out", "-", "--svg", "-"])
+    assert status == 0
+    assert out.startswith("# qostbc simulate Q4/4qam")
+    assert "<svg" in out
+
+
 #: SHA-256 of code artifacts that no other test pins byte for byte
 CODE_DIGESTS = {
     "catalog --all":
@@ -590,3 +615,32 @@ def test_library_value_error_prints_the_help_hint(capsys, tmp_path):
     assert err == ("symbol index 9 outside 1..4\n"
                    "run 'qostbc --help' for usage\n")
     assert not out.exists()
+
+
+#: BLAS thread variables the package sets on import unless already set
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: imports the package in a fresh interpreter and prints each BLAS variable
+#: as numpy saw it when numpy was first imported
+BLAS_PROBE = """
+import json, os, sys
+seen = {}
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in %r)
+sys.meta_path.insert(0, Probe())
+import qostbc
+print(json.dumps(seen))
+""" % (BLAS_VARS,)
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_package_import_sets_one_blas_thread_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    run = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == dict.fromkeys(BLAS_VARS, want)

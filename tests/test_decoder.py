@@ -14,7 +14,7 @@ from qostbc.analysis import equivalent_channel, expansion_stack
 from qostbc.catalog import CODE_NAMES, build
 from qostbc.modem import make_qam
 from qostbc.simulate import draw_channel, transmit
-from qostbc.transforms import CrSpec, apply_cr
+from qostbc.transforms import apply_cr
 
 import closed_form
 from closed_form import unstack_received
@@ -294,7 +294,7 @@ class TestCompressedMetric:
         # two Q8_CR codes of one name but different CR angles
         base = build("Q8")
         qam = make_qam(16)
-        codes = [apply_cr(base, CrSpec.uniform((4, 5, 6), phi), name="Q8_CR")
+        codes = [apply_cr(base, [(s, phi) for s in (4, 5, 6)], name="Q8_CR")
                  for phi in (np.pi / 4, np.pi / 5)]
         group = codes[0].grouping[0]
         assert codes[1].grouping == codes[0].grouping

@@ -290,8 +290,7 @@ class TestAngleSearches:
         # block of cr_rotation in the rotated code's groups; the rotated code
         # itself must agree
         base = build(base_name)
-        code = transforms.apply_cr(
-            base, transforms.CrSpec(tuple(sorted(angles.items()))))
+        code = transforms.apply_cr(base, sorted(angles.items()))
         assert code.grouping == build(base_name + "_CR").grouping
         report = gain.diversity_product(code, QAM4)
         rotation = transforms.cr_rotation(base.K, angles.items())

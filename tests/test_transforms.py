@@ -81,6 +81,20 @@ class TestGivens:
                 want = want @ rotation(i, k, theta)
             assert transforms.givens_4d(angles).tobytes() == want.tobytes()
 
+    def test_equals_the_givens_product_form_bit_for_bit(self):
+        # the form givens_4d had before it became a line search at j = 0
+        def product_form(angles):
+            values = np.asarray(angles, dtype=np.float64)
+            return transforms.givens_product(4, [
+                (i, k, values[..., j])
+                for j, (i, k) in enumerate(transforms.GIVENS_ORDER_4D)])
+
+        points = np.random.default_rng(23).uniform(-np.pi, np.pi, (8, 6))
+        for angles in (points, points[3]):
+            got = transforms.givens_4d(angles)
+            assert got.shape == angles.shape[:-1] + (4, 4)
+            assert got.tobytes() == product_form(angles).tobytes()
+
     def test_stacked_angles_give_each_angle_s_matrix_bit_for_bit(self):
         rng = np.random.default_rng(11)
         thetas = np.append(rng.uniform(-np.pi, np.pi, 9), [0.0, -0.0])
@@ -126,7 +140,7 @@ class TestGivens:
 class TestGcltSpec:
     def test_rejects_non_orthogonal_matrix(self):
         with pytest.raises(ValueError, match="not orthogonal"):
-            transforms.GcltSpec.from_matrices(
+            transforms.GcltSpec(
                 ((1, 2),), (np.array([[1.0, 0.0], [1.0, 1.0]]),)
             )
 
@@ -138,18 +152,31 @@ class TestGcltSpec:
                     np.array([[1.0, 0.0], [0.0, value]])):
             with pytest.raises(ValueError,
                                match="mixing matrix for group .* non-finite"):
-                transforms.GcltSpec.from_matrices(((1, 2),), (mat,))
+                transforms.GcltSpec(((1, 2),), (mat,))
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="mixing matrix"):
-            transforms.GcltSpec.from_matrices(((1, 2, 3),), (np.eye(2),))
+            transforms.GcltSpec(((1, 2, 3),), (np.eye(2),))
 
     def test_rotation_spec_needs_pairs(self):
-        with pytest.raises(ValueError, match="two-rail"):
+        with pytest.raises(ValueError, match="needs a 4x4 mixing matrix"):
             transforms.GcltSpec.rotations_2d(((1, 2, 3, 4),), 0.1)
 
+    def test_stores_tuples_and_float_copies(self):
+        mat = np.array([[0, 1], [-1, 0]])
+        spec = transforms.GcltSpec([[1, 2], [3, 4]], [mat, mat])
+        assert spec.groups == ((1, 2), (3, 4))
+        assert isinstance(spec.matrices, tuple)
+        for stored in spec.matrices:
+            assert stored.dtype == np.float64
+            assert np.array_equal(stored, mat)
+            assert not np.shares_memory(stored, mat)
+        assert not np.shares_memory(*spec.matrices)
+        mat[0, 1] = 7
+        assert spec.matrices[0][0, 1] == 1.0
+
     def test_per_group_angles(self):
-        spec = transforms.GcltSpec.from_matrices(
+        spec = transforms.GcltSpec(
             ((1, 2), (3, 4)),
             (transforms.rotation_2d(0.1), transforms.rotation_2d(0.2)))
         assert spec.matrices[0][0, 1] == pytest.approx(math.sin(0.1))
@@ -192,7 +219,7 @@ class TestApplyGclt:
                     mats.append(
                         transforms.givens_4d(rng.uniform(-np.pi, np.pi, 6))
                     )
-            spec = transforms.GcltSpec.from_matrices(code.grouping, mats)
+            spec = transforms.GcltSpec(code.grouping, mats)
             out = transforms.apply_gclt(code, spec)
             _, ok = validate_power(out)
             assert ok
@@ -213,40 +240,57 @@ class TestApplyGclt:
                         mats.append(
                             transforms.givens_4d(rng.uniform(-np.pi, np.pi, 6))
                         )
-                spec = transforms.GcltSpec.from_matrices(code.grouping, mats)
+                spec = transforms.GcltSpec(code.grouping, mats)
                 out = transforms.apply_gclt(code, spec)
                 assert out.grouping == code.grouping
 
 
-class TestCrSpec:
+class TestCrAngleCheck:
     def test_angle_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            transforms.CrSpec.uniform((1,), math.pi / 2)
-        with pytest.raises(ValueError, match="outside"):
-            transforms.CrSpec.uniform((1,), -0.1)
+        for phi in (math.pi / 2, -0.1):
+            with pytest.raises(ValueError, match="outside"):
+                transforms.cr_rotation(4, [(1, phi)])
+            with pytest.raises(ValueError, match="outside"):
+                transforms.apply_cr(build("Q4"), [(1, phi)])
 
     def test_duplicate_symbols(self):
         with pytest.raises(ValueError, match="duplicate"):
-            transforms.CrSpec(((1, 0.1), (1, 0.2)))
+            transforms.cr_rotation(4, [(1, 0.1), (1, 0.2)])
+        with pytest.raises(ValueError, match="duplicate"):
+            transforms.apply_cr(build("Q4"), [(1, 0.1), (1, 0.2)])
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle(self, phi):
+        with pytest.raises(ValueError, match=f"angle {phi} for symbol 2"):
+            transforms.cr_rotation(4, [(1, 0.1), (2, phi)])
+        with pytest.raises(ValueError, match=f"angle {phi} for symbol 2"):
+            transforms.apply_cr(build("Q4"), [(1, 0.1), (2, phi)])
+
+    @pytest.mark.parametrize("bad", [math.pi / 2, -0.1, math.nan, math.inf])
+    def test_one_bad_entry_of_a_search_grid(self, bad):
+        phis = np.array([math.radians(d) for d in np.arange(0.25, 90.0, 0.25)])
+        transforms.cr_rotation(6, [(s, phis) for s in (4, 5, 6)])
+        phis[200] = bad
+        with pytest.raises(ValueError, match=f"angle {bad!r} for symbol 4"):
+            transforms.cr_rotation(6, [(s, phis) for s in (4, 5, 6)])
 
 
 class TestApplyCr:
     def test_zero_angle_is_identity(self):
         code = build("Q4")
-        out = transforms.apply_cr(code, transforms.CrSpec.uniform((1, 2), 0.0))
+        out = transforms.apply_cr(code, [(1, 0.0), (2, 0.0)])
         assert np.abs(out.dispersion - code.dispersion).max() < 1e-15
 
     def test_rotation_collapses_groups(self):
         code = build("Q4")
-        spec = transforms.CrSpec.uniform((3, 4), math.pi / 4)
-        out = transforms.apply_cr(code, spec)
+        out = transforms.apply_cr(code, [(3, math.pi / 4), (4, math.pi / 4)])
         assert len(code.grouping) == 4
         assert out.grouping == ((1, 4, 5, 8), (2, 3, 6, 7))
 
     def test_symbol_index_out_of_range(self):
         code = build("Q4")
         with pytest.raises(ValueError, match="outside"):
-            transforms.apply_cr(code, transforms.CrSpec.uniform((5,), 0.3))
+            transforms.apply_cr(code, [(5, 0.3)])
 
     def test_stacked_rotation_angles_give_each_angle_s_rotation(self):
         phis = np.random.default_rng(17).uniform(0, np.pi / 2, 7)
@@ -258,7 +302,7 @@ class TestApplyCr:
 
     def test_power_preserved(self):
         code = build("Q8")
-        out = transforms.apply_cr(code, transforms.CrSpec.uniform((4, 5, 6), 0.4))
+        out = transforms.apply_cr(code, [(s, 0.4) for s in (4, 5, 6)])
         _, ok = validate_power(out)
         assert ok
 
@@ -266,7 +310,6 @@ class TestApplyCr:
 def test_grouping_recomputed_not_copied():
     # the transform output's grouping comes from its own matrices
     code = build("Q4")
-    spec = transforms.CrSpec.uniform((3, 4), math.pi / 4)
-    out = transforms.apply_cr(code, spec)
+    out = transforms.apply_cr(code, [(3, math.pi / 4), (4, math.pi / 4)])
     assert components_from_stack(out.dispersion) == out.grouping
     assert out.grouping != code.grouping
