@@ -19,19 +19,39 @@ import numpy as np
 SUPPORTED_ORDERS = (4, 16, 64, 256)
 
 
+#: half-width, in units of d_min, of the band around each midpoint between
+#: two levels in which :meth:`Constellation.demap` compares distances; over
+#: 100 times the most by which the arithmetic index can disagree with them
+MIDPOINT_TOL = 2.0 ** -40
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Unit-average-energy square QAM decomposed into two PAM rails.
 
     ``pam_levels`` holds the rail levels in descending order (``==`` skips
     them: they follow from the order); position ``i`` carries the Gray code
-    of ``i`` as its bit label.
+    of ``i`` as its bit label. The modem reads two tables built from them:
+    the level of each label and the MSB-first bits of each position's label.
     """
 
     order: int
     pam_levels: np.ndarray = field(repr=False, compare=False)
     d_min: float
     bits_per_symbol: int
+    _level_of_label: np.ndarray = field(init=False, repr=False, compare=False)
+    _label_bits: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        L, b = len(self.pam_levels), self.bits_per_rail
+        gray = np.arange(L) ^ (np.arange(L) >> 1)
+        level_of_label = np.empty(L)
+        level_of_label[gray] = self.pam_levels
+        label_bits = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1  # (L, b)
+        for name, table in (("_level_of_label", level_of_label),
+                            ("_label_bits", label_bits)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def bits_per_rail(self) -> int:
@@ -46,6 +66,8 @@ class Constellation:
 
         Rail order is I rails of all K symbols followed by Q rails, so that
         symbol q is rails[q] + 1j * rails[K + q]. Every bit must be 0 or 1.
+        Each rail's bits are read MSB first as its Gray label, whose level
+        comes from the label-to-level table.
         """
         bits = np.asarray(bits, dtype=np.int64)
         bps = self.bits_per_symbol
@@ -56,53 +78,60 @@ class Constellation:
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise ValueError(f"bits must be 0 or 1, got values in "
                              f"[{bits.min()}, {bits.max()}]")
-        K = bits.shape[-1] // bps
-        b = self.bits_per_rail
-        rows = bits.reshape(*bits.shape[:-1], 2 * K, b)
-        weights = 1 << np.arange(b - 1, -1, -1)
-        gray = rows @ weights
-        pos = gray.copy()
-        shift = 1
-        while shift <= b:  # Gray-to-binary prefix xor
-            pos ^= pos >> shift
-            shift *= 2
-        rails_iq = self.pam_levels[pos]  # (..., 2K) in I1,Q1,I2,Q2,... order
-        i_rails = rails_iq[..., 0::2]
-        q_rails = rails_iq[..., 1::2]
-        return np.concatenate([i_rails, q_rails], axis=-1)
+        lead, K = bits.shape[:-1], bits.shape[-1] // bps
+        rows = bits.reshape(*lead, K, 2, self.bits_per_rail)  # symbol, I/Q
+        label = rows[..., 0]
+        for j in range(1, self.bits_per_rail):
+            label = label << 1 | rows[..., j]
+        rails = self._level_of_label.take(label)  # (..., K, 2)
+        return rails.swapaxes(-1, -2).reshape(*lead, 2 * K)
 
     def demap(self, real_symbols) -> np.ndarray:
         """Slice rails (..., 2K) back to bits (..., K*log2(M)).
 
         Each rail goes to its nearest PAM level, a tie to the higher level,
         so ML decisions (which are exact constellation points) round-trip
-        bit for bit. A rail is clipped to the outer levels and its level
-        index read off arithmetically, ceil((top - x) / d_min - 0.5); one
-        distance comparison with each neighbouring level then settles a rail
-        within rounding of a midpoint exactly as a nearest-level search
-        does.
+        bit for bit; a NaN rail raises ValueError. A rail is clipped to the
+        outer levels and its level index read off arithmetically,
+        ceil(t) with t = (top - x) / d_min - 0.5, whose integers are the
+        midpoints between levels.
+
+        Rounding bound: with u = 2^-53 and L levels per rail, that index
+        can disagree with a nearest-level search over the float levels only
+        when t lies within about 5 (L - 1) u of an integer (8.3e-15 at
+        256-QAM). t is computed in three rounded steps, off by at most about
+        3 (L - 1) u; the float levels sit within (L - 1) u d_min of
+        top - i d_min; comparing two rounded distances adds about u more.
+        Only the rails with t within MIDPOINT_TOL = 2^-40 (over 100 times
+        that) of an integer compare their distances to the chosen level and
+        its two neighbours, as the search does.
         """
         rails = np.asarray(real_symbols, dtype=np.float64)
         if rails.shape[-1] == 0 or rails.shape[-1] % 2 != 0:
             raise ValueError(f"expected 2K rail values, got shape {rails.shape}")
         if np.isnan(rails).any():
             raise ValueError("rail values must not be NaN")
-        K = rails.shape[-1] // 2
-        L = self.levels_per_rail
+        lead, K = rails.shape[:-1], rails.shape[-1] // 2
         top, bottom = self.pam_levels[0], self.pam_levels[-1]
         x = np.clip(rails, bottom, top)
-        # 1 + the level index, into the levels padded with NaN at both ends
-        pos = np.ceil((top - x) / self.d_min - 0.5).astype(np.intp) + 1
-        padded = np.concatenate([[np.nan], self.pam_levels, [np.nan]])
-        here = np.abs(x - padded.take(pos))
-        pos -= np.abs(x - padded.take(pos - 1)) <= here
-        pos += np.abs(x - padded.take(pos + 1)) < here
-        pos -= 1
-        b = self.bits_per_rail
-        gray = np.arange(L) ^ (np.arange(L) >> 1)
-        labels = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1  # (L, b)
-        iq = np.stack([pos[..., :K], pos[..., K:]], axis=-1)  # (..., K, 2)
-        return labels.take(iq, axis=0).reshape(*rails.shape[:-1], K * 2 * b)
+        t = (top - x) / self.d_min - 0.5
+        pos = np.ceil(t)
+        frac = pos - t  # in [0, 1), 0 at a midpoint
+        near = np.flatnonzero((frac < MIDPOINT_TOL)
+                              | (frac > 1 - MIDPOINT_TOL))
+        pos = pos.astype(np.intp)
+        if near.size:  # a closer neighbour wins, the higher one also a tie
+            x_near = x.flat[near]
+            # 1 + the level index, into the levels padded with NaN at both ends
+            p = pos.flat[near] + 1
+            padded = np.concatenate([[np.nan], self.pam_levels, [np.nan]])
+            here = np.abs(x_near - padded.take(p))
+            p -= np.abs(x_near - padded.take(p - 1)) <= here
+            p += np.abs(x_near - padded.take(p + 1)) < here
+            pos.flat[near] = p - 1
+        iq = pos.reshape(*lead, 2, K).swapaxes(-1, -2)  # (..., K, 2)
+        return self._label_bits.take(iq, axis=0).reshape(*lead, 2 * K
+                                                         * self.bits_per_rail)
 
 
 def lex_vectors(values: np.ndarray, width: int, index=None) -> np.ndarray:

@@ -55,9 +55,14 @@ CSV_COLUMNS = ("code", "mod", "nr", "snr_db", "bits", "bit_errors", "ber",
 def draw_channel(rng: np.random.Generator, nt: int, nr: int,
                  n: int) -> np.ndarray:
     """An (n, Nt, Nr) stack of independent (Nt, Nr) channels of
-    unit-variance circular complex Gaussian gains."""
-    return (rng.standard_normal((n, nt, nr))
-            + 1j * rng.standard_normal((n, nt, nr))) / math.sqrt(2.0)
+    unit-variance circular complex Gaussian gains: the real parts are drawn
+    first, then the imaginary parts, and both are scaled by 1/sqrt(2) in
+    place (the bits of ``(a + 1j * b) / math.sqrt(2.0)``)."""
+    h = np.empty((n, nt, nr), dtype=np.complex128)
+    h.real = rng.standard_normal((n, nt, nr))
+    h.imag = rng.standard_normal((n, nt, nr))
+    h /= math.sqrt(2.0)
+    return h
 
 
 def transmit(code: CodeDefinition, H: np.ndarray, real_symbols: np.ndarray,

@@ -215,7 +215,8 @@ def cr_rotation(K: int, angles) -> np.ndarray:
 
 def apply_cr(code: CodeDefinition, angles, name: str = None) -> CodeDefinition:
     """Rotate the chosen complex symbols by their (symbol, angle) pairs,
-    scalar angles checked by :func:`cr_rotation`.
+    scalar angles checked by :func:`cr_rotation`; an angle of any other
+    shape raises ValueError.
 
     For symbol x_q at angle phi the (real, imaginary) dispersion pair
     (A_q, A_{K+q}) becomes (cos*A_q + sin*A_{K+q}, -sin*A_q + cos*A_{K+q}),
@@ -226,6 +227,10 @@ def apply_cr(code: CodeDefinition, angles, name: str = None) -> CodeDefinition:
     """
     K = code.K
     angles = list(angles)
+    for sym, phi in angles:
+        if np.ndim(phi):
+            raise ValueError(f"CR angle for symbol {sym} must be a scalar, "
+                             f"got shape {np.shape(phi)}")
     rot = cr_rotation(K, angles)
     new = np.array(code.dispersion, dtype=np.complex128)
     for sym, _ in angles:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qostbc
 from qostbc import analysis, catalog, cli, simulate
 
 from closed_form import decode_code_json
@@ -644,3 +646,78 @@ def test_package_import_sets_one_blas_thread_unless_set(preset, want):
     run = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == dict.fromkeys(BLAS_VARS, want)
+
+
+#: glibc's own settings of the heap thresholds the package fixes on import
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "GLIBC_TUNABLES")
+
+#: in a fresh interpreter, prints the minor page faults of each of the
+#: first six 4096-frame T8_CR 4-QAM chunks at nr = 1
+FAULT_PROBE = """
+import json, resource
+from qostbc import build, make_qam, simulate
+code, qam = build("T8_CR"), make_qam(4)
+faults = []
+for chunk in range(6):
+    rng = simulate._chunk_rng(0, 0, chunk)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate._simulate_chunk(code, qam, 1, 10.0, rng, simulate.CHUNK_FRAMES)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap policy is glibc's")
+def test_steady_state_chunks_fault_almost_no_pages():
+    # at glibc's drifting defaults each of these chunks faulted 1 574 pages
+    # in, as the heap was trimmed and mapped again
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    faults = json.loads(run.stdout)
+    assert len(faults) == 6
+    assert all(count < 64 for count in faults[2:]), faults
+
+
+class TestHeapPolicy:
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        """Stands a recorder in for the C library; nothing reaches glibc."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: mock.Mock(mallopt=mallopt))
+        return calls
+
+    @pytest.mark.parametrize("preset", [
+        {"MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"MALLOC_MMAP_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES":
+         "glibc.cpu.hwcaps=-AVX2:glibc.malloc.trim_threshold=0"},
+    ])
+    def test_a_preset_glibc_variable_leaves_the_heap_alone(self, preset,
+                                                           mallopt_calls):
+        assert qostbc._fix_malloc_thresholds(preset) is False
+        assert mallopt_calls == []
+
+    @pytest.mark.skipif(not on_glibc(), reason="the heap policy is glibc's")
+    @pytest.mark.parametrize("environ", [
+        {}, {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2"}])
+    def test_fixes_glibc_thresholds_at_its_ceiling(self, environ,
+                                                   mallopt_calls):
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at twice it
+        assert qostbc._fix_malloc_thresholds(environ) is True
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]

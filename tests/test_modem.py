@@ -192,3 +192,105 @@ def test_parse_modulation():
     assert modem.parse_modulation(" 4QAM ").order == 4
     with pytest.raises(ValueError):
         modem.parse_modulation("8psk")
+
+
+# --------------------------------------------------------------------------
+# the table-driven modem against the modem it replaced
+
+def matmul_modulate(qam, bits):
+    """The modulator the label table replaced: an int64 matmul reads each
+    rail's Gray label, a prefix xor turns it into the level's position, and
+    the I/Q rails are sliced apart and concatenated."""
+    bits = np.asarray(bits, dtype=np.int64)
+    K = bits.shape[-1] // qam.bits_per_symbol
+    b = qam.bits_per_rail
+    rows = bits.reshape(*bits.shape[:-1], 2 * K, b)
+    weights = 1 << np.arange(b - 1, -1, -1)
+    gray = rows @ weights
+    pos = gray.copy()
+    shift = 1
+    while shift <= b:  # Gray-to-binary prefix xor
+        pos ^= pos >> shift
+        shift *= 2
+    rails_iq = qam.pam_levels[pos]  # (..., 2K) in I1,Q1,I2,Q2,... order
+    return np.concatenate([rails_iq[..., 0::2], rails_iq[..., 1::2]], axis=-1)
+
+
+def neighbour_demap(qam, real_symbols):
+    """The slicer that compared distances on every rail: the arithmetic
+    index, then one comparison with each neighbouring level."""
+    rails = np.asarray(real_symbols, dtype=np.float64)
+    K = rails.shape[-1] // 2
+    L = qam.levels_per_rail
+    top, bottom = qam.pam_levels[0], qam.pam_levels[-1]
+    x = np.clip(rails, bottom, top)
+    pos = np.ceil((top - x) / qam.d_min - 0.5).astype(np.intp) + 1
+    padded = np.concatenate([[np.nan], qam.pam_levels, [np.nan]])
+    here = np.abs(x - padded.take(pos))
+    pos -= np.abs(x - padded.take(pos - 1)) <= here
+    pos += np.abs(x - padded.take(pos + 1)) < here
+    pos -= 1
+    b = qam.bits_per_rail
+    gray = np.arange(L) ^ (np.arange(L) >> 1)
+    labels = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1
+    iq = np.stack([pos[..., :K], pos[..., K:]], axis=-1)
+    return labels.take(iq, axis=0).reshape(*rails.shape[:-1], K * 2 * b)
+
+
+def adversarial_rails(qam):
+    """Every level, every midpoint and its float neighbours, points at
+    shrinking offsets from each midpoint on both sides of the band where
+    demap compares distances, and values at and beyond the outer levels."""
+    lv = qam.pam_levels
+    mids = (lv[:-1] + lv[1:]) / 2
+    offsets = qam.d_min * modem.MIDPOINT_TOL * 2.0 ** np.arange(-14, 15)
+    offsets = np.concatenate([offsets, -offsets])
+    top = lv[0]
+    far = top + np.array([0.0, 1e-12, qam.d_min / 2, qam.d_min, 10.0, 1e3,
+                          1e300, np.inf])
+    return np.concatenate([
+        lv, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+        (mids[:, None] + offsets).ravel(), far, -far,
+    ])
+
+
+@pytest.mark.parametrize("order", modem.SUPPORTED_ORDERS)
+class TestAgainstTheReplacedModem:
+    def test_modulate_random_bits(self, order):
+        qam = modem.make_qam(order)
+        bits = np.random.default_rng(order).integers(
+            0, 2, size=(4096, 8 * qam.bits_per_symbol))
+        got = qam.modulate(bits)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, matmul_modulate(qam, bits))
+
+    def test_modulate_every_label(self, order):
+        qam = modem.make_qam(order)
+        bits = np.array(list(itertools.product(
+            (0, 1), repeat=qam.bits_per_symbol)))
+        assert np.array_equal(qam.modulate(bits), matmul_modulate(qam, bits))
+
+    def test_demap_random_rails(self, order):
+        qam = modem.make_qam(order)
+        top = qam.pam_levels[0]
+        rails = np.random.default_rng(order).uniform(-1.3 * top, 1.3 * top,
+                                                     (4096, 16))
+        got = qam.demap(rails)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, neighbour_demap(qam, rails))
+
+    def test_demap_adversarial_rails(self, order):
+        qam = modem.make_qam(order)
+        rails = adversarial_rails(qam)
+        rails = np.stack([rails, rails[::-1]], axis=-1)  # as (I, Q) pairs
+        got = qam.demap(rails)
+        assert np.array_equal(got, neighbour_demap(qam, rails))
+        # every distance to a level rounds to the same float far out
+        finite = (np.abs(rails) <= 1e3).all(axis=-1)
+        assert np.array_equal(got[finite], argmin_demap(qam, rails[finite]))
+
+    def test_demap_of_modulated_bits(self, order):
+        qam = modem.make_qam(order)
+        bits = np.random.default_rng(order + 1).integers(
+            0, 2, size=(512, 4, 2 * qam.bits_per_symbol))
+        assert np.array_equal(qam.demap(qam.modulate(bits)), bits)

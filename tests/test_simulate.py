@@ -43,6 +43,20 @@ class TestChannelDraws:
         assert h.shape == (1, 4, 2)
         assert np.array_equal(h[0], want)
 
+    @pytest.mark.parametrize("nt, nr", [(8, 1), (4, 1), (8, 2)])
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_chunk_draw_has_the_bytes_of_the_complex_expression(self, nt,
+                                                                nr, seed):
+        # filling .real and .imag and scaling in place gives the bytes of
+        # the sum of the two draws divided by sqrt(2)
+        n = simulate.CHUNK_FRAMES
+        h = simulate.draw_channel(simulate._chunk_rng(seed, 1, 2), nt, nr, n)
+        rng = simulate._chunk_rng(seed, 1, 2)
+        want = (rng.standard_normal((n, nt, nr))
+                + 1j * rng.standard_normal((n, nt, nr))) / math.sqrt(2.0)
+        assert h.dtype == want.dtype
+        assert h.tobytes() == want.tobytes()
+
     def test_batch_of_independent_draws(self):
         h = simulate.draw_channel(np.random.default_rng(8), 4, 2, 6000)
         assert h.shape == (6000, 4, 2)

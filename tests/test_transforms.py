@@ -1,6 +1,7 @@
 """Group mixing (GCLT) and constellation rotation tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestCrAngleCheck:
             transforms.cr_rotation(4, [(1, 0.1), (2, phi)])
         with pytest.raises(ValueError, match=f"angle {phi} for symbol 2"):
             transforms.apply_cr(build("Q4"), [(1, 0.1), (2, phi)])
+
+    @pytest.mark.parametrize("phi", [np.array([0.1, 0.2]), np.array([0.1]),
+                                     [[0.1]]])
+    def test_apply_cr_rejects_an_angle_array(self, phi):
+        # cr_rotation takes arrays of angles; apply_cr builds one code
+        with pytest.raises(ValueError, match=re.escape(
+                f"symbol 3 must be a scalar, got shape {np.shape(phi)}")):
+            transforms.apply_cr(build("Q4"), [(3, phi)])
+
+    def test_apply_cr_takes_a_zero_dimensional_angle(self):
+        code = build("Q4")
+        got = transforms.apply_cr(code, [(3, np.array(0.4))]).dispersion
+        want = transforms.apply_cr(code, [(3, 0.4)]).dispersion
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [math.pi / 2, -0.1, math.nan, math.inf])
     def test_one_bad_entry_of_a_search_grid(self, bad):
