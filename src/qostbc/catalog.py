@@ -21,6 +21,7 @@ The catalog covers four families:
   (single-symbol decoding; its grouping is all singletons).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,13 +29,6 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import components_from_stack
-
-CODE_NAMES = (
-    "Q4", "Q4_CR", "Q4_LT",
-    "Q8", "Q8_CR", "Q8_LT",
-    "T8", "T8_CR", "T8_LT",
-    "G4C",
-)
 
 #: optimal 2-D mixing angle for the pairwise-grouped codes: 0.5*atan(1/2)
 OPT_THETA_2D = 0.5 * math.atan(0.5)
@@ -46,20 +40,14 @@ CR_ANGLE_DEFAULT = math.pi / 4
 #: k-th symbol of each coupled family by k*pi/8
 T8_CR_STEP = math.pi / 8
 
-#: searched mixing angles (degrees) for the rate-1 eight-antenna code, keyed
-#: by rotation plane of the 4-D group mixing
-T8_LT_ANGLES_DEG = {
-    (1, 2): -45.66,
-    (1, 3): 9.13,
-    (1, 4): 37.78,
-    (2, 3): 9.43,
-    (2, 4): 44.24,
-    (3, 4): -46.11,
-}
+#: the symbols rotated by CR_ANGLE_DEFAULT in each constellation-rotated
+#: code of that default; read by the catalog and the Q8_CR angle search
+CR_SYMBOLS = {"Q4_CR": (3, 4), "Q8_CR": (4, 5, 6)}
 
-#: factor order the angle set above pairs with (left-to-right plane-rotation
-#: product, conjugated by diag(1,1,1,-1))
-T8_LT_FACTOR_ORDER = ((2, 4), (3, 4), (1, 3), (1, 2), (2, 3), (1, 4))
+#: T8_LT's searched plane angles (degrees) in the factor order of their
+#: left-to-right plane-rotation product, conjugated by diag(1, 1, 1, -1)
+T8_LT_ANGLES = (((2, 4), 44.24), ((3, 4), -46.11), ((1, 3), 9.13),
+                ((1, 2), -45.66), ((2, 3), 9.43), ((1, 4), 37.78))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,22 +212,12 @@ def _g4c_codeword(x) -> np.ndarray:
 # --------------------------------------------------------------------------
 # derived variants
 
-def _t8_lt_mixing() -> np.ndarray:
-    """4-D orthogonal mixing for T8_LT from the searched plane angles.
-
-    The angle set attaches to this particular factor order and a sign
-    conjugation of the fourth group position; other conventions reach the
-    same matrix by passing it to GcltSpec(groups, matrices) directly.
-    """
-    from .transforms import givens_product
-
-    factors = [
-        (i, k, math.radians(T8_LT_ANGLES_DEG[(i, k)]))
-        for (i, k) in T8_LT_FACTOR_ORDER
-    ]
-    L = givens_product(4, factors)
+def _t8_lt_mixing(transforms) -> np.ndarray:
+    """T8_LT's 4-D group mixing from :data:`T8_LT_ANGLES`; other angle
+    conventions reach it by passing it to GcltSpec(groups, matrices)."""
+    factors = [(i, k, math.radians(deg)) for (i, k), deg in T8_LT_ANGLES]
     s = np.diag([1.0, 1.0, 1.0, -1.0])
-    return s @ L @ s
+    return s @ transforms.givens_product(4, factors) @ s
 
 
 def t8_cr_angles(steps) -> tuple:
@@ -253,67 +231,44 @@ def t8_cr_angles(steps) -> tuple:
                         for k, sym in enumerate(family)))
 
 
-def _builders():
-    from . import transforms
+#: every catalog code's recipe, a function of the transforms module (which
+#: imports this one): a base code's dispersion stack; for a ``_CR`` variant
+#: the (symbol, angle) pairs rotated in its base code, for an ``_LT`` one
+#: the orthogonal mixing of every group of its base code
+_RECIPES = {
+    "Q4": lambda t: _Q4_DISPERSION,
+    "Q4_CR": lambda t: [(s, CR_ANGLE_DEFAULT) for s in CR_SYMBOLS["Q4_CR"]],
+    "Q4_LT": lambda t: t.rotation_2d(OPT_THETA_2D),
+    "Q8": lambda t: _dispersion_from_encoder(_q8_codeword, 6),
+    "Q8_CR": lambda t: [(s, CR_ANGLE_DEFAULT) for s in CR_SYMBOLS["Q8_CR"]],
+    "Q8_LT": lambda t: t.rotation_2d(OPT_THETA_2D),
+    "T8": lambda t: _dispersion_from_encoder(_t8_codeword, 8),
+    "T8_CR": lambda t: t8_cr_angles((T8_CR_STEP, T8_CR_STEP)),
+    "T8_LT": _t8_lt_mixing,
+    "G4C": lambda t: _dispersion_from_encoder(_g4c_codeword, 4),
+}
 
-    def q4():
-        return CodeDefinition("Q4", _Q4_DISPERSION)
-
-    def q8():
-        return CodeDefinition("Q8", _dispersion_from_encoder(_q8_codeword, 6))
-
-    def t8():
-        return CodeDefinition("T8", _dispersion_from_encoder(_t8_codeword, 8))
-
-    def g4c():
-        return CodeDefinition("G4C", _dispersion_from_encoder(_g4c_codeword, 4))
-
-    def q4_cr():
-        angles = [(s, CR_ANGLE_DEFAULT) for s in (3, 4)]
-        return transforms.apply_cr(build("Q4"), angles, name="Q4_CR")
-
-    def q4_lt():
-        spec = transforms.GcltSpec.rotations_2d(build("Q4").grouping, OPT_THETA_2D)
-        return transforms.apply_gclt(build("Q4"), spec, name="Q4_LT")
-
-    def q8_cr():
-        angles = [(s, CR_ANGLE_DEFAULT) for s in (4, 5, 6)]
-        return transforms.apply_cr(build("Q8"), angles, name="Q8_CR")
-
-    def q8_lt():
-        spec = transforms.GcltSpec.rotations_2d(build("Q8").grouping, OPT_THETA_2D)
-        return transforms.apply_gclt(build("Q8"), spec, name="Q8_LT")
-
-    def t8_cr():
-        angles = t8_cr_angles((T8_CR_STEP, T8_CR_STEP))
-        return transforms.apply_cr(build("T8"), angles, name="T8_CR")
-
-    def t8_lt():
-        base = build("T8")
-        spec = transforms.GcltSpec(base.grouping,
-                                   [_t8_lt_mixing()] * len(base.grouping))
-        return transforms.apply_gclt(base, spec, name="T8_LT")
-
-    return {
-        "Q4": q4, "Q4_CR": q4_cr, "Q4_LT": q4_lt,
-        "Q8": q8, "Q8_CR": q8_cr, "Q8_LT": q8_lt,
-        "T8": t8, "T8_CR": t8_cr, "T8_LT": t8_lt,
-        "G4C": g4c,
-    }
+CODE_NAMES = tuple(_RECIPES)
 
 
-_CACHE: dict = {}
-
-
+@functools.cache
 def build(name: str) -> CodeDefinition:
-    """Construct (and cache) a catalog code by name."""
+    """Construct (and cache) a catalog code by name from its recipe."""
     if name not in CODE_NAMES:
         raise ValueError(
             f"unknown code {name!r}; valid names: {', '.join(CODE_NAMES)}"
         )
-    if name not in _CACHE:
-        _CACHE[name] = _builders()[name]()
-    return _CACHE[name]
+    from . import transforms
+
+    made = _RECIPES[name](transforms)
+    base, _, variant = name.partition("_")
+    if not variant:
+        return CodeDefinition(name, made)
+    code = build(base)
+    if variant == "CR":
+        return transforms.apply_cr(code, made, name=name)
+    spec = transforms.GcltSpec(code.grouping, [made] * len(code.grouping))
+    return transforms.apply_gclt(code, spec, name=name)
 
 
 # --------------------------------------------------------------------------

@@ -165,29 +165,44 @@ def _curves(specs, grid, workers: int) -> dict:
         for name, order in specs}
 
 
+def _lacking(name: str, values: dict, what: str):
+    """The failed check ``name`` when a curve of ``values`` (curve name ->
+    value) has no ``what`` (its value is None), else None."""
+    missing = [curve for curve, value in values.items() if value is None]
+    return (name, False, f"no {what} for {', '.join(missing)}") if missing \
+        else None
+
+
+def _gap(name: str, curves: dict, mixed: str, rotated: str, ok, bound: str):
+    """The check ``name`` that ``ok`` holds for the SNR of the ``mixed``
+    curve at BER 1e-3 minus that of the ``rotated`` one."""
+    at = {c: simulate.snr_at_ber(curves[c], 1e-3) for c in (mixed, rotated)}
+    if None in at.values():
+        return _lacking(name, at, "SNR at BER 1e-3")
+    gap = at[mixed] - at[rotated]
+    return name, ok(gap), f"{gap:.3f} dB ({bound})"
+
+
 def ber_relationships(workers: int):
     """Yield the Monte Carlo checks: the gap between the rotated and the
     mixed variants at BER 1e-3, full-diversity slopes against the
-    orthogonal benchmark, and the unmixed code's shallower slope."""
+    orthogonal benchmark, and the unmixed code's shallower slope. A check
+    fails, naming the curve, when a curve it reads never reaches BER 1e-3
+    or has no final-decade slope (or a zero one that it divides by)."""
     four = _curves((("Q4", 4), ("Q4_CR", 4), ("Q4_LT", 4), ("G4C", 16)),
                    tuple(float(v) for v in range(0, 26, 2)), workers)
-    gap = (simulate.snr_at_ber(four["Q4_LT"], 1e-3)
-           - simulate.snr_at_ber(four["Q4_CR"], 1e-3))
-    yield ("four-antenna gap at BER 1e-3", 0.0 <= gap <= 0.7,
-           f"{gap:.3f} dB (<= 0.7)")
-    s_lt = simulate.final_decade_slope(four["Q4_LT"])
-    s_bench = simulate.final_decade_slope(four["G4C"])
-    ok = (s_lt is not None and s_bench is not None
-          and abs(s_lt - s_bench) <= 0.25 * abs(s_bench))
-    yield ("full-diversity slope agreement", ok,
-           f"{s_lt:.3f} vs {s_bench:.3f} per dB")
-    s_q4 = simulate.final_decade_slope(four["Q4"])
-    yield ("unmixed code visibly shallower",
-           s_q4 is not None and s_q4 / s_lt < 0.8,
-           f"slope ratio {s_q4 / s_lt:.3f} (< 0.8)")
+    yield _gap("four-antenna gap at BER 1e-3", four, "Q4_LT", "Q4_CR",
+               lambda gap: 0.0 <= gap <= 0.7, "<= 0.7")
+    s_q4, s_lt, s_bench = (simulate.final_decade_slope(four[c])
+                           for c in ("Q4", "Q4_LT", "G4C"))
+    name = "full-diversity slope agreement"
+    yield _lacking(name, {"Q4_LT": s_lt, "G4C": s_bench}, "slope") or (
+        name, abs(s_lt - s_bench) <= 0.25 * abs(s_bench),
+        f"{s_lt:.3f} vs {s_bench:.3f} per dB")
+    name = "unmixed code visibly shallower"
+    yield _lacking(name, {"Q4": s_q4, "Q4_LT": s_lt or None}, "slope") or (
+        name, s_q4 / s_lt < 0.8, f"slope ratio {s_q4 / s_lt:.3f} (< 0.8)")
     eight = _curves((("Q8_CR", 4), ("Q8_LT", 4)),
                     tuple(float(v) for v in range(0, 14, 2)), workers)
-    gap8 = (simulate.snr_at_ber(eight["Q8_LT"], 1e-3)
-            - simulate.snr_at_ber(eight["Q8_CR"], 1e-3))
-    yield ("eight-antenna gap at BER 1e-3", abs(gap8) <= 0.7,
-           f"{gap8:.3f} dB (|.| <= 0.7)")
+    yield _gap("eight-antenna gap at BER 1e-3", eight, "Q8_LT", "Q8_CR",
+               lambda gap: abs(gap) <= 0.7, "|.| <= 0.7")

@@ -156,6 +156,8 @@ def _cmd_transform(args) -> int:
         raise ValueError(
             "choose exactly one of --gclt-theta, --gclt-givens, --cr-angle"
         )
+    if args.cr_symbols is not None and args.cr_angle is None:
+        raise ValueError("--cr-symbols requires --cr-angle")
     if args.gclt_theta is not None:
         spec = transforms.GcltSpec.rotations_2d(code.grouping, args.gclt_theta)
         out = transforms.apply_gclt(code, spec)

@@ -87,7 +87,7 @@ import numpy as np
 
 from . import transforms
 from .analysis import pair_products
-from .catalog import CodeDefinition, build, t8_cr_angles
+from .catalog import CR_SYMBOLS, CodeDefinition, build, t8_cr_angles
 from .modem import Constellation, lex_vectors, make_qam
 from .simulate import MAX_WORKERS
 
@@ -268,19 +268,22 @@ def min_det_search(code: CodeDefinition, constellation: Constellation,
 @dataclass(frozen=True)
 class DiversityReport:
     zeta: float
-    full_diversity: bool
-    min_det: float
     report: MinDetReport
+
+    @property
+    def min_det(self) -> float:
+        return self.report.min_det
+
+    @property
+    def full_diversity(self) -> bool:
+        return self.zeta > 0
 
 
 def diversity_product(code: CodeDefinition,
                       constellation: Constellation) -> DiversityReport:
     """Within-group minimum determinant mapped through the zeta normalisation."""
     rep = min_det_search(code, constellation, scope="within_group")
-    zeta = _zeta_of(rep.min_det, code)
-    return DiversityReport(
-        zeta=zeta, full_diversity=zeta > 0, min_det=rep.min_det, report=rep
-    )
+    return DiversityReport(zeta=_zeta_of(rep.min_det, code), report=rep)
 
 
 # --------------------------------------------------------------------------
@@ -550,26 +553,28 @@ def search_t8_angles(starts: int = 64, seed: int = 0,
     return AngleSearchResult(angles=angles, zeta=-neg_zeta)
 
 
+def _cr_min_dets(base: CodeDefinition, rails, angles) -> np.ndarray:
+    """4-QAM minimum determinants of ``base``'s rail set ``rails`` (1-based)
+    under each CR rotation of the (symbol, angle array) pairs ``angles``:
+    the rotation's block on the rails mixes the base code's patterns."""
+    idx = [r - 1 for r in rails]
+    rot = transforms.cr_rotation(base.K, angles)[:, idx][:, :, idx]
+    return _mixed_min_det(base, make_qam(4), [rails])(rot)
+
+
 def search_q8_cr_angle() -> AngleSearchResult:
-    """1-D search of the common rotation angle for the eight-antenna
-    rate-3/4 code (symbols 4..6 rotated) over a 0.25-degree grid, scored on
-    the base code's patterns rotated within the rotated code's groups; each
+    """1-D search of the common rotation angle of ``CR_SYMBOLS["Q8_CR"]`` in
+    the eight-antenna rate-3/4 code over a 0.25-degree grid, scored on the
+    base code's patterns rotated within the rotated code's groups; each
     group scores every angle of the grid in one call."""
     base = build("Q8")
     phis = np.array([math.radians(deg) for deg in np.arange(0.25, 90.0, 0.25)])
-    rot = transforms.cr_rotation(base.K, [(s, phis) for s in (4, 5, 6)])
-    worst = np.min([_mixed_min_det(base, make_qam(4), [g])(_blocks(rot, g))
+    angles = [(s, phis) for s in CR_SYMBOLS["Q8_CR"]]
+    worst = np.min([_cr_min_dets(base, g, angles)
                     for g in build("Q8_CR").grouping], axis=0)
     zetas = [_zeta_of(v, base) for v in worst.tolist()]
     best = int(np.argmax(zetas))  # the first angle of the best value
     return AngleSearchResult(angles=(float(phis[best]),), zeta=zetas[best])
-
-
-def _blocks(rot: np.ndarray, rails) -> np.ndarray:
-    """The (S, w, w) blocks of an (S, n, n) rotation stack on ``rails``
-    (1-based)."""
-    idx = [r - 1 for r in rails]
-    return rot[:, idx][:, :, idx]
 
 
 def search_t8_cr_steps() -> AngleSearchResult:
@@ -586,8 +591,6 @@ def search_t8_cr_steps() -> AngleSearchResult:
     # rotating a family's symbols merges its real and imaginary rail groups
     # into one group of T8_CR; group i holds family i
     merged = build("T8_CR").grouping
-    min_dets = [_mixed_min_det(base, make_qam(4), [rails])
-                for rails in merged]
     top_deg = 30.0 - fine_deg  # keep 3d strictly inside [0, 90) degrees
 
     # the pair's value is the smaller of the two families' values, each a
@@ -595,8 +598,8 @@ def search_t8_cr_steps() -> AngleSearchResult:
     # steps in one call
     def family_min_dets(index: int, steps_deg) -> list:
         steps = np.array([math.radians(d) for d in steps_deg])
-        rot = transforms.cr_rotation(base.K, t8_cr_angles((steps, steps)))
-        return min_dets[index](_blocks(rot, merged[index])).tolist()
+        return _cr_min_dets(base, merged[index],
+                            t8_cr_angles((steps, steps))).tolist()
 
     def grid(d1_values, d2_values, best=None):
         first = family_min_dets(0, d1_values)

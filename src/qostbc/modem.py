@@ -27,31 +27,41 @@ MIDPOINT_TOL = 2.0 ** -40
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-average-energy square QAM decomposed into two PAM rails.
+    """Unit-average-energy square QAM of a supported order, decomposed into
+    two PAM rails; everything else is built from the order.
 
-    ``pam_levels`` holds the rail levels in descending order (``==`` skips
-    them: they follow from the order); position ``i`` carries the Gray code
-    of ``i`` as its bit label. The modem reads two tables built from them:
+    ``pam_levels`` holds the rail levels in descending order, the odd
+    multiples of d_min / 2; position ``i`` carries the Gray code of ``i``
+    as its bit label. The modem reads two read-only tables built from them:
     the level of each label and the MSB-first bits of each position's label.
     """
 
     order: int
-    pam_levels: np.ndarray = field(repr=False, compare=False)
-    d_min: float
-    bits_per_symbol: int
+    pam_levels: np.ndarray = field(init=False, repr=False, compare=False)
+    d_min: float = field(init=False)
+    bits_per_symbol: int = field(init=False)
     _level_of_label: np.ndarray = field(init=False, repr=False, compare=False)
     _label_bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L, b = len(self.pam_levels), self.bits_per_rail
+        if self.order not in SUPPORTED_ORDERS:
+            raise ValueError(f"unsupported QAM order {self.order}; "
+                             f"expected one of {SUPPORTED_ORDERS}")
+        L = int(round(np.sqrt(self.order)))
+        d_min = np.sqrt(6.0 / (self.order - 1))
+        levels = np.arange(L - 1, -L, -2, dtype=np.float64) * (d_min / 2.0)
+        b = int(round(np.log2(self.order))) // 2
         gray = np.arange(L) ^ (np.arange(L) >> 1)
         level_of_label = np.empty(L)
-        level_of_label[gray] = self.pam_levels
+        level_of_label[gray] = levels
         label_bits = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1  # (L, b)
-        for name, table in (("_level_of_label", level_of_label),
-                            ("_label_bits", label_bits)):
+        for table in (levels, level_of_label, label_bits):
             table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        for name, value in (("pam_levels", levels), ("d_min", float(d_min)),
+                            ("bits_per_symbol", 2 * b),
+                            ("_level_of_label", level_of_label),
+                            ("_label_bits", label_bits)):
+            object.__setattr__(self, name, value)
 
     @property
     def bits_per_rail(self) -> int:
@@ -153,23 +163,8 @@ def lex_vectors(values: np.ndarray, width: int, index=None) -> np.ndarray:
 
 
 def make_qam(order: int) -> Constellation:
-    """Build the unit-energy square QAM constellation of the given order."""
-    if order not in SUPPORTED_ORDERS:
-        raise ValueError(
-            f"unsupported QAM order {order}; expected one of {SUPPORTED_ORDERS}"
-        )
-    levels_per_rail = int(round(np.sqrt(order)))
-    d_min = np.sqrt(6.0 / (order - 1))
-    # descending odd multiples of d_min/2, symmetric about zero
-    k = np.arange(levels_per_rail - 1, -levels_per_rail, -2, dtype=np.float64)
-    levels = k * (d_min / 2.0)
-    levels.setflags(write=False)
-    return Constellation(
-        order=order,
-        pam_levels=levels,
-        d_min=float(d_min),
-        bits_per_symbol=int(round(np.log2(order))),
-    )
+    """The unit-energy square QAM constellation of the given order."""
+    return Constellation(order)
 
 
 def modulation_name(order: int) -> str:

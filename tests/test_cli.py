@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qostbc
-from qostbc import analysis, catalog, cli, simulate
+from qostbc import analysis, catalog, checks, cli, simulate
 
 from closed_form import decode_code_json
 
@@ -122,6 +122,15 @@ class TestTransform:
                                           "--cr-angle", "45"])
         assert status == 1
         assert "cr-symbols" in err
+
+    def test_cr_symbols_need_the_cr_angle(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        status, stdout, err = run_cli(capsys, [
+            "transform", "--code", "Q4", "--gclt-theta", "10",
+            "--cr-symbols", "1,2", "--out", str(out)])
+        assert status == 1 and stdout == ""
+        assert err.startswith("--cr-symbols requires --cr-angle\n")
+        assert not out.exists()
 
 
 class TestGainCommands:
@@ -488,6 +497,43 @@ def test_verify_passes(capsys):
     status, out, _ = run_cli(capsys, ["verify"])
     assert status == 0
     assert out == VERIFY_STDOUT
+
+
+def flat_ber(config):
+    """A stand-in for ``simulate.run_ber``: BER 0.5 at every SNR."""
+    return simulate.BerCurve(config, tuple(
+        simulate.BerPoint(snr, bits=1000, bit_errors=500, frames=10,
+                          frame_errors=10) for snr in config.snr_db))
+
+
+def test_verify_ber_reports_curves_that_never_cross_as_failures(capsys):
+    with mock.patch.object(simulate, "run_ber", flat_ber):
+        status, out, err = run_cli(capsys, ["verify", "--ber",
+                                            "--workers", "1"])
+    assert status == cli.EXIT_VERIFY
+    assert out.startswith(VERIFY_STDOUT.rsplit("all verification", 1)[0])
+    assert ("[FAIL] four-antenna gap at BER 1e-3: no SNR at BER 1e-3 for "
+            "Q4_LT, Q4_CR\n") in out
+    assert ("[FAIL] eight-antenna gap at BER 1e-3: no SNR at BER 1e-3 for "
+            "Q8_LT, Q8_CR\n") in out
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("slope, want", [
+    (None, {"full-diversity slope agreement": "no slope for Q4_LT, G4C",
+            "unmixed code visibly shallower": "no slope for Q4, Q4_LT"}),
+    (0.0, {"unmixed code visibly shallower": "no slope for Q4_LT"}),
+])
+def test_ber_checks_without_a_usable_slope_fail_and_name_the_curve(slope,
+                                                                   want):
+    with mock.patch.object(simulate, "run_ber", flat_ber), \
+            mock.patch.object(simulate, "final_decade_slope",
+                              lambda curve: slope):
+        results = {name: (ok, detail) for name, ok, detail
+                   in checks.ber_relationships(workers=1)}
+    assert len(results) == 4
+    for name, detail in want.items():
+        assert results[name] == (False, detail)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 diversity products and the angle searches."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import math
 
@@ -219,6 +220,13 @@ class TestDiversityProduct:
     def test_orthogonal_benchmark(self):
         rep = gain.diversity_product(build("G4C"), QAM4)
         assert rep.full_diversity
+
+    @pytest.mark.parametrize("name", ["Q4", "Q4_LT"])
+    def test_stores_zeta_and_report_and_reads_the_rest_off_them(self, name):
+        rep = gain.diversity_product(build(name), QAM4)
+        assert [f.name for f in dataclasses.fields(rep)] == ["zeta", "report"]
+        assert rep.min_det == rep.report.min_det
+        assert rep.full_diversity is (rep.zeta > 0)
 
 
 def every_pattern(mult, width):

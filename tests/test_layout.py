@@ -84,3 +84,77 @@ def test_every_constant_is_read_in_the_library_or_bench():
     refs = _references()
     unread = {name for name, _ in _constants() if name not in refs}
     assert unread == set()
+
+
+def _aliases(trees) -> dict:
+    """Module-level ``alias = name`` (or ``= module.name``) assignments of
+    the parsed modules ``trees``, alias -> name."""
+    aliases = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name) \
+                    and isinstance(node.value, (ast.Name, ast.Attribute)):
+                value = node.value
+                aliases[node.targets[0].id] = getattr(value, "id", None) \
+                    or value.attr
+    return aliases
+
+
+def _calls():
+    """(called name, positional count, keywords, caller) of every call in
+    ``src/`` and ``bench/``, the called name read through the module-level
+    aliases of either; caller is the enclosing top-level definition's name, or None.
+    A ``*args`` counts as every position and a ``**kwargs`` as every
+    keyword."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             + sorted((ROOT / "bench").rglob("*.py"))]
+    aliases = _aliases(trees)
+    for tree in trees:
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for call in ast.walk(top):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                keywords = {k.arg for k in call.keywords}
+                yield (aliases.get(name, name),
+                       float("inf") if starred else len(call.args),
+                       None if None in keywords else keywords, owner)
+
+
+def _defaulted_parameters():
+    """(function, parameter, position or None) of every parameter with a
+    default of a public top-level function of the package; keyword-only
+    parameters have no position."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) \
+                    or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(args.defaults):
+                    yield node.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_set_by_a_library_or_bench_caller():
+    # a knob no caller turns is a constant: the default is the only value
+    # the library and the benchmark ever use
+    calls = list(_calls())
+    unset = set()
+    for function, param, position in _defaulted_parameters():
+        if not any(name == function and owner != function
+                   and (keywords is None or param in keywords
+                        or position is not None and count > position)
+                   for name, count, keywords, owner in calls):
+            unset.add(f"{function}({param}=)")
+    assert unset == set()

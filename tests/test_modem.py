@@ -1,6 +1,8 @@
 """QAM rail constellation tests."""
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +187,27 @@ def test_bit_value_validation(order, bad):
 def test_unsupported_order_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         modem.make_qam(32)
+
+
+def test_constellation_init_field_is_the_order():
+    assert [f.name for f in dataclasses.fields(modem.Constellation)
+            if f.init] == ["order"]
+
+
+def test_constellation_rejects_an_unsupported_order_by_name():
+    with pytest.raises(ValueError, match="unsupported QAM order 8;"):
+        modem.Constellation(8)
+
+
+@pytest.mark.parametrize("order", modem.SUPPORTED_ORDERS)
+def test_constellation_is_built_from_its_order_with_read_only_tables(order):
+    qam = modem.Constellation(order)
+    assert qam == modem.make_qam(order)
+    assert qam.bits_per_symbol == round(math.log2(order))
+    for table in (qam.pam_levels, qam._level_of_label, qam._label_bits):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[-1]
 
 
 def test_parse_modulation():
