@@ -29,12 +29,16 @@ unchanged. The candidates and features depend only on the group's dispersion
 sub-stack and the PAM levels; they are built once, cached by that content
 (never by code name) in a bounded cache, and read-only.
 
-Frames are scored in blocks whose (frames, C) float64 metric stays within
-:data:`METRIC_BLOCK_BYTES`, about an L2 cache, and holds at least
-:data:`METRIC_BLOCK_MIN_FRAMES` frames so that a large feature table is
-streamed once per block rather than once per frame; the rule depends only
-on C. Each frame's decision depends only on its own row, so the blocking
-never changes a decision. A group may have at most
+Frames are scored in balanced blocks (:func:`balanced_blocks`) of at most
+:func:`metric_block_frames` frames, whose (frames, C) float64 metric stays
+within :data:`METRIC_BLOCK_BYTES`, about an L2 cache, and which hold at
+least :data:`METRIC_BLOCK_MIN_FRAMES` frames so that a large feature table
+is streamed once per block rather than once per frame; the bound depends
+only on C. A row of a matrix product of two or more rows has the same bits
+whatever the row count, but a one-row product goes through gemv and rounds
+differently; balanced blocks hold two frames or more unless the batch is
+one frame, so neither the blocking nor the batch a frame arrives in changes
+a metric bit or a decision. A group may have at most
 :data:`GROUP_CANDIDATE_CAP` candidates (:class:`CandidateBudgetError`
 otherwise).
 
@@ -154,16 +158,18 @@ def _stack_classes(stack_bytes: bytes, shape: tuple):
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _class_tables(levels: tuple, size: int, merge_bytes: bytes):
+def _class_tables(constellation: Constellation, size: int,
+                  merge_bytes: bytes):
     """Read-only (candidates (C, g), features (R + g, C)) of a group.
 
-    Feature row r < R is class r's signed sum of pair products s_i s_j
-    (doubled off the diagonal), filled one pair at a time so that the build
-    holds little beyond the two tables.
+    Keyed by the constellation, which its order determines, so a cache hit
+    costs no sort of its levels. Feature row r < R is class r's signed sum
+    of pair products s_i s_j (doubled off the diagonal), filled one pair at
+    a time so that the build holds little beyond the two tables.
     """
     merge = np.frombuffer(merge_bytes).reshape(-1, size * (size + 1) // 2)
     rows, cols = np.triu_indices(size)
-    cands = lex_vectors(levels, size)
+    cands = group_candidates(constellation, size)
     features = np.zeros((len(merge) + size, len(cands)))
     pair = np.empty(len(cands))
     for r, signs in enumerate(merge):
@@ -185,14 +191,24 @@ def group_tables(constellation: Constellation, sub_stack):
     :func:`gram_classes` and the (R + g, C) metric features."""
     sub_stack = np.ascontiguousarray(sub_stack, dtype=np.complex128)
     reps, merge = _stack_classes(sub_stack.tobytes(), sub_stack.shape)
-    cands, features = _class_tables(tuple(np.sort(constellation.pam_levels)),
-                                    len(sub_stack), merge.tobytes())
+    cands, features = _class_tables(constellation, len(sub_stack),
+                                    merge.tobytes())
     return cands, reps, features
 
 
 def metric_block_frames(count: int) -> int:
-    """Frames per metric block for a group of ``count`` candidates."""
+    """Most frames per metric block for a group of ``count`` candidates."""
     return max(METRIC_BLOCK_MIN_FRAMES, METRIC_BLOCK_BYTES // (8 * count))
+
+
+def balanced_blocks(n: int, parts: int) -> list:
+    """``parts`` (at least one) consecutive slices covering range(n), the
+    first n % parts of them one longer than the rest (the split of
+    ``np.array_split``)."""
+    parts = max(1, parts)
+    size, extra = divmod(n, parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def check_rho(rho: float) -> None:
@@ -245,10 +261,9 @@ def detect_from_equivalent_batch(code: CodeDefinition,
             [factor * gram[:, idx[reps[:, 0]], idx[reps[:, 1]]],
              -2.0 * z[:, idx]], axis=1
         )
-        block = metric_block_frames(len(cands))
-        for start in range(0, n, block):
-            np.argmin(weights[start:start + block] @ features, axis=1,
-                      out=best[start:start + block])
+        parts = -(-n // metric_block_frames(len(cands)))
+        for rows in balanced_blocks(n, parts):
+            np.argmin(weights[rows] @ features, axis=1, out=best[rows])
         decided[:, idx] = cands[best]
     return decided
 

@@ -14,6 +14,17 @@ SNR, independent of the number of transmit antennas.
 Every stage takes a batch of n codewords, from (n, Nt, Nr) channels to
 (n, 2K) decisions; one codeword is a batch of one.
 
+A chunk draws its bits, channels and noise whole, then runs the equivalent
+channel, transmission and detection over balanced blocks of frames
+(:func:`frame_blocks`), so that its memory stays bounded however many
+antennas the code and the receiver have; demapping and counting run on the
+whole chunk. A block holds at most :data:`FRAME_BLOCK_BYTES` of equivalent
+channels, and at least two frames unless the chunk is one frame. The
+blocks never change a bit: every per-frame value (H, r, the Gram, the
+matched filter, the metric and the decision) is a row of a product of two
+or more rows, or a product of that frame's own matrices, and has the same
+bits in any batch of two or more frames.
+
 Determinism contract: every SNR point consumes a sequence of fixed-size
 chunks; chunk ``c`` of point ``i`` draws all its randomness from
 ``Philox(SeedSequence([seed, i, c]))`` in the order bits, channel, noise.
@@ -28,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import equivalent_channel
+from .analysis import equivalent_channel, expansion_stack
 from .catalog import CodeDefinition, build
-from .decoder import (_check_batch, check_candidate_budget,
+from .decoder import (_check_batch, balanced_blocks, check_candidate_budget,
                       detect_from_equivalent_batch)
 from .modem import Constellation, make_qam, modulation_name
 
@@ -40,8 +51,16 @@ CHUNK_FRAMES = 4096
 #: most threads a campaign here or a search in :mod:`qostbc.gain` may start
 MAX_WORKERS = 256
 
-#: most receive antennas a campaign may simulate; at this cap T8's equivalent
-#: channels for one chunk take 128 MiB
+#: most bytes of equivalent channels one block of a chunk's frames holds;
+#: each block costs the detector about 15 us per symbol group, so on a
+#: 2-core Xeon 4 MiB blocks ran T8_LT's nr = 2 curves 4-5% faster than one
+#: block and Q8_LT's and G4C's 1-4% slower, 2 MiB blocks those two 4%
+#: slower, and 8 MiB blocks raised the peak with no gain in speed
+FRAME_BLOCK_BYTES = 4 << 20
+
+#: most receive antennas a campaign may simulate; at this cap a T8 chunk
+#: peaks at about 26 MiB of arrays (its equivalent channels alone would be
+#: 128 MiB, but only one block of them exists at a time)
 MAX_NR = 16
 
 #: largest |SNR| in dB a campaign may simulate; 10^(snr/10) overflows a
@@ -141,18 +160,33 @@ def _chunk_rng(seed: int, point_index: int, chunk_index: int) -> np.random.Gener
     )
 
 
+def frame_blocks(code: CodeDefinition, nr: int, n: int) -> list:
+    """Balanced slices of a chunk's n frames, each holding at most
+    :data:`FRAME_BLOCK_BYTES` of (2T*Nr, 2K) float64 equivalent channels
+    and, when n > 1, at least two frames (the second rule wins for a frame
+    of over half the budget, 64 times the largest at :data:`MAX_NR`)."""
+    frame_bytes = 8 * (2 * code.T * nr) * (2 * code.K)
+    parts = -(-n // max(1, FRAME_BLOCK_BYTES // frame_bytes))
+    return balanced_blocks(n, min(parts, n // 2))
+
+
 def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
                     nr: int, rho: float, rng: np.random.Generator, n: int):
     """Simulate n codewords; returns (bit_errors, frame_errors, bits)."""
     bps = constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=(n, code.K * bps))
     h = draw_channel(rng, code.nt, nr, n)
-    noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
+    noise = rng.standard_normal((n, 2 * code.T * nr))
+    noise *= math.sqrt(0.5)
 
     s = constellation.modulate(bits)
-    H = equivalent_channel(code, h)
-    r = transmit(code, H, s, rho, noise)
-    decided = detect_from_equivalent_batch(code, constellation, H, r, rho)
+    stack = expansion_stack(code)
+    decided = np.empty_like(s)
+    for rows in frame_blocks(code, nr, n):
+        H = equivalent_channel(code, h[rows], stack)
+        r = transmit(code, H, s[rows], rho, noise[rows])
+        decided[rows] = detect_from_equivalent_batch(code, constellation, H,
+                                                     r, rho)
     errors = constellation.demap(decided) != bits
     per_frame = errors.sum(axis=1)
     return int(per_frame.sum()), int(np.count_nonzero(per_frame)), int(bits.size)

@@ -522,7 +522,9 @@ def test_verify_ber_reports_curves_that_never_cross_as_failures(capsys):
 @pytest.mark.parametrize("slope, want", [
     (None, {"full-diversity slope agreement": "no slope for Q4_LT, G4C",
             "unmixed code visibly shallower": "no slope for Q4, Q4_LT"}),
-    (0.0, {"unmixed code visibly shallower": "no slope for Q4_LT"}),
+    (0.0, {"full-diversity slope agreement":
+           "0.000 vs 0.000 per dB (within 25%, benchmark <= -0.3)",
+           "unmixed code visibly shallower": "no slope for Q4_LT"}),
 ])
 def test_ber_checks_without_a_usable_slope_fail_and_name_the_curve(slope,
                                                                    want):
@@ -699,16 +701,17 @@ MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
                "GLIBC_TUNABLES")
 
 #: in a fresh interpreter, prints the minor page faults of each of the
-#: first six 4096-frame T8_CR 4-QAM chunks at nr = 1
+#: first six 4096-frame 4-QAM chunks of the code named by argv[1] at the
+#: receive-antenna count argv[2]
 FAULT_PROBE = """
-import json, resource
+import json, resource, sys
 from qostbc import build, make_qam, simulate
-code, qam = build("T8_CR"), make_qam(4)
+code, nr, qam = build(sys.argv[1]), int(sys.argv[2]), make_qam(4)
 faults = []
 for chunk in range(6):
     rng = simulate._chunk_rng(0, 0, chunk)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    simulate._simulate_chunk(code, qam, 1, 10.0, rng, simulate.CHUNK_FRAMES)
+    simulate._simulate_chunk(code, qam, nr, 10.0, rng, simulate.CHUNK_FRAMES)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """
@@ -721,16 +724,31 @@ def on_glibc() -> bool:
         return False
 
 
+def chunk_faults(name: str, nr: int) -> list:
+    """:data:`FAULT_PROBE`'s page faults per chunk, at glibc's defaults
+    aside from the package's own heap thresholds."""
+    env = {k: v for k, v in os.environ.items() if k not in MALLOC_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE, name, str(nr)],
+                         env=env, capture_output=True, text=True, check=True)
+    faults = json.loads(run.stdout)
+    assert len(faults) == 6
+    return faults
+
+
 @pytest.mark.skipif(not on_glibc(), reason="the heap policy is glibc's")
 def test_steady_state_chunks_fault_almost_no_pages():
     # at glibc's drifting defaults each of these chunks faulted 1 574 pages
     # in, as the heap was trimmed and mapped again
-    env = {k: v for k, v in os.environ.items() if k not in MALLOC_VARS}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    faults = json.loads(run.stdout)
-    assert len(faults) == 6
+    faults = chunk_faults("T8_CR", 1)
+    assert all(count < 64 for count in faults[2:]), faults
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the heap policy is glibc's")
+def test_steady_state_blocked_chunks_fault_almost_no_pages():
+    # T8_LT at nr = 2 runs each chunk in several blocks of frames, whose
+    # arrays the heap reuses from block to block and chunk to chunk
+    faults = chunk_faults("T8_LT", 2)
     assert all(count < 64 for count in faults[2:]), faults
 
 

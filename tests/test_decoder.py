@@ -359,6 +359,39 @@ class TestMetricMemory:
         assert np.array_equal(split,
                               uncompressed_detect(code, QAM4, H, r, 4.0))
 
+    def test_a_frame_scores_the_same_bits_in_any_batch(self, monkeypatch):
+        # T8_CR 4-QAM scores at most 256 frames per metric block: 257 frames
+        # are two blocks, not 256 and a one-row product, which goes through
+        # gemv and rounds differently from the rows of a larger product
+        code, H, r = self.batch("T8_CR", QAM4, 512, 44)
+        metrics = []
+        argmin = np.argmin
+
+        def recording_argmin(a, axis, out):
+            metrics.append(a.copy())
+            return argmin(a, axis=axis, out=out)
+
+        monkeypatch.setattr(np, "argmin", recording_argmin)
+        rows = {}
+        for n in (257, 512):
+            metrics.clear()
+            decoder.detect_from_equivalent_batch(code, QAM4, H[:n], r[:n],
+                                                 4.0)
+            rows[n] = np.concatenate(metrics)
+        assert [len(m) for m in metrics] == [256, 256] * len(code.grouping)
+        groups = len(code.grouping)
+        short = rows[257].reshape(groups, 257, -1)
+        full = rows[512].reshape(groups, 512, -1)
+        assert short.tobytes() == full[:, :257].tobytes()
+
+    @pytest.mark.parametrize("n, parts", [(0, 1), (1, 1), (7, 3), (4096, 5),
+                                          (4096, 16)])
+    def test_balanced_blocks_split_like_array_split(self, n, parts):
+        want = [(len(a), a[0] if len(a) else 0)
+                for a in np.array_split(np.arange(n), parts)]
+        got = decoder.balanced_blocks(n, parts)
+        assert [(b.stop - b.start, b.start) for b in got] == want
+
     @pytest.mark.parametrize("count, frames", [
         (4, 16384), (256, 256), (4096, 16), (65536, 16),
     ])
@@ -393,13 +426,14 @@ class TestMetricMemory:
 
     def test_table_build_is_lean_and_unchanged(self):
         # T8_CR at 16-QAM: 65 536 candidates of 8 rails, 11 MiB of tables
-        levels = tuple(np.sort(make_qam(16).pam_levels))
+        qam = make_qam(16)
+        levels = tuple(np.sort(qam.pam_levels))
         code = build("T8_CR")
         reps, merge = decoder.gram_classes(group_stack(code, code.grouping[0]))
         tracemalloc.start()
         try:
             cands, features = decoder._class_tables.__wrapped__(
-                levels, 8, merge.tobytes())
+                qam, 8, merge.tobytes())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

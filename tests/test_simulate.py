@@ -4,14 +4,15 @@ determinism, and the curve-analysis helpers."""
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qostbc import decoder, simulate
 from qostbc.analysis import equivalent_channel
-from qostbc.catalog import build
-from qostbc.modem import make_qam
+from qostbc.catalog import CODE_NAMES, build
+from qostbc.modem import Constellation, make_qam
 
 
 class TestChannelDraws:
@@ -261,6 +262,139 @@ class TestRunBer:
             assert p.frames <= 30000
             assert p.bits == p.frames * 8
             assert p.bit_errors >= 150 or p.frames == 30000
+
+
+def whole_chunk(code, constellation, nr, rho, rng, n):
+    """The oracle: a chunk run as one block, with the draws of
+    :func:`simulate._simulate_chunk`; returns (decided rails, (bit_errors,
+    frame_errors, bits))."""
+    bits = rng.integers(0, 2, size=(n, code.K * constellation.bits_per_symbol))
+    h = simulate.draw_channel(rng, code.nt, nr, n)
+    noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
+    s = constellation.modulate(bits)
+    H = equivalent_channel(code, h)
+    r = simulate.transmit(code, H, s, rho, noise)
+    decided = decoder.detect_from_equivalent_batch(code, constellation, H, r,
+                                                   rho)
+    per_frame = (constellation.demap(decided) != bits).sum(axis=1)
+    return decided, (int(per_frame.sum()), int(np.count_nonzero(per_frame)),
+                     int(bits.size))
+
+
+class TestFrameBlocks:
+    @staticmethod
+    def blocked_chunk(monkeypatch, code, constellation, nr, rho, seed, n):
+        """(decided rails, counts) of :func:`simulate._simulate_chunk`; the
+        rails are read where the chunk demaps them."""
+        seen = []
+        demap = Constellation.demap
+
+        def recording_demap(self, rails):
+            seen.append(rails.copy())
+            return demap(self, rails)
+
+        monkeypatch.setattr(Constellation, "demap", recording_demap)
+        counts = simulate._simulate_chunk(code, constellation, nr, rho,
+                                          simulate._chunk_rng(seed, 0, 1), n)
+        (decided,) = seen
+        return decided, counts
+
+    def assert_matches_whole_chunk(self, monkeypatch, name, order, nr, n,
+                                   rho=2.5, seed=3):
+        code, qam = build(name), make_qam(order)
+        want, want_counts = whole_chunk(code, qam, nr, rho,
+                                        simulate._chunk_rng(seed, 0, 1), n)
+        got, counts = self.blocked_chunk(monkeypatch, code, qam, nr, rho,
+                                         seed, n)
+        assert counts == want_counts
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return want_counts
+
+    @pytest.mark.parametrize("nr", [1, 2])
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_chunk_decides_like_one_block(self, monkeypatch, name, nr):
+        counts = self.assert_matches_whole_chunk(monkeypatch, name, 4, nr,
+                                                 simulate.CHUNK_FRAMES)
+        assert counts[0] > 0  # the comparison covers wrong decisions too
+
+    @pytest.mark.parametrize("nr", [1, 2])
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_every_per_frame_value_keeps_its_bits(self, name, nr):
+        # H, r, the Gram and the matched filter of a block of two or more
+        # frames are the rows of the whole chunk's, byte for byte
+        code, qam = build(name), make_qam(4)
+        rng = simulate._chunk_rng(5, 0, 0)
+        n = 600
+        bits = rng.integers(0, 2, size=(n, code.K * qam.bits_per_symbol))
+        h = simulate.draw_channel(rng, code.nt, nr, n)
+        noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
+        s = qam.modulate(bits)
+
+        def stages(rows):
+            H = equivalent_channel(code, h[rows])
+            r = simulate.transmit(code, H, s[rows], 2.5, noise[rows])
+            return H, r, np.swapaxes(H, 1, 2) @ H, (r[:, None, :] @ H)[:, 0]
+
+        whole = stages(slice(None))
+        for parts in (2, 7, n // 3, n // 2):
+            for rows in decoder.balanced_blocks(n, parts):
+                for got, want in zip(stages(rows), whole):
+                    assert got.tobytes() == want[rows].tobytes()
+
+    @pytest.mark.parametrize("name", ["T8_LT", "T8_CR"])
+    def test_chunk_at_the_antenna_cap_decides_like_one_block(self, monkeypatch,
+                                                             name):
+        code = build(name)
+        assert len(simulate.frame_blocks(code, simulate.MAX_NR,
+                                         simulate.CHUNK_FRAMES)) > 16
+        self.assert_matches_whole_chunk(monkeypatch, name, 4, simulate.MAX_NR,
+                                        simulate.CHUNK_FRAMES, rho=0.1)
+
+    # T8_LT at nr = 2 and T8_CR at nr = 1 split a full chunk in blocks;
+    # 3001 frames split in blocks of two sizes
+    @pytest.mark.parametrize("n", [1, 2, 3, 3001, 4095, 4096])
+    @pytest.mark.parametrize("name, nr", [("T8_LT", 2), ("T8_CR", 1)])
+    def test_partial_chunks_decide_like_one_block(self, monkeypatch, name, nr,
+                                                  n):
+        self.assert_matches_whole_chunk(monkeypatch, name, 4, nr, n)
+
+    @pytest.mark.parametrize("name, nr", [("T8_LT", 2), ("T8_CR", 1)])
+    def test_blocked_curves_split_unevenly_at_3001_frames(self, name, nr):
+        code = build(name)
+        assert len(simulate.frame_blocks(code, nr, simulate.CHUNK_FRAMES)) > 1
+        sizes = {b.stop - b.start
+                 for b in simulate.frame_blocks(code, nr, 3001)}
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    @pytest.mark.parametrize("nr", [1, 2, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096])
+    def test_blocks_are_balanced_bounded_and_never_one_frame(self, name, nr,
+                                                            n):
+        code = build(name)
+        blocks = simulate.frame_blocks(code, nr, n)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= min(n, 2)
+        frame_bytes = 8 * 2 * code.T * nr * 2 * code.K
+        assert max(sizes) * frame_bytes <= simulate.FRAME_BLOCK_BYTES
+
+    def test_chunk_memory_stays_within_blocks(self):
+        # one T8_LT chunk at 16 receive antennas: 128 MiB of equivalent
+        # channels as one block, 163 MiB at its peak
+        code, qam = build("T8_LT"), make_qam(4)
+        tracemalloc.start()
+        try:
+            simulate._simulate_chunk(code, qam, 16, 2.5,
+                                     simulate._chunk_rng(0, 0, 0),
+                                     simulate.CHUNK_FRAMES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
 
 class TestArtifacts:
