@@ -170,9 +170,10 @@ def frame_blocks(code: CodeDefinition, nr: int, n: int) -> list:
     return balanced_blocks(n, min(parts, n // 2))
 
 
-def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
-                    nr: int, rho: float, rng: np.random.Generator, n: int):
-    """Simulate n codewords; returns (bit_errors, frame_errors, bits)."""
+def _decide_chunk(code: CodeDefinition, constellation: Constellation,
+                  nr: int, rho: float, rng: np.random.Generator, n: int):
+    """Draw n codewords from ``rng`` (bits, channels, noise, in that order),
+    send and detect them; returns (bits, decided rails)."""
     bps = constellation.bits_per_symbol
     bits = rng.integers(0, 2, size=(n, code.K * bps))
     h = draw_channel(rng, code.nt, nr, n)
@@ -187,6 +188,13 @@ def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
         r = transmit(code, H, s[rows], rho, noise[rows])
         decided[rows] = detect_from_equivalent_batch(code, constellation, H,
                                                      r, rho)
+    return bits, decided
+
+
+def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
+                    nr: int, rho: float, rng: np.random.Generator, n: int):
+    """Simulate n codewords; returns (bit_errors, frame_errors, bits)."""
+    bits, decided = _decide_chunk(code, constellation, nr, rho, rng, n)
     errors = constellation.demap(decided) != bits
     per_frame = errors.sum(axis=1)
     return int(per_frame.sum()), int(np.count_nonzero(per_frame)), int(bits.size)
