@@ -120,28 +120,39 @@ def diversity_products(targets, plain):
     return "diversity products", ok, f"max |zeta error| {worst:.2e}"
 
 
+def exhaustive_draws(code, constellation, trials: int, seed: int, nr: int):
+    """(channels, bits, noise) of :func:`grouped_vs_exhaustive`'s trials
+    for ``code``, drawn from ``SeedSequence([seed, i])`` with ``i`` the
+    code's index in :data:`catalog.CODE_NAMES`, so each code gets its own
+    draws: each trial draws its channel, bits and noise in turn."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [seed, catalog.CODE_NAMES.index(code.name)]))
+    draws = [(simulate.draw_channel(rng, code.nt, nr, 1),
+              rng.integers(0, 2, (1, code.K * constellation.bits_per_symbol)),
+              rng.standard_normal((1, 2 * code.T * nr)) * math.sqrt(0.5))
+             for _ in range(trials)]
+    return tuple(np.concatenate(parts) for parts in zip(*draws))
+
+
 def grouped_vs_exhaustive(codes, trials: int, seed: int, rho: float):
     """Grouped ML decides like exhaustive ML on ``trials`` noisy 4-QAM
-    blocks per code, drawn from ``SeedSequence([seed, i])`` with ``i`` the
-    code's index in :data:`catalog.CODE_NAMES`, so each code gets its own
-    draws. Each trial draws its channel, bits and noise in turn; the trials
-    are then sent and detected as one batch."""
+    blocks per code (:func:`exhaustive_draws`, one receive antenna), sent
+    and detected as one batch, on both grouped routes: the simulator's,
+    from the channel covariance, and
+    :func:`decoder.detect_from_equivalent_batch`'s, from H and r."""
     qam = modem.make_qam(4)
     hits = 0
     for name in codes:
         code = catalog.build(name)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [seed, catalog.CODE_NAMES.index(name)]))
-        draws = [(simulate.draw_channel(rng, code.nt, 1, 1),
-                  rng.integers(0, 2, (1, code.K * qam.bits_per_symbol)),
-                  rng.standard_normal((1, 2 * code.T)) * math.sqrt(0.5))
-                 for _ in range(trials)]
-        h, bits, noise = (np.concatenate(parts) for parts in zip(*draws))
+        h, bits, noise = exhaustive_draws(code, qam, trials, seed, 1)
+        s = qam.modulate(bits)
         H = analysis.equivalent_channel(code, h)
-        r = simulate.transmit(code, H, qam.modulate(bits), rho, noise)
-        g = decoder.detect_from_equivalent_batch(code, qam, H, r, rho)
+        r = simulate.transmit(code, H, s, rho, noise)
         e = decoder.exhaustive_ml_detect(code, qam, H, r, rho)
-        hits += int((g == e).all(axis=1).sum())
+        agree = ((decoder.detect_from_equivalent_batch(code, qam, H, r, rho)
+                  == e)
+                 & (simulate._detect(code, qam, h, noise, s, rho) == e))
+        hits += int(agree.all(axis=1).sum())
     total = trials * len(codes)
     detail = (f"{total} trials" if hits == total
               else f"{hits} of {total} trials agree")

@@ -1,16 +1,14 @@
 """Maximum-likelihood detection: grouped (block-diagonal Gram) and exhaustive.
 
-:func:`detect_from_equivalent_batch` is the one grouped detector. It takes a
-batch of real equivalent channels H (from
-:func:`analysis.equivalent_channel`, the package's single equivalent-channel
-function) and received vectors r, forms the matched filter z = H^T r and
-the Gram G = H^T H, and, because G is block-diagonal along the code's
-symbol grouping, detects each group's rails independently by enumerating
-that group's PAM candidates:
+With H the real equivalent channel of a frame and r its received vector,
+the Gram G = H^T H is block-diagonal along the code's symbol grouping, so
+grouped ML detects each group's rails independently by enumerating that
+group's PAM candidates:
 
     minimise  sqrt(rho/Nt) * s_g^T G_gg s_g - 2 z_g^T s_g
 
-which shares its argmin with the exact per-group ML metric.
+with z = H^T r the matched filter; this shares its argmin with the exact
+per-group ML metric.
 
 The metric is scored on the group's distinct Gram functionals. Gram entry
 (i, j) is the sum over receive antennas of x^T Q_ij x, x the antenna's
@@ -28,6 +26,23 @@ arithmetic this is the same metric, so the argmin and its tie-break are
 unchanged. The candidates and features depend only on the group's dispersion
 sub-stack and the PAM levels; they are built once, cached by that content
 (never by code name) in a bounded cache, and read-only.
+
+A :class:`DetectionPlan` (:func:`detection_plan`, cached per code and
+constellation) holds every group's tables and its columns of one weight
+array; :meth:`DetectionPlan.decide` is the one decision core. Two routes
+feed it each frame's class values and z:
+
+- :meth:`DetectionPlan.statistics`, the simulator's: G_ab = Re tr(P_ab R)
+  is linear in the channel covariance R = h h^H (P_ab = A_a^H A_b, from
+  :func:`analysis.pair_products`), and z = sqrt(rho/Nt) G s + H^T n with
+  H^T n linear in W = N h^H, N the complex noise. Fixed real maps give both
+  from R and W, so no equivalent channel, received vector or full Gram is
+  formed;
+- :func:`detect_from_equivalent_batch`, given H and r: the class values are
+  read off H^T H and z is H^T r.
+
+The routes agree in exact arithmetic and differ in the last bits, so they
+could part only at a metric near-tie.
 
 Frames are scored in balanced blocks (:func:`balanced_blocks`) of at most
 :func:`metric_block_frames` frames, whose (frames, C) float64 metric stays
@@ -77,8 +92,9 @@ METRIC_BLOCK_MIN_FRAMES = 16
 #: most candidate tables kept (each at most 11 MiB under the candidate cap)
 TABLE_CACHE_SIZE = 16
 
-#: the equivalent channel under the name the batched pipeline uses
-#: (``bench/run.py`` times it as ``decoder.equivalent_channel_batch``)
+#: the equivalent channel under its former pipeline name; the simulator no
+#: longer forms one, and only ``bench/run.py``'s traced replica of a chunk
+#: reads this name
 equivalent_channel_batch = equivalent_channel
 
 
@@ -233,6 +249,118 @@ def _check_batch(code: CodeDefinition, H: np.ndarray, batch, rho: float,
     return batch
 
 
+class DetectionPlan:
+    """Grouped ML detection of one (code, constellation), built once.
+
+    Holds each group's rails, candidates, features and column slice of one
+    (n, width) weight array, and three fixed real maps: ``class_map`` from
+    R's (Re, Im) entries to every class value, ``noise_map`` from W's to
+    H^T n (entry p is Re tr(A_p^H W)) and ``signal_map`` from the (class
+    value x rail) products to G s.
+    """
+
+    def __init__(self, code: CodeDefinition, constellation: Constellation):
+        check_candidate_budget(code, constellation)
+        self.code = code
+        groups, pairs, classes, rails, signal = [], [], [], [], []
+        width = 0
+        for group in code.grouping:
+            idx = np.array(group) - 1
+            sub = np.ascontiguousarray(code.dispersion[idx])
+            cands, reps, features = group_tables(constellation, sub)
+            merge = _stack_classes(sub.tobytes(), sub.shape)[1]
+            groups.append((idx, cands, features,
+                           slice(width, width + len(reps) + len(idx))))
+            # signs[r, q, p]: the sign of class r in Gram entry (p, q)
+            signs = np.zeros((len(reps), len(idx), len(idx)))
+            upper = np.triu_indices(len(idx))
+            signs[:, upper[0], upper[1]] = signs[:, upper[1], upper[0]] = merge
+            block = np.zeros((signs.size // len(idx), 2 * code.K))
+            block[:, idx] = signs.reshape(-1, len(idx))
+            signal.append(block)
+            classes.append(np.repeat(np.arange(len(reps)) + len(pairs),
+                                     len(idx)))
+            rails.append(np.tile(idx, len(reps)))
+            pairs.extend(idx[reps])
+            width += len(reps) + len(idx)
+        self.groups = tuple(groups)
+        self.width = width
+        self.pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        self.rails = np.concatenate([idx for idx, *_ in groups])
+        self.class_cols = np.concatenate(
+            [np.arange(c.start, c.stop - len(i)) for i, _, _, c in groups])
+        self.rail_cols = np.concatenate(
+            [np.arange(c.stop - len(i), c.stop) for i, _, _, c in groups])
+        herm = np.conj(pair_products(code.dispersion)[tuple(self.pairs.T)])
+        self.class_map = np.ascontiguousarray(herm.swapaxes(1, 2)).view(
+            np.float64).reshape(len(pairs), -1).T.copy()
+        self.noise_map = code.dispersion.view(np.float64).reshape(
+            2 * code.K, -1).T.copy()
+        signal = np.concatenate(signal)
+        used = signal.any(axis=1)
+        self.signal_map = signal[used]
+        self.product_classes = np.concatenate(classes)[used]
+        self.product_rails = np.concatenate(rails)[used]
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+
+    def statistics(self, h: np.ndarray, noise: np.ndarray, s: np.ndarray,
+                   rho: float):
+        """(class values (n, classes), z (n, 2K)) of frames sent as
+        ``s`` (n, 2K) through channels ``h`` (n, Nt, Nr) with ``noise``
+        (n, 2T*Nr), laid out as (Re, Im) blocks of length T per antenna.
+
+        R and W come from one product of the stacked [h; N] (n, Nt+T, Nr)
+        with h^H: an outer product at Nr = 1, a batched product otherwise.
+        """
+        n, nt, nr = h.shape
+        T = self.code.T
+        stacked = np.empty((n, nt + T, nr), dtype=np.complex128)
+        stacked[:, :nt] = h
+        parts = noise.reshape(n, nr, 2, T).transpose(0, 2, 3, 1)
+        stacked[:, nt:].real = parts[:, 0]
+        stacked[:, nt:].imag = parts[:, 1]
+        product = np.multiply if nr == 1 else np.matmul
+        outer = product(stacked, np.conj(h).swapaxes(1, 2))
+        flat = outer.reshape(n, -1).view(np.float64)
+        values = flat[:, :2 * nt * nt] @ self.class_map
+        signal = (values[:, self.product_classes]
+                  * s[:, self.product_rails]) @ self.signal_map
+        signal *= math.sqrt(rho / nt)
+        signal += flat[:, 2 * nt * nt:] @ self.noise_map
+        return values, signal
+
+    def decide(self, values: np.ndarray, z: np.ndarray,
+               rho: float) -> np.ndarray:
+        """Decided rails (n, 2K) from each frame's class values and matched
+        filter: per group, the metric of every candidate is the group's
+        column slice of the weights [sqrt(rho/Nt) class values, -2 z] times
+        its features, scored in balanced metric blocks; the argmin takes the
+        lexicographically smallest candidate of a tie."""
+        n = len(z)
+        weights = np.empty((n, self.width))
+        weights[:, self.class_cols] = math.sqrt(rho / self.code.nt) * values
+        weights[:, self.rail_cols] = -2.0 * z[:, self.rails]
+        decided = np.empty((n, len(self.rails)))
+        best = np.empty(n, dtype=np.intp)
+        for idx, cands, features, cols in self.groups:
+            parts = -(-n // metric_block_frames(len(cands)))
+            for rows in balanced_blocks(n, parts):
+                np.argmin(weights[rows, cols] @ features, axis=1,
+                          out=best[rows])
+            decided[:, idx] = cands[best]
+        return decided
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def detection_plan(code: CodeDefinition,
+                   constellation: Constellation) -> DetectionPlan:
+    """The cached :class:`DetectionPlan` of a code object (codes hash by
+    identity) and a constellation."""
+    return DetectionPlan(code, constellation)
+
+
 def detect_from_equivalent_batch(code: CodeDefinition,
                                  constellation: Constellation,
                                  H: np.ndarray, received_batch: np.ndarray,
@@ -242,30 +370,15 @@ def detect_from_equivalent_batch(code: CodeDefinition,
     ``H`` holds the equivalent channels, shape (n, 2*T*Nr, 2K), and
     ``received_batch`` the stacked received vectors, shape (n, 2*T*Nr);
     ``rho`` is the SNR of the transmission model. Returns the decided rails,
-    shape (n, 2K). Each row's decision depends only on that row.
+    shape (n, 2K). Each row's decision depends only on that row. The class
+    values are read off the full Gram H^T H and z is H^T r; the decision is
+    :meth:`DetectionPlan.decide`'s, as in the simulator.
     """
     received_batch = _check_batch(code, H, received_batch, rho)
-    check_candidate_budget(code, constellation)
-    n = H.shape[0]
+    plan = detection_plan(code, constellation)
     gram = np.swapaxes(H, 1, 2) @ H
     z = (received_batch[:, None, :] @ H)[:, 0]
-    factor = math.sqrt(rho / code.nt)
-
-    decided = np.empty((n, 2 * code.K))
-    best = np.empty(n, dtype=np.intp)
-    for group in code.grouping:
-        idx = np.array(group) - 1
-        cands, reps, features = group_tables(constellation,
-                                               code.dispersion[idx])
-        weights = np.concatenate(
-            [factor * gram[:, idx[reps[:, 0]], idx[reps[:, 1]]],
-             -2.0 * z[:, idx]], axis=1
-        )
-        parts = -(-n // metric_block_frames(len(cands)))
-        for rows in balanced_blocks(n, parts):
-            np.argmin(weights[rows] @ features, axis=1, out=best[rows])
-        decided[:, idx] = cands[best]
-    return decided
+    return plan.decide(gram[:, plan.pairs[:, 0], plan.pairs[:, 1]], z, rho)
 
 
 def exhaustive_ml_detect(code: CodeDefinition, constellation: Constellation,

@@ -14,16 +14,19 @@ SNR, independent of the number of transmit antennas.
 Every stage takes a batch of n codewords, from (n, Nt, Nr) channels to
 (n, 2K) decisions; one codeword is a batch of one.
 
-A chunk draws its bits, channels and noise whole, then runs the equivalent
-channel, transmission and detection over balanced blocks of frames
-(:func:`frame_blocks`), so that its memory stays bounded however many
-antennas the code and the receiver have; demapping and counting run on the
-whole chunk. A block holds at most :data:`FRAME_BLOCK_BYTES` of equivalent
-channels, and at least two frames unless the chunk is one frame. The
-blocks never change a bit: every per-frame value (H, r, the Gram, the
-matched filter, the metric and the decision) is a row of a product of two
-or more rows, or a product of that frame's own matrices, and has the same
-bits in any batch of two or more frames.
+A chunk draws its bits, channels and noise whole, then detects over
+balanced blocks of frames (:func:`frame_blocks`) from each frame's channel
+covariance R = h h^H and noise cross term W = N h^H
+(:meth:`decoder.DetectionPlan.statistics`): it never forms the equivalent
+channel H, the received vector r or the full Gram, which :func:`transmit`
+and :func:`decoder.detect_from_equivalent_batch` still take. Demapping and
+counting run on the whole chunk. A block holds at most
+:data:`FRAME_BLOCK_BYTES` of R and W, whatever the receive antennas, and at
+least two frames unless the chunk is one frame. The blocks never change a
+bit: every per-frame value (R, W, the class values, the matched filter, the
+metric and the decision) is a product of that frame's own matrices or a
+row of a product of two or more rows, and has the same bits in any batch
+of two or more frames.
 
 Determinism contract: every SNR point consumes a sequence of fixed-size
 chunks; chunk ``c`` of point ``i`` draws all its randomness from
@@ -39,10 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import equivalent_channel, expansion_stack
 from .catalog import CodeDefinition, build
-from .decoder import (_check_batch, balanced_blocks, check_candidate_budget,
-                      detect_from_equivalent_batch)
+from .decoder import _check_batch, balanced_blocks, detection_plan
 from .modem import Constellation, make_qam, modulation_name
 
 #: codewords simulated per deterministic chunk
@@ -51,16 +52,15 @@ CHUNK_FRAMES = 4096
 #: most threads a campaign here or a search in :mod:`qostbc.gain` may start
 MAX_WORKERS = 256
 
-#: most bytes of equivalent channels one block of a chunk's frames holds;
-#: each block costs the detector about 15 us per symbol group, so on a
-#: 2-core Xeon 4 MiB blocks ran T8_LT's nr = 2 curves 4-5% faster than one
-#: block and Q8_LT's and G4C's 1-4% slower, 2 MiB blocks those two 4%
-#: slower, and 8 MiB blocks raised the peak with no gain in speed
-FRAME_BLOCK_BYTES = 4 << 20
+#: most bytes of the channel covariance and noise cross term ((Nt + T, Nt)
+#: complex per frame) one block of a chunk's frames holds: 512 frames of T8;
+#: on a 2-core Xeon 0.5 to 8 MiB blocks ran the benchmark curves within
+#: about 5% of each other, and the smaller the block, the lower the peak
+FRAME_BLOCK_BYTES = 1 << 20
 
 #: most receive antennas a campaign may simulate; at this cap a T8 chunk
-#: peaks at about 26 MiB of arrays (its equivalent channels alone would be
-#: 128 MiB, but only one block of them exists at a time)
+#: peaks at about 22 MiB of arrays, 16 MiB of them its channel and noise
+#: draws
 MAX_NR = 16
 
 #: largest |SNR| in dB a campaign may simulate; 10^(snr/10) overflows a
@@ -160,35 +160,40 @@ def _chunk_rng(seed: int, point_index: int, chunk_index: int) -> np.random.Gener
     )
 
 
-def frame_blocks(code: CodeDefinition, nr: int, n: int) -> list:
+def frame_blocks(code: CodeDefinition, n: int) -> list:
     """Balanced slices of a chunk's n frames, each holding at most
-    :data:`FRAME_BLOCK_BYTES` of (2T*Nr, 2K) float64 equivalent channels
-    and, when n > 1, at least two frames (the second rule wins for a frame
-    of over half the budget, 64 times the largest at :data:`MAX_NR`)."""
-    frame_bytes = 8 * (2 * code.T * nr) * (2 * code.K)
+    :data:`FRAME_BLOCK_BYTES` of the channel covariance R and the noise
+    cross term W ((Nt + T, Nt) complex per frame, whatever the receive
+    antennas) and, when n > 1, at least two frames."""
+    frame_bytes = 16 * (code.nt + code.T) * code.nt
     parts = -(-n // max(1, FRAME_BLOCK_BYTES // frame_bytes))
     return balanced_blocks(n, min(parts, n // 2))
+
+
+def _detect(code: CodeDefinition, constellation: Constellation,
+            h: np.ndarray, noise: np.ndarray, s: np.ndarray,
+            rho: float) -> np.ndarray:
+    """Decided rails (n, 2K) of frames sent as ``s`` through channels ``h``
+    (n, Nt, Nr) with ``noise`` (n, 2T*Nr), detected as a chunk detects
+    them: from the channel covariance, over :func:`frame_blocks`."""
+    plan = detection_plan(code, constellation)
+    decided = np.empty_like(s)
+    for rows in frame_blocks(code, len(s)):
+        values, z = plan.statistics(h[rows], noise[rows], s[rows], rho)
+        decided[rows] = plan.decide(values, z, rho)
+    return decided
 
 
 def _decide_chunk(code: CodeDefinition, constellation: Constellation,
                   nr: int, rho: float, rng: np.random.Generator, n: int):
     """Draw n codewords from ``rng`` (bits, channels, noise, in that order),
     send and detect them; returns (bits, decided rails)."""
-    bps = constellation.bits_per_symbol
-    bits = rng.integers(0, 2, size=(n, code.K * bps))
+    bits = rng.integers(0, 2, size=(n, code.K * constellation.bits_per_symbol))
     h = draw_channel(rng, code.nt, nr, n)
     noise = rng.standard_normal((n, 2 * code.T * nr))
     noise *= math.sqrt(0.5)
-
     s = constellation.modulate(bits)
-    stack = expansion_stack(code)
-    decided = np.empty_like(s)
-    for rows in frame_blocks(code, nr, n):
-        H = equivalent_channel(code, h[rows], stack)
-        r = transmit(code, H, s[rows], rho, noise[rows])
-        decided[rows] = detect_from_equivalent_batch(code, constellation, H,
-                                                     r, rho)
-    return bits, decided
+    return bits, _detect(code, constellation, h, noise, s, rho)
 
 
 def _simulate_chunk(code: CodeDefinition, constellation: Constellation,
@@ -234,7 +239,7 @@ def run_ber(config: SimConfig) -> BerCurve:
     """
     code = build(config.code)
     constellation = make_qam(config.modulation)
-    check_candidate_budget(code, constellation)
+    detection_plan(code, constellation)
     indices = range(len(config.snr_db))
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

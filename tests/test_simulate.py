@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qostbc import decoder, simulate
+from qostbc import analysis, checks, decoder, simulate
 from qostbc.analysis import equivalent_channel
 from qostbc.catalog import CODE_NAMES, build
 from qostbc.modem import Constellation, make_qam
@@ -346,8 +346,7 @@ class TestFrameBlocks:
     def test_chunk_at_the_antenna_cap_decides_like_one_block(self, monkeypatch,
                                                              name):
         code = build(name)
-        assert len(simulate.frame_blocks(code, simulate.MAX_NR,
-                                         simulate.CHUNK_FRAMES)) > 16
+        assert len(simulate.frame_blocks(code, simulate.CHUNK_FRAMES)) > 1
         self.assert_matches_whole_chunk(monkeypatch, name, 4, simulate.MAX_NR,
                                         simulate.CHUNK_FRAMES, rho=0.1)
 
@@ -359,27 +358,26 @@ class TestFrameBlocks:
                                                   n):
         self.assert_matches_whole_chunk(monkeypatch, name, 4, nr, n)
 
-    @pytest.mark.parametrize("name, nr", [("T8_LT", 2), ("T8_CR", 1)])
-    def test_blocked_curves_split_unevenly_at_3001_frames(self, name, nr):
+    @pytest.mark.parametrize("name", ["T8_LT", "T8_CR"])
+    def test_blocked_curves_split_unevenly_at_3001_frames(self, name):
         code = build(name)
-        assert len(simulate.frame_blocks(code, nr, simulate.CHUNK_FRAMES)) > 1
-        sizes = {b.stop - b.start
-                 for b in simulate.frame_blocks(code, nr, 3001)}
+        assert len(simulate.frame_blocks(code, simulate.CHUNK_FRAMES)) > 1
+        sizes = {b.stop - b.start for b in simulate.frame_blocks(code, 3001)}
         assert len(sizes) == 2
 
     @pytest.mark.parametrize("name", CODE_NAMES)
-    @pytest.mark.parametrize("nr", [1, 2, 16])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096])
-    def test_blocks_are_balanced_bounded_and_never_one_frame(self, name, nr,
-                                                            n):
+    def test_blocks_are_balanced_bounded_and_never_one_frame(self, name, n):
+        # bounded by R and W, (Nt + T, Nt) complex per frame, whatever the
+        # receive antennas
         code = build(name)
-        blocks = simulate.frame_blocks(code, nr, n)
+        blocks = simulate.frame_blocks(code, n)
         sizes = [b.stop - b.start for b in blocks]
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert max(sizes) - min(sizes) <= 1
         assert min(sizes) >= min(n, 2)
-        frame_bytes = 8 * 2 * code.T * nr * 2 * code.K
+        frame_bytes = 16 * (code.nt + code.T) * code.nt
         assert max(sizes) * frame_bytes <= simulate.FRAME_BLOCK_BYTES
 
     def test_chunk_memory_stays_within_blocks(self):
@@ -395,6 +393,177 @@ class TestFrameBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
+
+
+def received_form(code, h, noise, s, rho):
+    """(H^T H, H^T r) of frames sent through the equivalent channel."""
+    H = equivalent_channel(code, h)
+    r = simulate.transmit(code, H, s, rho, noise)
+    return np.swapaxes(H, 1, 2) @ H, (r[:, None, :] @ H)[:, 0]
+
+
+def rounding_majorant(code, h):
+    """B (n, 2K, 2K), B_pq = sum over t and antennas i of a_p[t, i] a_q[t, i]
+    with a_p = |A_p| |h| and |x| = |Re x| + |Im x| entrywise.
+
+    Every term either route forms for Gram entry (p, q) is bounded by it:
+    the equivalent channel's rows of antenna i are bounded by a_p[:, i],
+    so H^T H sums terms of at most 2 B_pq; and Re tr(P_pq R), with P_pq =
+    A_p^H A_q and R = h h^H, sums terms of at most B_pq as well."""
+    disp = np.abs(code.dispersion.real) + np.abs(code.dispersion.imag)
+    a = np.einsum("ptk,nki->npti", disp, np.abs(h.real) + np.abs(h.imag))
+    return np.einsum("npti,nqti->npq", a, a), a
+
+
+def gamma(d):
+    """Higham's gamma_d = d u / (1 - d u), u the unit roundoff of float64."""
+    u = np.finfo(np.float64).eps / 2
+    return d * u / (1 - d * u)
+
+
+class TestCovarianceRoute:
+    """The simulator's route (:meth:`decoder.DetectionPlan.statistics` over
+    :func:`simulate.frame_blocks`) against the equivalent channel's."""
+
+    @staticmethod
+    def draws(code, nr, n, seed):
+        rng = simulate._chunk_rng(seed, nr, n)
+        h = simulate.draw_channel(rng, code.nt, nr, n)
+        noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
+        qam = make_qam(4)
+        s = qam.modulate(rng.integers(0, 2, (n, code.K * qam.bits_per_symbol)))
+        return h, noise, s
+
+    @pytest.mark.parametrize("n", [1, 2, 4096])
+    @pytest.mark.parametrize("nr", [1, 2, 16])
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_class_values_and_filter_match_the_equivalent_channel(self, name,
+                                                                  nr, n):
+        """Class values equal H^T H at every member of their class (times its
+        merge sign) and z equals H^T r, within a rounding bound.
+
+        Bound: both routes evaluate sums of products with + and x only, so
+        each is within gamma_d times the same sums over absolute values
+        (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), d the
+        most roundings on one path: at most 2T + 2Nr + 2Nt^2 + 2 on the
+        plan's (P, R and the class map), 2Nt + 2T*Nr + 2 on H^T H, and 2K + 4
+        more for z (the products with s, the factor and the noise term). The
+        absolute sums are at most 2B (:func:`rounding_majorant`), and for z
+        2 sqrt(rho/Nt) B|s| + 2 sum_t,i a_p |N|. A class member's form may
+        differ from its representative's (times the sign), and a dropped or
+        off-group entry's from zero, by up to the code's own
+        E_pq = max |N_pq - N~_pq| / 2 entrywise over (Re, Im), so its Gram
+        entry moves by at most E_pq times the sum over antennas of the
+        squared 1-norm of the channel rails; that is added to both bounds.
+        """
+        code, rho = build(name), 2.5
+        plan = decoder.detection_plan(code, make_qam(4))
+        h, noise, s = self.draws(code, nr, n, 17)
+        values, z = plan.statistics(h, noise, s, rho)
+        assert values.shape == (n, len(plan.pairs))
+        assert z.shape == (n, 2 * code.K)
+
+        # the forms the plan implies: each class member is its sign times
+        # the representative, every other entry zero
+        prods = analysis.pair_products(code.dispersion)
+        anti = (prods + prods.transpose(1, 0, 2, 3)) / 2
+        implied = np.zeros_like(anti)
+        members = []  # (column, p, q, sign)
+        column = 0
+        for idx, *_ in plan.groups:
+            _, merge = decoder.gram_classes(code.dispersion[idx])
+            rows, cols = np.triu_indices(len(idx))
+            for signs in merge:
+                a, b = plan.pairs[column]
+                for k in np.flatnonzero(signs):
+                    p, q = idx[rows[k]], idx[cols[k]]
+                    members.append((column, p, q, signs[k]))
+                    implied[p, q] = implied[q, p] = signs[k] * anti[a, b]
+                column += 1
+        diff = anti - implied
+        form_error = np.maximum(np.abs(diff.real),
+                                np.abs(diff.imag)).max(axis=(2, 3))
+        assert {(p, q) for _, p, q, _ in members} >= {
+            (a, b) for a, b in plan.pairs}
+
+        K2, T, nt = 2 * code.K, code.T, code.nt
+        d = 2 * T + 2 * nr + 2 * nt * nt + 2 + 2 * nt + 2 * T * nr + 2
+        factor = math.sqrt(rho / nt)
+        for rows in decoder.balanced_blocks(n, -(-n // 256)):
+            gram, want_z = received_form(code, h[rows], noise[rows], s[rows],
+                                         rho)
+            B, a = rounding_majorant(code, h[rows])
+            rails = np.abs(h[rows].real) + np.abs(h[rows].imag)
+            norm = (rails.sum(axis=1) ** 2).sum(axis=1)  # (frames,)
+            shift = form_error[None] * norm[:, None, None]
+            tol = 2 * gamma(d) * 2 * B + shift
+            for column, p, q, sign in members:
+                got = sign * values[rows, column]
+                assert np.all(np.abs(got - gram[:, p, q]) <= tol[:, p, q])
+            parts = noise[rows].reshape(len(gram), nr, 2, T)
+            noise_abs = np.abs(parts[:, :, 0]) + np.abs(parts[:, :, 1])
+            bz = (2 * factor * np.einsum("npq,nq->np", B, np.abs(s[rows]))
+                  + 2 * np.einsum("npti,nit->np", a, noise_abs))
+            tol_z = (2 * gamma(d + K2 + 4) * bz
+                     + factor * np.einsum("npq,nq->np", shift,
+                                          np.abs(s[rows])))
+            assert np.all(np.abs(z[rows] - want_z) <= tol_z)
+
+    @pytest.mark.parametrize("nr", [1, 2, 16])
+    @pytest.mark.parametrize("name", ["Q4_LT", "T8_CR", "G4C"])
+    def test_statistics_keep_their_bits_in_any_block(self, name, nr):
+        # R, W, the class values and z of a block of two or more frames are
+        # the rows of the whole batch's, byte for byte
+        code = build(name)
+        plan = decoder.detection_plan(code, make_qam(4))
+        n = 600
+        h, noise, s = self.draws(code, nr, n, 19)
+        whole = plan.statistics(h, noise, s, 2.5)
+        for parts in (2, 7, n // 3, n // 2):
+            for rows in decoder.balanced_blocks(n, parts):
+                got = plan.statistics(h[rows], noise[rows], s[rows], 2.5)
+                for part, want in zip(got, whole):
+                    assert part.tobytes() == want[rows].tobytes()
+
+    @pytest.mark.parametrize("nr", [1, 2])
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_simulator_route_decides_like_exhaustive_ml(self, name, nr):
+        # the draws of checks.grouped_vs_exhaustive at `verify`'s seed, sent
+        # at 3 dB rather than 10 dB so that some decisions are wrong
+        code, qam, rho = build(name), make_qam(4), 2.0
+        h, bits, noise = checks.exhaustive_draws(code, qam, 40, 303, nr)
+        s = qam.modulate(bits)
+        H = equivalent_channel(code, h)
+        r = simulate.transmit(code, H, s, rho, noise)
+        want = decoder.exhaustive_ml_detect(code, qam, H, r, rho)
+        got = simulate._detect(code, qam, h, noise, s, rho)
+        assert got.tobytes() == want.tobytes()
+        assert np.any(got != s)  # wrong decisions are compared too
+
+    # tracemalloc peaks of one 4096-frame chunk (caches warmed first) at
+    # the parent of the covariance route, in MiB, rounded down
+    PARENT_PEAK_MIB = {
+        ("T8_CR", 4, 1): 12.02, ("Q4_CR", 16, 1): 6.97,
+        ("Q4_LT", 64, 1): 7.19, ("Q8_LT", 4, 2): 9.67,
+        ("T8_LT", 4, 2): 12.06, ("G4C", 16, 2): 11.26,
+        ("T8_LT", 4, 16): 26.06,
+    }
+
+    @pytest.mark.parametrize("name, order, nr", list(PARENT_PEAK_MIB))
+    def test_chunk_peak_stays_at_or_below_the_equivalent_channel_route(
+            self, name, order, nr):
+        code, qam = build(name), make_qam(order)
+        simulate._simulate_chunk(code, qam, nr, 2.5,
+                                 simulate._chunk_rng(0, 0, 0), 2)
+        tracemalloc.start()
+        try:
+            simulate._simulate_chunk(code, qam, nr, 2.5,
+                                     simulate._chunk_rng(0, 0, 1),
+                                     simulate.CHUNK_FRAMES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PARENT_PEAK_MIB[name, order, nr] * 2 ** 20
 
 
 class TestArtifacts:
