@@ -23,9 +23,9 @@ class's representative entry, -2 z_g] times a (R + g, C) feature matrix
 whose row for a class is the signed sum of its pair products s_i s_j
 (doubled off the diagonal), followed by the candidate rails. In exact
 arithmetic this is the same metric, so the argmin and its tie-break are
-unchanged. The candidates and features depend only on the group's dispersion
-sub-stack and the PAM levels; they are built once, cached by that content
-(never by code name) in a bounded cache, and read-only.
+unchanged. The candidates and features depend only on the group's size, its
+classes and the PAM levels; they are built once per plan, shared by the
+plan's groups with equal classes, and read-only.
 
 A :class:`DetectionPlan` (:func:`detection_plan`, cached per code and
 constellation) holds every group's tables and its columns of one weight
@@ -89,8 +89,8 @@ METRIC_BLOCK_BYTES = 512 * 2 ** 10
 #: streamed once per block of frames rather than once per frame
 METRIC_BLOCK_MIN_FRAMES = 16
 
-#: most candidate tables kept (each at most 11 MiB under the candidate cap)
-TABLE_CACHE_SIZE = 16
+#: most detection plans kept (each table at most 11 MiB under the cap)
+PLAN_CACHE_SIZE = 16
 
 #: the equivalent channel under its former pipeline name; the simulator no
 #: longer forms one, and only ``bench/run.py``'s traced replica of a chunk
@@ -159,31 +159,15 @@ def gram_classes(sub_stack):
             np.array(merge).reshape(len(reps), len(rows)))
 
 
-# Two bounded caches, both keyed by content, never by code name: codes that
-# share a name may differ (``transforms.apply_cr`` and ``apply_gclt`` name
-# every transformed code after its base, whatever its angles). The class
-# structures are a few KiB each; every group of a catalog code has the same
-# one, so the large tables are shared between its groups.
-@functools.lru_cache(maxsize=256)
-def _stack_classes(stack_bytes: bytes, shape: tuple):
-    """:func:`gram_classes` of a sub-stack given by its bytes, read-only."""
-    classes = gram_classes(np.frombuffer(stack_bytes, complex).reshape(shape))
-    for table in classes:
-        table.flags.writeable = False
-    return classes
+def _class_tables(constellation: Constellation, size: int, merge):
+    """Read-only (candidates (C, g), features (R + g, C)) of a group of
+    ``size`` rails whose Gram classes have the sign matrix ``merge``
+    (:func:`gram_classes`).
 
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _class_tables(constellation: Constellation, size: int,
-                  merge_bytes: bytes):
-    """Read-only (candidates (C, g), features (R + g, C)) of a group.
-
-    Keyed by the constellation, which its order determines, so a cache hit
-    costs no sort of its levels. Feature row r < R is class r's signed sum
-    of pair products s_i s_j (doubled off the diagonal), filled one pair at
-    a time so that the build holds little beyond the two tables.
+    Feature row r < R is class r's signed sum of pair products s_i s_j
+    (doubled off the diagonal), filled one pair at a time so that the build
+    holds little beyond the two tables.
     """
-    merge = np.frombuffer(merge_bytes).reshape(-1, size * (size + 1) // 2)
     rows, cols = np.triu_indices(size)
     cands = group_candidates(constellation, size)
     features = np.zeros((len(merge) + size, len(cands)))
@@ -198,18 +182,6 @@ def _class_tables(constellation: Constellation, size: int,
     cands.flags.writeable = False
     features.flags.writeable = False
     return cands, features
-
-
-def group_tables(constellation: Constellation, sub_stack):
-    """Cached read-only tables of the group whose dispersion sub-stack is
-    ``sub_stack`` (g, T, Nt): the candidates (equal to
-    :func:`group_candidates`), the class representatives of
-    :func:`gram_classes` and the (R + g, C) metric features."""
-    sub_stack = np.ascontiguousarray(sub_stack, dtype=np.complex128)
-    reps, merge = _stack_classes(sub_stack.tobytes(), sub_stack.shape)
-    cands, features = _class_tables(constellation, len(sub_stack),
-                                    merge.tobytes())
-    return cands, reps, features
 
 
 def metric_block_frames(count: int) -> int:
@@ -227,12 +199,6 @@ def balanced_blocks(n: int, parts: int) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def check_rho(rho: float) -> None:
-    """Raise ``ValueError`` unless the SNR ``rho`` is finite and positive."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"rho must be finite and positive, got {rho}")
-
-
 def _check_batch(code: CodeDefinition, H: np.ndarray, batch, rho: float,
                  name: str = "received batch") -> np.ndarray:
     """Validate ``H`` (n, 2*T*Nr, 2K), an (n, 2*T*Nr) ``batch`` (called
@@ -245,7 +211,8 @@ def _check_batch(code: CodeDefinition, H: np.ndarray, batch, rho: float,
     if batch.shape != H.shape[:2]:
         raise ValueError(f"{name} has shape {batch.shape}, expected "
                          f"{H.shape[:2]}")
-    check_rho(rho)
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     return batch
 
 
@@ -263,12 +230,16 @@ class DetectionPlan:
         check_candidate_budget(code, constellation)
         self.code = code
         groups, pairs, classes, rails, signal = [], [], [], [], []
+        tables = {}
         width = 0
         for group in code.grouping:
             idx = np.array(group) - 1
-            sub = np.ascontiguousarray(code.dispersion[idx])
-            cands, reps, features = group_tables(constellation, sub)
-            merge = _stack_classes(sub.tobytes(), sub.shape)[1]
+            reps, merge = gram_classes(code.dispersion[idx])
+            # groups with equal classes share one table
+            key = (len(idx), merge.tobytes())
+            if key not in tables:
+                tables[key] = _class_tables(constellation, len(idx), merge)
+            cands, features = tables[key]
             groups.append((idx, cands, features,
                            slice(width, width + len(reps) + len(idx))))
             # signs[r, q, p]: the sign of class r in Gram entry (p, q)
@@ -353,11 +324,11 @@ class DetectionPlan:
         return decided
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def detection_plan(code: CodeDefinition,
                    constellation: Constellation) -> DetectionPlan:
     """The cached :class:`DetectionPlan` of a code object (codes hash by
-    identity) and a constellation."""
+    identity, never by name) and a constellation."""
     return DetectionPlan(code, constellation)
 
 

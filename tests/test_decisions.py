@@ -10,15 +10,22 @@ drawn by ``simulate._chunk_rng`` and decided by ``simulate._decide_chunk``,
 the helper ``simulate._simulate_chunk`` itself calls. The seeds and SNRs
 were fixed before any digest was read; at these SNRs every cell decides
 some frames wrongly, so wrong decisions are pinned too.
+
+A random chunk holds no exact metric tie, so the digests cannot see how
+ties are broken. Planted ties on the same route (``simulate._detect``) do:
+a zero channel ties every candidate, and a zero codeword sent without noise
+gives z = 0, so every candidate ties with its negation.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from qostbc import simulate
 from qostbc.catalog import CODE_NAMES, build
+from qostbc.decoder import detection_plan
 from qostbc.modem import make_qam
 
 FRAMES = 256
@@ -127,3 +134,47 @@ def test_chunk_decisions_match_their_digest(name, order, nr):
     assert np.any(qam.demap(decided) != bits)
     assert hashlib.sha256(decided.tobytes()).hexdigest() == \
         DIGESTS[name, order, nr]
+
+
+TIE_FRAMES = 3
+QAM4 = make_qam(4)
+
+
+@pytest.mark.parametrize("nr", [1, 2])
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_zero_channels_decide_the_lowest_level(name, nr):
+    code = build(name)
+    rng = np.random.default_rng([67, len(name), code.K])
+    s = QAM4.modulate(rng.integers(0, 2, (TIE_FRAMES, 2 * code.K)))
+    noise = rng.standard_normal((TIE_FRAMES, 2 * code.T * nr))
+    h = np.zeros((TIE_FRAMES, code.nt, nr), dtype=complex)
+    decided = simulate._detect(code, QAM4, h, noise, s, 1.0)
+    assert np.all(decided == np.min(QAM4.pam_levels))
+
+
+@pytest.mark.parametrize("nr", [1, 2])
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_zero_signal_keeps_the_first_of_each_mirror_pair(name, nr):
+    # with z = 0 each group's metric is even in s, so its first minimum ties
+    # exactly with its negation and has a negative first rail. The metric is
+    # this route's own; the equivalent-channel route may settle other exact
+    # ties of the CR codes differently, by last-bit differences.
+    code = build(name)
+    rng = np.random.default_rng([67, len(name), code.K])
+    h = simulate.draw_channel(rng, code.nt, nr, TIE_FRAMES)
+    noise = np.zeros((TIE_FRAMES, 2 * code.T * nr))
+    s = np.zeros((TIE_FRAMES, 2 * code.K))
+    decided = simulate._detect(code, QAM4, h, noise, s, 1.0)
+    plan = detection_plan(code, QAM4)
+    values, z = plan.statistics(h, noise, s, 1.0)
+    assert not z.any()
+    weights = np.empty((TIE_FRAMES, plan.width))
+    weights[:, plan.class_cols] = math.sqrt(1.0 / code.nt) * values
+    weights[:, plan.rail_cols] = -2.0 * z[:, plan.rails]
+    for idx, cands, features, cols in plan.groups:
+        for frame, metric in enumerate(weights[:, cols] @ features):
+            pick = np.flatnonzero(metric == metric.min())[0]
+            mirror = np.flatnonzero((cands == -cands[pick]).all(axis=1))[0]
+            assert np.array_equal(decided[frame, idx], cands[pick])
+            assert metric[mirror] == metric[pick]
+            assert cands[pick][0] < 0

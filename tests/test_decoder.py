@@ -247,8 +247,9 @@ def group_stack(code, group):
 def group_metric(code, constellation, group, H, r, rho):
     """The compressed metric weights @ features of one group, one block."""
     idx = np.array(group) - 1
-    cands, reps, features = decoder.group_tables(constellation,
-                                                 group_stack(code, group))
+    plan = decoder.detection_plan(code, constellation)
+    _, cands, features, _ = plan.groups[code.grouping.index(group)]
+    reps = decoder.gram_classes(group_stack(code, group))[0]
     gram, z = H.T @ H, H.T @ r
     weights = np.concatenate([
         np.sqrt(rho / code.nt) * gram[idx[reps[:, 0]], idx[reps[:, 1]]],
@@ -296,11 +297,9 @@ class TestCompressedMetric:
         qam = make_qam(16)
         codes = [apply_cr(base, [(s, phi) for s in (4, 5, 6)], name="Q8_CR")
                  for phi in (np.pi / 4, np.pi / 5)]
-        group = codes[0].grouping[0]
         assert codes[1].grouping == codes[0].grouping
-        tables = [decoder.group_tables(qam, group_stack(c, group))
-                  for c in codes]
-        assert not np.array_equal(tables[0][2], tables[1][2])
+        plans = [decoder.detection_plan(c, qam) for c in codes]
+        assert not np.array_equal(plans[0].groups[0][2], plans[1].groups[0][2])
         for code in codes:
             H, r, rho = random_batch(code, qam, 4096, 61)
             assert np.array_equal(
@@ -412,17 +411,36 @@ class TestMetricMemory:
     def test_cached_tables_are_read_only(self):
         qam = make_qam(16)
         code = build("Q4_CR")
-        rows = group_stack(code, code.grouping[0])
-        cands, reps, features = decoder.group_tables(qam, rows)
-        assert decoder.group_tables(qam, rows.copy())[2] is features
+        plan = decoder.detection_plan(code, qam)
+        assert decoder.detection_plan(code, qam) is plan
+        (_, cands, features, _), (_, cands2, features2, _) = plan.groups
         assert np.array_equal(cands, decoder.group_candidates(qam, 4))
         assert features.shape == (2 + 4, 256)
-        assert decoder.group_tables(
-            qam, group_stack(code, code.grouping[1]))[2] is features
-        for table in (cands, reps, features):
+        assert cands2 is cands and features2 is features
+        tables = [cands, features] + [
+            table for table in vars(plan).values()
+            if isinstance(table, np.ndarray)]
+        for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[0, 0] = 1
+                table[(0,) * table.ndim] = 1
+
+    def test_groups_with_equal_classes_share_one_table(self):
+        # T8_CR at 16-QAM: two groups of 65 536 candidates share one 11 MiB
+        # table; two would take about 22 MiB. The build peaked at 11.52 MiB
+        # when the tables came from a content-keyed cache.
+        qam = make_qam(16)
+        code = build("T8_CR")
+        tracemalloc.start()
+        try:
+            plan = decoder.DetectionPlan(code, qam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (_, cands, features, _), (_, cands2, features2, _) = plan.groups
+        assert features2 is features and cands2 is cands
+        assert features.nbytes + cands.nbytes == 11 * 2 ** 20
+        assert peak <= 11.52 * 2 ** 20
 
     def test_table_build_is_lean_and_unchanged(self):
         # T8_CR at 16-QAM: 65 536 candidates of 8 rails, 11 MiB of tables
@@ -432,8 +450,7 @@ class TestMetricMemory:
         reps, merge = decoder.gram_classes(group_stack(code, code.grouping[0]))
         tracemalloc.start()
         try:
-            cands, features = decoder._class_tables.__wrapped__(
-                qam, 8, merge.tobytes())
+            cands, features = decoder._class_tables(qam, 8, merge)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

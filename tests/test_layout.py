@@ -1,6 +1,6 @@
 """Layout guard: every public top-level function or class and every
 upper-case module-level constant of the package has a reader in the library
-or the benchmark.
+or the benchmark, and the package's caches are the listed ones.
 
 A name counts as referenced when some file under ``src/`` or ``bench/``
 reads it (a bare name, an attribute or an import) outside its own
@@ -18,6 +18,15 @@ PACKAGE = ROOT / "src" / "qostbc"
 #: public names with no caller yet. search_t8_cr_steps is the paper's T8_CR
 #: rotation-step search; ROADMAP item 3 adds it to the gain_search workload.
 UNCALLED = {"search_t8_cr_steps"}
+
+#: (module, function) of every ``functools`` cache in the package. A cache
+#: keeps its arguments and results alive and hands one result to every
+#: caller, so adding or removing one is a decision made here too.
+CACHES = {("catalog", "build"), ("cli", "build_parser"),
+          ("transforms", "_identity"), ("gain", "_stack_forms"),
+          ("decoder", "detection_plan")}
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
 
 
 def _names(node) -> set:
@@ -158,3 +167,36 @@ def test_every_defaulted_parameter_is_set_by_a_library_or_bench_caller():
                    for name, count, keywords, owner in calls):
             unset.add(f"{function}({param}=)")
     assert unset == set()
+
+
+def _is_cache(node, imported: set) -> bool:
+    """Whether ``node`` names ``functools.cache`` or ``functools.lru_cache``
+    (``imported`` holds the names they were imported under)."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in CACHE_DECORATORS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools")
+    return isinstance(node, ast.Name) and node.id in imported
+
+
+def test_every_cache_is_listed():
+    # a cache applied other than as a decorator is reported without its
+    # function, so it fails the comparison too
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "functools"
+                    for alias in node.names
+                    if alias.name in CACHE_DECORATORS}
+        decorated = 0
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    if _is_cache(getattr(deco, "func", deco), imported):
+                        found.append((path.stem, node.name))
+                        decorated += 1
+        uses = sum(_is_cache(node, imported) for node in ast.walk(tree))
+        found += [(path.stem, None)] * (uses - decorated)
+    assert sorted(found, key=str) == sorted(CACHES, key=str)
