@@ -151,7 +151,8 @@ def grouped_vs_exhaustive(codes, trials: int, seed: int, rho: float):
         e = decoder.exhaustive_ml_detect(code, qam, H, r, rho)
         agree = ((decoder.detect_from_equivalent_batch(code, qam, H, r, rho)
                   == e)
-                 & (simulate._detect(code, qam, h, noise, s, rho) == e))
+                 & (decoder.detection_plan(code, qam).detect(h, noise, s, rho)
+                    == e))
         hits += int(agree.all(axis=1).sum())
     total = trials * len(codes)
     detail = (f"{total} trials" if hits == total

@@ -32,8 +32,9 @@ constellation) holds every group's tables and its columns of one weight
 array; :meth:`DetectionPlan.decide` is the one decision core. Two routes
 feed it each frame's class values and z:
 
-- :meth:`DetectionPlan.statistics`, the simulator's: G_ab = Re tr(P_ab R)
-  is linear in the channel covariance R = h h^H (P_ab = A_a^H A_b, from
+- :meth:`DetectionPlan.detect`, the simulator's, through
+  :meth:`DetectionPlan.statistics`: G_ab = Re tr(P_ab R) is linear in the
+  channel covariance R = h h^H (P_ab = A_a^H A_b, from
   :func:`analysis.pair_products`), and z = sqrt(rho/Nt) G s + H^T n with
   H^T n linear in W = N h^H, N the complex noise. Fixed real maps give both
   from R and W, so no equivalent channel, received vector or full Gram is
@@ -42,18 +43,15 @@ feed it each frame's class values and z:
   read off H^T H and z is H^T r.
 
 The routes agree in exact arithmetic and differ in the last bits, so they
-could part only at a metric near-tie.
-
-Frames are scored in balanced blocks (:func:`balanced_blocks`) of at most
-:func:`metric_block_frames` frames, whose (frames, C) float64 metric stays
-within :data:`METRIC_BLOCK_BYTES`, about an L2 cache, and which hold at
-least :data:`METRIC_BLOCK_MIN_FRAMES` frames so that a large feature table
-is streamed once per block rather than once per frame; the bound depends
-only on C. A row of a matrix product of two or more rows has the same bits
-whatever the row count, but a one-row product goes through gemv and rounds
-differently; balanced blocks hold two frames or more unless the batch is
-one frame, so neither the blocking nor the batch a frame arrives in changes
-a metric bit or a decision. A group may have at most
+could part only at a metric near-tie. Both run over the plan's one block
+rule, :meth:`DetectionPlan.blocks`: balanced blocks of as many frames as fit
+:data:`BLOCK_BYTES` of the larger of a frame's R and W ((Nt + T, Nt)
+complex) and its largest group's float64 metric, but at least
+:data:`BLOCK_MIN_FRAMES`. A row of a product of two or more rows has the
+same bits whatever the row count (a one-row product goes through gemv and
+rounds differently); every per-frame value is the frame's own product or
+such a row, and a block holds two frames or more unless the batch is one
+frame, so no bit or decision depends on the blocks. A group may have at most
 :data:`GROUP_CANDIDATE_CAP` candidates (:class:`CandidateBudgetError`
 otherwise).
 
@@ -81,13 +79,14 @@ EXHAUSTIVE_BUDGET = 10 ** 6
 #: most candidates one symbol group may enumerate in grouped detection
 GROUP_CANDIDATE_CAP = 2 ** 16
 
-#: largest (frames, candidates) float64 metric block scored at once, about
-#: an L2 cache, so that each block's argmin reads the product from cache
-METRIC_BLOCK_BYTES = 512 * 2 ** 10
+#: most bytes of R and W or of one group's metric per block: 512 frames of
+#: T8 or of 256 candidates; on a 2-core Xeon 0.5 to 8 MiB of R and W, and
+#: 128 KiB to 1 MiB of metric, ran the benchmark curves within about 5%
+BLOCK_BYTES = 1 << 20
 
-#: fewest frames per metric block, so that a large candidate table is
-#: streamed once per block of frames rather than once per frame
-METRIC_BLOCK_MIN_FRAMES = 16
+#: fewest frames per block, so that a large candidate table is streamed once
+#: per block of frames rather than once per frame
+BLOCK_MIN_FRAMES = 16
 
 #: most detection plans kept (each table at most 11 MiB under the cap)
 PLAN_CACHE_SIZE = 16
@@ -184,11 +183,6 @@ def _class_tables(constellation: Constellation, size: int, merge):
     return cands, features
 
 
-def metric_block_frames(count: int) -> int:
-    """Most frames per metric block for a group of ``count`` candidates."""
-    return max(METRIC_BLOCK_MIN_FRAMES, METRIC_BLOCK_BYTES // (8 * count))
-
-
 def balanced_blocks(n: int, parts: int) -> list:
     """``parts`` (at least one) consecutive slices covering range(n), the
     first n % parts of them one longer than the rest (the split of
@@ -211,9 +205,13 @@ def _check_batch(code: CodeDefinition, H: np.ndarray, batch, rho: float,
     if batch.shape != H.shape[:2]:
         raise ValueError(f"{name} has shape {batch.shape}, expected "
                          f"{H.shape[:2]}")
+    _check_rho(rho)
+    return batch
+
+
+def _check_rho(rho: float) -> None:
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho}")
-    return batch
 
 
 class DetectionPlan:
@@ -223,7 +221,7 @@ class DetectionPlan:
     (n, width) weight array, and three fixed real maps: ``class_map`` from
     R's (Re, Im) entries to every class value, ``noise_map`` from W's to
     H^T n (entry p is Re tr(A_p^H W)) and ``signal_map`` from the (class
-    value x rail) products to G s.
+    value x rail) products to G s; ``block_frames`` is the block rule's.
     """
 
     def __init__(self, code: CodeDefinition, constellation: Constellation):
@@ -272,6 +270,9 @@ class DetectionPlan:
         self.signal_map = signal[used]
         self.product_classes = np.concatenate(classes)[used]
         self.product_rails = np.concatenate(rails)[used]
+        frame_bytes = max(16 * (code.nt + code.T) * code.nt,
+                          8 * max(len(cands) for _, cands, _, _ in groups))
+        self.block_frames = max(BLOCK_MIN_FRAMES, BLOCK_BYTES // frame_bytes)
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.flags.writeable = False
@@ -307,20 +308,44 @@ class DetectionPlan:
         """Decided rails (n, 2K) from each frame's class values and matched
         filter: per group, the metric of every candidate is the group's
         column slice of the weights [sqrt(rho/Nt) class values, -2 z] times
-        its features, scored in balanced metric blocks; the argmin takes the
+        its features, one product per call; the argmin takes the
         lexicographically smallest candidate of a tie."""
         n = len(z)
         weights = np.empty((n, self.width))
         weights[:, self.class_cols] = math.sqrt(rho / self.code.nt) * values
         weights[:, self.rail_cols] = -2.0 * z[:, self.rails]
         decided = np.empty((n, len(self.rails)))
-        best = np.empty(n, dtype=np.intp)
         for idx, cands, features, cols in self.groups:
-            parts = -(-n // metric_block_frames(len(cands)))
-            for rows in balanced_blocks(n, parts):
-                np.argmin(weights[rows, cols] @ features, axis=1,
-                          out=best[rows])
-            decided[:, idx] = cands[best]
+            decided[:, idx] = cands[np.argmin(weights[:, cols] @ features,
+                                              axis=1)]
+        return decided
+
+    def blocks(self, n: int) -> list:
+        """Balanced slices of n frames, each of at most ``block_frames``
+        frames and, when n > 1, at least two."""
+        return balanced_blocks(n, -(-n // self.block_frames))
+
+    def detect(self, h: np.ndarray, noise: np.ndarray, s: np.ndarray,
+               rho: float) -> np.ndarray:
+        """Decided rails (n, 2K) of frames sent as ``s`` (n, 2K) through
+        channels ``h`` (n, Nt, Nr) with ``noise`` (n, 2T*Nr): :meth:`decide`
+        on :meth:`statistics`, over :meth:`blocks`. Raises ``ValueError`` on
+        other shapes or a ``rho`` that is not finite and positive."""
+        code = self.code
+        h, noise, s = np.asarray(h), np.asarray(noise), np.asarray(s)
+        n, _, nr = h.shape if h.ndim == 3 else (0, 0, 0)
+        if (h.shape != (n, code.nt, nr) or not nr
+                or noise.shape != (n, 2 * code.T * nr)
+                or s.shape != (n, 2 * code.K)):
+            raise ValueError(
+                f"channels, noise and symbols have shapes {h.shape}, "
+                f"{noise.shape} and {s.shape}, expected (n, {code.nt}, Nr), "
+                f"(n, {2 * code.T}*Nr) and (n, {2 * code.K})")
+        _check_rho(rho)
+        decided = np.empty((n, 2 * code.K))
+        for rows in self.blocks(n):
+            values, z = self.statistics(h[rows], noise[rows], s[rows], rho)
+            decided[rows] = self.decide(values, z, rho)
         return decided
 
 
@@ -342,14 +367,19 @@ def detect_from_equivalent_batch(code: CodeDefinition,
     ``received_batch`` the stacked received vectors, shape (n, 2*T*Nr);
     ``rho`` is the SNR of the transmission model. Returns the decided rails,
     shape (n, 2K). Each row's decision depends only on that row. The class
-    values are read off the full Gram H^T H and z is H^T r; the decision is
-    :meth:`DetectionPlan.decide`'s, as in the simulator.
+    values are read off each frame's Gram H^T H and z is H^T r; the decision
+    is :meth:`DetectionPlan.decide`'s over :meth:`DetectionPlan.blocks`, as
+    in the simulator.
     """
     received_batch = _check_batch(code, H, received_batch, rho)
     plan = detection_plan(code, constellation)
-    gram = np.swapaxes(H, 1, 2) @ H
-    z = (received_batch[:, None, :] @ H)[:, 0]
-    return plan.decide(gram[:, plan.pairs[:, 0], plan.pairs[:, 1]], z, rho)
+    decided = np.empty((len(H), 2 * code.K))
+    for rows in plan.blocks(len(H)):
+        gram = np.swapaxes(H[rows], 1, 2) @ H[rows]
+        z = (received_batch[rows, None, :] @ H[rows])[:, 0]
+        decided[rows] = plan.decide(
+            gram[:, plan.pairs[:, 0], plan.pairs[:, 1]], z, rho)
+    return decided
 
 
 def exhaustive_ml_detect(code: CodeDefinition, constellation: Constellation,

@@ -12,21 +12,12 @@ power-normalised dispersion matrices this makes rho the per-receive-antenna
 SNR, independent of the number of transmit antennas.
 
 Every stage takes a batch of n codewords, from (n, Nt, Nr) channels to
-(n, 2K) decisions; one codeword is a batch of one.
-
-A chunk draws its bits, channels and noise whole, then detects over
-balanced blocks of frames (:func:`frame_blocks`) from each frame's channel
-covariance R = h h^H and noise cross term W = N h^H
-(:meth:`decoder.DetectionPlan.statistics`): it never forms the equivalent
-channel H, the received vector r or the full Gram, which :func:`transmit`
-and :func:`decoder.detect_from_equivalent_batch` still take. Demapping and
-counting run on the whole chunk. A block holds at most
-:data:`FRAME_BLOCK_BYTES` of R and W, whatever the receive antennas, and at
-least two frames unless the chunk is one frame. The blocks never change a
-bit: every per-frame value (R, W, the class values, the matched filter, the
-metric and the decision) is a product of that frame's own matrices or a
-row of a product of two or more rows, and has the same bits in any batch
-of two or more frames.
+(n, 2K) decisions; one codeword is a batch of one. A chunk draws its bits,
+channels and noise whole and detects them from each frame's channel
+covariance over the decoder's blocks (:meth:`decoder.DetectionPlan.detect`):
+it never forms the equivalent channel H, the received vector r or the full
+Gram, which :func:`transmit` and :func:`decoder.detect_from_equivalent_batch`
+still take. Demapping and counting run on the whole chunk.
 
 Determinism contract: every SNR point consumes a sequence of fixed-size
 chunks; chunk ``c`` of point ``i`` draws all its randomness from
@@ -43,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CodeDefinition, build
-from .decoder import _check_batch, balanced_blocks, detection_plan
+from .decoder import _check_batch, detection_plan
 from .modem import Constellation, make_qam, modulation_name
 
 #: codewords simulated per deterministic chunk
@@ -51,12 +42,6 @@ CHUNK_FRAMES = 4096
 
 #: most threads a campaign here or a search in :mod:`qostbc.gain` may start
 MAX_WORKERS = 256
-
-#: most bytes of the channel covariance and noise cross term ((Nt + T, Nt)
-#: complex per frame) one block of a chunk's frames holds: 512 frames of T8;
-#: on a 2-core Xeon 0.5 to 8 MiB blocks ran the benchmark curves within
-#: about 5% of each other, and the smaller the block, the lower the peak
-FRAME_BLOCK_BYTES = 1 << 20
 
 #: most receive antennas a campaign may simulate; at this cap a T8 chunk
 #: peaks at about 22 MiB of arrays, 16 MiB of them its channel and noise
@@ -160,30 +145,6 @@ def _chunk_rng(seed: int, point_index: int, chunk_index: int) -> np.random.Gener
     )
 
 
-def frame_blocks(code: CodeDefinition, n: int) -> list:
-    """Balanced slices of a chunk's n frames, each holding at most
-    :data:`FRAME_BLOCK_BYTES` of the channel covariance R and the noise
-    cross term W ((Nt + T, Nt) complex per frame, whatever the receive
-    antennas) and, when n > 1, at least two frames."""
-    frame_bytes = 16 * (code.nt + code.T) * code.nt
-    parts = -(-n // max(1, FRAME_BLOCK_BYTES // frame_bytes))
-    return balanced_blocks(n, min(parts, n // 2))
-
-
-def _detect(code: CodeDefinition, constellation: Constellation,
-            h: np.ndarray, noise: np.ndarray, s: np.ndarray,
-            rho: float) -> np.ndarray:
-    """Decided rails (n, 2K) of frames sent as ``s`` through channels ``h``
-    (n, Nt, Nr) with ``noise`` (n, 2T*Nr), detected as a chunk detects
-    them: from the channel covariance, over :func:`frame_blocks`."""
-    plan = detection_plan(code, constellation)
-    decided = np.empty_like(s)
-    for rows in frame_blocks(code, len(s)):
-        values, z = plan.statistics(h[rows], noise[rows], s[rows], rho)
-        decided[rows] = plan.decide(values, z, rho)
-    return decided
-
-
 def _decide_chunk(code: CodeDefinition, constellation: Constellation,
                   nr: int, rho: float, rng: np.random.Generator, n: int):
     """Draw n codewords from ``rng`` (bits, channels, noise, in that order),
@@ -193,7 +154,8 @@ def _decide_chunk(code: CodeDefinition, constellation: Constellation,
     noise = rng.standard_normal((n, 2 * code.T * nr))
     noise *= math.sqrt(0.5)
     s = constellation.modulate(bits)
-    return bits, _detect(code, constellation, h, noise, s, rho)
+    return bits, detection_plan(code, constellation).detect(h, noise, s,
+                                                             rho)
 
 
 def _simulate_chunk(code: CodeDefinition, constellation: Constellation,

@@ -12,9 +12,10 @@ were fixed before any digest was read; at these SNRs every cell decides
 some frames wrongly, so wrong decisions are pinned too.
 
 A random chunk holds no exact metric tie, so the digests cannot see how
-ties are broken. Planted ties on the same route (``simulate._detect``) do:
-a zero channel ties every candidate, and a zero codeword sent without noise
-gives z = 0, so every candidate ties with its negation.
+ties are broken. Planted ties on the same route
+(:meth:`decoder.DetectionPlan.detect`) do: a zero channel ties every
+candidate, and a zero codeword sent without noise gives z = 0, so every
+candidate ties with its negation.
 """
 
 import hashlib
@@ -148,7 +149,7 @@ def test_zero_channels_decide_the_lowest_level(name, nr):
     s = QAM4.modulate(rng.integers(0, 2, (TIE_FRAMES, 2 * code.K)))
     noise = rng.standard_normal((TIE_FRAMES, 2 * code.T * nr))
     h = np.zeros((TIE_FRAMES, code.nt, nr), dtype=complex)
-    decided = simulate._detect(code, QAM4, h, noise, s, 1.0)
+    decided = detection_plan(code, QAM4).detect(h, noise, s, 1.0)
     assert np.all(decided == np.min(QAM4.pam_levels))
 
 
@@ -164,8 +165,8 @@ def test_zero_signal_keeps_the_first_of_each_mirror_pair(name, nr):
     h = simulate.draw_channel(rng, code.nt, nr, TIE_FRAMES)
     noise = np.zeros((TIE_FRAMES, 2 * code.T * nr))
     s = np.zeros((TIE_FRAMES, 2 * code.K))
-    decided = simulate._detect(code, QAM4, h, noise, s, 1.0)
     plan = detection_plan(code, QAM4)
+    decided = plan.detect(h, noise, s, 1.0)
     values, z = plan.statistics(h, noise, s, 1.0)
     assert not z.any()
     weights = np.empty((TIE_FRAMES, plan.width))

@@ -188,6 +188,51 @@ class TestOneInterface:
             detector(code, QAM4, H, r, rho)
 
 
+class TestPlanDetectChecks:
+    """:meth:`decoder.DetectionPlan.detect` rejects frames of other shapes
+    and a rho that is not finite and positive; Q4_LT has Nt = 4, T = 4 and
+    2K = 8, and the well-formed frames here have Nr = 2."""
+
+    @staticmethod
+    def frames(n=3, nr=2):
+        code = build("Q4_LT")
+        rng = np.random.default_rng(71)
+        h = draw_channel(rng, code.nt, nr, n)
+        noise = rng.standard_normal((n, 2 * code.T * nr))
+        s = QAM4.modulate(rng.integers(0, 2, (n, 2 * code.K)))
+        return decoder.detection_plan(code, QAM4), h, noise, s
+
+    def test_well_formed_frames_are_decided(self):
+        plan, h, noise, s = self.frames()
+        assert plan.detect(h, noise, s, 1.0).shape == (3, 8)
+
+    @pytest.mark.parametrize("shape", [(3, 8, 2), (3, 4, 0), (2, 4, 2),
+                                       (3, 4), (3, 4, 2, 1)])
+    def test_channel_shape_checked(self, shape):
+        plan, _, noise, s = self.frames()
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            plan.detect(np.ones(shape, dtype=complex), noise, s, 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (2, 16), (3, 16, 1), (16,)])
+    def test_noise_shape_checked(self, shape):
+        plan, h, _, s = self.frames()
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            plan.detect(h, np.zeros(shape), s, 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (4, 8), (3, 8, 1), (8,)])
+    def test_symbol_shape_checked(self, shape):
+        plan, h, noise, _ = self.frames()
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            plan.detect(h, noise, np.zeros(shape), 1.0)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_a_rho_that_is_not_finite_and_positive(self, rho):
+        plan, h, noise, s = self.frames()
+        with pytest.raises(ValueError,
+                           match=f"rho must be finite and positive, got {rho}"):
+            plan.detect(h, noise, s, rho)
+
+
 class TestCandidateCounts:
     def test_group_candidate_enumeration(self):
         # two real rails -> 4 candidates, four real rails -> 16 at 4-QAM
@@ -347,41 +392,61 @@ class TestMetricMemory:
     @pytest.mark.parametrize("frames_per_block", [1, 1000, 4096])
     def test_split_frames_decide_like_one_block(self, monkeypatch,
                                                 frames_per_block):
+        # T8_CR 4-QAM holds 2 KiB per frame of both R and W and its metric;
         # 1 frame per block is raised to the floor; 4096 is one block of
         # all frames; each against the unsplit uncompressed reference
         code, H, r = self.batch("T8_CR", QAM4, 4096, 41)
-        monkeypatch.setattr(decoder, "METRIC_BLOCK_BYTES",
-                            frames_per_block * 256 * 8)
-        assert decoder.metric_block_frames(256) == max(
-            decoder.METRIC_BLOCK_MIN_FRAMES, frames_per_block)
+        monkeypatch.setattr(decoder, "BLOCK_BYTES", frames_per_block * 2048)
+        plan = decoder.DetectionPlan(code, QAM4)
+        assert plan.block_frames == max(decoder.BLOCK_MIN_FRAMES,
+                                        frames_per_block)
+        monkeypatch.setattr(decoder, "detection_plan", lambda *_: plan)
         split = decoder.detect_from_equivalent_batch(code, QAM4, H, r, 4.0)
         assert np.array_equal(split,
                               uncompressed_detect(code, QAM4, H, r, 4.0))
 
+    @pytest.mark.parametrize("name, order, n, frames", [
+        ("Q4_CR", 64, 257, 32), ("T8_CR", 16, 67, 16),
+    ])
+    def test_large_groups_decide_like_the_unsplit_reference(self, name,
+                                                            order, n,
+                                                            frames):
+        # Q4_CR at 64-QAM is sized by its 4096-candidate metric, T8_CR at
+        # 16-QAM (65 536 candidates) by the floor; n splits unevenly
+        qam = make_qam(order)
+        code, H, r = self.batch(name, qam, n, 45)
+        plan = decoder.detection_plan(code, qam)
+        assert plan.block_frames == frames
+        assert len({b.stop - b.start for b in plan.blocks(n)}) == 2
+        assert np.array_equal(
+            decoder.detect_from_equivalent_batch(code, qam, H, r, 4.0),
+            uncompressed_detect(code, qam, H, r, 4.0))
+
     def test_a_frame_scores_the_same_bits_in_any_batch(self, monkeypatch):
-        # T8_CR 4-QAM scores at most 256 frames per metric block: 257 frames
-        # are two blocks, not 256 and a one-row product, which goes through
-        # gemv and rounds differently from the rows of a larger product
-        code, H, r = self.batch("T8_CR", QAM4, 512, 44)
+        # T8_CR 4-QAM scores at most 512 frames per block: 513 frames are
+        # blocks of 257 and 256, not 512 and a one-row product, which goes
+        # through gemv and rounds differently from the rows of a larger
+        # product; each frame's metric row has the bits it has in 1024
+        code, H, r = self.batch("T8_CR", QAM4, 1024, 44)
+        groups = len(code.grouping)
         metrics = []
         argmin = np.argmin
 
-        def recording_argmin(a, axis, out):
+        def recording_argmin(a, axis):
             metrics.append(a.copy())
-            return argmin(a, axis=axis, out=out)
+            return argmin(a, axis=axis)
 
         monkeypatch.setattr(np, "argmin", recording_argmin)
-        rows = {}
-        for n in (257, 512):
+        rows, sizes = {}, {}
+        for n in (513, 1024):
             metrics.clear()
             decoder.detect_from_equivalent_batch(code, QAM4, H[:n], r[:n],
                                                  4.0)
-            rows[n] = np.concatenate(metrics)
-        assert [len(m) for m in metrics] == [256, 256] * len(code.grouping)
-        groups = len(code.grouping)
-        short = rows[257].reshape(groups, 257, -1)
-        full = rows[512].reshape(groups, 512, -1)
-        assert short.tobytes() == full[:, :257].tobytes()
+            sizes[n] = [len(m) for m in metrics[::groups]]
+            rows[n] = np.stack([np.concatenate(metrics[g::groups])
+                                for g in range(groups)])
+        assert sizes == {513: [257, 256], 1024: [512, 512]}
+        assert rows[513].tobytes() == rows[1024][:, :513].tobytes()
 
     @pytest.mark.parametrize("n, parts", [(0, 1), (1, 1), (7, 3), (4096, 5),
                                           (4096, 16)])
@@ -391,11 +456,19 @@ class TestMetricMemory:
         got = decoder.balanced_blocks(n, parts)
         assert [(b.stop - b.start, b.start) for b in got] == want
 
-    @pytest.mark.parametrize("count, frames", [
-        (4, 16384), (256, 256), (4096, 16), (65536, 16),
+    # the six benchmark curves, the two 65 536-candidate cells and Q4_CR at
+    # 64-QAM: frames per block and blocks per 4096-frame chunk
+    @pytest.mark.parametrize("name, order, frames, blocks", [
+        ("T8_CR", 4, 512, 8), ("Q4_CR", 16, 512, 8), ("Q4_LT", 64, 2048, 2),
+        ("Q8_LT", 4, 512, 8), ("T8_LT", 4, 512, 8), ("G4C", 16, 1365, 4),
+        ("T8_CR", 16, 16, 256), ("Q4_CR", 256, 16, 256),
+        ("Q4_CR", 64, 32, 128),
     ])
-    def test_block_rule_depends_on_candidate_count(self, count, frames):
-        assert decoder.metric_block_frames(count) == frames
+    def test_block_rule_depends_on_code_and_candidate_count(self, name, order,
+                                                            frames, blocks):
+        plan = decoder.detection_plan(build(name), make_qam(order))
+        assert plan.block_frames == frames
+        assert len(plan.blocks(4096)) == blocks
 
     def test_peak_memory_is_bounded(self):
         qam = make_qam(16)

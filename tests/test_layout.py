@@ -1,6 +1,7 @@
 """Layout guard: every public top-level function or class and every
 upper-case module-level constant of the package has a reader in the library
-or the benchmark, and the package's caches are the listed ones.
+or the benchmark, and the package's caches and its reads of another
+module's private names are the listed ones.
 
 A name counts as referenced when some file under ``src/`` or ``bench/``
 reads it (a bare name, an attribute or an import) outside its own
@@ -27,6 +28,11 @@ CACHES = {("catalog", "build"), ("cli", "build_parser"),
           ("decoder", "detection_plan")}
 
 CACHE_DECORATORS = {"cache", "lru_cache"}
+
+#: (reader, module, name) of every read in ``src/`` of another module's
+#: private name. simulate.transmit checks its channels, noise and rho with
+#: the rule the decoder's detectors check them by.
+PRIVATE_READS = {("simulate", "decoder", "_check_batch")}
 
 
 def _names(node) -> set:
@@ -200,3 +206,33 @@ def test_every_cache_is_listed():
         uses = sum(_is_cache(node, imported) for node in ast.walk(tree))
         found += [(path.stem, None)] * (uses - decorated)
     assert sorted(found, key=str) == sorted(CACHES, key=str)
+
+
+def _private_reads():
+    """(reader, module, name) of every ``from .module import _name`` and
+    every ``module._name`` in ``src/`` that names a module of the package;
+    dunder names are not private."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    and not node.module for alias in node.names
+                    if alias.name in modules}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level \
+                    and node.module in modules:
+                yield from ((path.stem, node.module, alias.name)
+                            for alias in node.names if private(alias.name))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in imported and private(node.attr):
+                yield path.stem, node.value.id, node.attr
+
+
+def test_private_names_are_read_only_where_listed():
+    assert set(_private_reads()) == PRIVATE_READS

@@ -265,17 +265,20 @@ class TestRunBer:
 
 
 def whole_chunk(code, constellation, nr, rho, rng, n):
-    """The oracle: a chunk run as one block, with the draws of
-    :func:`simulate._simulate_chunk`; returns (decided rails, (bit_errors,
-    frame_errors, bits))."""
+    """The oracle: a chunk run as one block through the equivalent channel
+    (one :meth:`decoder.DetectionPlan.decide` call on the whole chunk's Gram
+    and matched filter), with the draws of :func:`simulate._simulate_chunk`;
+    returns (decided rails, (bit_errors, frame_errors, bits))."""
     bits = rng.integers(0, 2, size=(n, code.K * constellation.bits_per_symbol))
     h = simulate.draw_channel(rng, code.nt, nr, n)
     noise = rng.standard_normal((n, 2 * code.T * nr)) * math.sqrt(0.5)
     s = constellation.modulate(bits)
     H = equivalent_channel(code, h)
     r = simulate.transmit(code, H, s, rho, noise)
-    decided = decoder.detect_from_equivalent_batch(code, constellation, H, r,
-                                                   rho)
+    plan = decoder.detection_plan(code, constellation)
+    gram = np.swapaxes(H, 1, 2) @ H
+    decided = plan.decide(gram[:, plan.pairs[:, 0], plan.pairs[:, 1]],
+                          (r[:, None, :] @ H)[:, 0], rho)
     per_frame = (constellation.demap(decided) != bits).sum(axis=1)
     return decided, (int(per_frame.sum()), int(np.count_nonzero(per_frame)),
                      int(bits.size))
@@ -345,40 +348,51 @@ class TestFrameBlocks:
     @pytest.mark.parametrize("name", ["T8_LT", "T8_CR"])
     def test_chunk_at_the_antenna_cap_decides_like_one_block(self, monkeypatch,
                                                              name):
-        code = build(name)
-        assert len(simulate.frame_blocks(code, simulate.CHUNK_FRAMES)) > 1
+        plan = decoder.detection_plan(build(name), make_qam(4))
+        assert len(plan.blocks(simulate.CHUNK_FRAMES)) > 1
         self.assert_matches_whole_chunk(monkeypatch, name, 4, simulate.MAX_NR,
                                         simulate.CHUNK_FRAMES, rho=0.1)
 
-    # T8_LT at nr = 2 and T8_CR at nr = 1 split a full chunk in blocks;
-    # 3001 frames split in blocks of two sizes
+    # T8_LT at nr = 2 and T8_CR at nr = 1 split a full chunk in blocks by
+    # R and W, Q4_CR at 16-QAM by its metric; 3001 frames split in blocks of
+    # two sizes
     @pytest.mark.parametrize("n", [1, 2, 3, 3001, 4095, 4096])
-    @pytest.mark.parametrize("name, nr", [("T8_LT", 2), ("T8_CR", 1)])
-    def test_partial_chunks_decide_like_one_block(self, monkeypatch, name, nr,
-                                                  n):
-        self.assert_matches_whole_chunk(monkeypatch, name, 4, nr, n)
+    @pytest.mark.parametrize("name, order, nr", [("T8_LT", 4, 2),
+                                                 ("T8_CR", 4, 1),
+                                                 ("Q4_CR", 16, 1)])
+    def test_partial_chunks_decide_like_one_block(self, monkeypatch, name,
+                                                  order, nr, n):
+        self.assert_matches_whole_chunk(monkeypatch, name, order, nr, n)
 
-    @pytest.mark.parametrize("name", ["T8_LT", "T8_CR"])
-    def test_blocked_curves_split_unevenly_at_3001_frames(self, name):
-        code = build(name)
-        assert len(simulate.frame_blocks(code, simulate.CHUNK_FRAMES)) > 1
-        sizes = {b.stop - b.start for b in simulate.frame_blocks(code, 3001)}
+    @pytest.mark.parametrize("name, order", [("T8_LT", 4), ("T8_CR", 4),
+                                             ("Q4_CR", 16)])
+    def test_blocked_curves_split_unevenly_at_3001_frames(self, name, order):
+        plan = decoder.detection_plan(build(name), make_qam(order))
+        assert len(plan.blocks(simulate.CHUNK_FRAMES)) > 1
+        sizes = {b.stop - b.start for b in plan.blocks(3001)}
         assert len(sizes) == 2
 
+    @pytest.mark.parametrize("order", [4, 16])
     @pytest.mark.parametrize("name", CODE_NAMES)
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 4095, 4096])
-    def test_blocks_are_balanced_bounded_and_never_one_frame(self, name, n):
-        # bounded by R and W, (Nt + T, Nt) complex per frame, whatever the
-        # receive antennas
-        code = build(name)
-        blocks = simulate.frame_blocks(code, n)
+    def test_blocks_are_balanced_bounded_and_never_one_frame(self, name,
+                                                             order, n):
+        # bounded by R and W, (Nt + T, Nt) complex per frame whatever the
+        # receive antennas, and by the largest group's float64 metric, down
+        # to the floor
+        code, qam = build(name), make_qam(order)
+        plan = decoder.detection_plan(code, qam)
+        blocks = plan.blocks(n)
         sizes = [b.stop - b.start for b in blocks]
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert max(sizes) - min(sizes) <= 1
         assert min(sizes) >= min(n, 2)
-        frame_bytes = 16 * (code.nt + code.T) * code.nt
-        assert max(sizes) * frame_bytes <= simulate.FRAME_BLOCK_BYTES
+        assert max(sizes) <= plan.block_frames
+        candidates = qam.levels_per_rail ** max(map(len, code.grouping))
+        frame_bytes = max(16 * (code.nt + code.T) * code.nt, 8 * candidates)
+        assert (plan.block_frames * frame_bytes <= decoder.BLOCK_BYTES
+                or plan.block_frames == decoder.BLOCK_MIN_FRAMES)
 
     def test_chunk_memory_stays_within_blocks(self):
         # one T8_LT chunk at 16 receive antennas: 128 MiB of equivalent
@@ -423,7 +437,7 @@ def gamma(d):
 
 class TestCovarianceRoute:
     """The simulator's route (:meth:`decoder.DetectionPlan.statistics` over
-    :func:`simulate.frame_blocks`) against the equivalent channel's."""
+    :meth:`decoder.DetectionPlan.blocks`) against the equivalent channel's."""
 
     @staticmethod
     def draws(code, nr, n, seed):
@@ -536,7 +550,7 @@ class TestCovarianceRoute:
         H = equivalent_channel(code, h)
         r = simulate.transmit(code, H, s, rho, noise)
         want = decoder.exhaustive_ml_detect(code, qam, H, r, rho)
-        got = simulate._detect(code, qam, h, noise, s, rho)
+        got = decoder.detection_plan(code, qam).detect(h, noise, s, rho)
         assert got.tobytes() == want.tobytes()
         assert np.any(got != s)  # wrong decisions are compared too
 
