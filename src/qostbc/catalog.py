@@ -1,10 +1,11 @@
 """Catalog of quasi-orthogonal and orthogonal space-time block codes.
 
-Every code is a :class:`CodeDefinition`: a name and a stack of 2K dispersion
-matrices of size T x Nt (rails 1..K modulate the real parts of the K complex
-symbols, rails K+1..2K the imaginary parts). Everything else is read off the
-stack: T, Nt and K from its shape, and the symbol grouping from its
-anticommutator pattern (:func:`analysis.components_from_stack`). Codewords
+Every code is an :class:`analysis.CodeDefinition`: a name and a stack of 2K
+dispersion matrices of size T x Nt (rails 1..K modulate the real parts of
+the K complex symbols, rails K+1..2K the imaginary parts). Everything else
+is read off the stack: T, Nt and K from its shape, and the symbol grouping
+from its anticommutator pattern (:func:`analysis.components_from_stack`).
+The catalog names the codes and builds them from recipes. Codewords
 are C = sum_p s_p A_p for real rail values s_p, and every dispersion matrix
 satisfies the power constraint tr(A_p^H A_p) = T*Nt/K.
 
@@ -23,12 +24,11 @@ The catalog covers four families:
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .analysis import components_from_stack
+from . import transforms
+from .analysis import CodeDefinition
 
 #: optimal 2-D mixing angle for the pairwise-grouped codes: 0.5*atan(1/2)
 OPT_THETA_2D = 0.5 * math.atan(0.5)
@@ -48,55 +48,6 @@ CR_SYMBOLS = {"Q4_CR": (3, 4), "Q8_CR": (4, 5, 6)}
 #: left-to-right plane-rotation product, conjugated by diag(1, 1, 1, -1)
 T8_LT_ANGLES = (((2, 4), 44.24), ((3, 4), -46.11), ((1, 3), 9.13),
                 ((1, 2), -45.66), ((2, 3), 9.43), ((1, 4), 37.78))
-
-
-@dataclass(frozen=True, eq=False)
-class CodeDefinition:
-    """A linear space-time block code over real symbol rails: a name and its
-    dispersion stack.
-
-    ``dispersion`` is stored as a read-only complex copy of shape
-    (2K, T, Nt), from which T, Nt and K are read; ``grouping`` is computed
-    from it: the partition of the 1-based rails 1..2K into jointly-detected
-    sets, sorted by smallest member. Codes compare and hash by identity.
-    """
-
-    name: str
-    dispersion: np.ndarray
-    grouping: tuple = field(init=False)
-
-    def __post_init__(self):
-        d = np.array(self.dispersion, dtype=np.complex128)
-        if d.ndim != 3 or 0 in d.shape or d.shape[0] % 2:
-            raise ValueError(
-                f"dispersion shape {d.shape} is not a (2K, T, Nt) stack"
-            )
-        if not np.isfinite(d).all():
-            raise ValueError("dispersion entries must be finite")
-        d.setflags(write=False)
-        object.__setattr__(self, "dispersion", d)
-        object.__setattr__(self, "grouping", components_from_stack(d))
-
-    @property
-    def K(self) -> int:
-        return self.dispersion.shape[0] // 2
-
-    @property
-    def T(self) -> int:
-        return self.dispersion.shape[1]
-
-    @property
-    def nt(self) -> int:
-        return self.dispersion.shape[2]
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.K, self.T)
-
-    @property
-    def power_target(self) -> float:
-        """Required trace of every A_p^H A_p."""
-        return self.T * self.nt / self.K
 
 
 def encode(code: CodeDefinition, real_symbols) -> np.ndarray:
@@ -212,7 +163,7 @@ def _g4c_codeword(x) -> np.ndarray:
 # --------------------------------------------------------------------------
 # derived variants
 
-def _t8_lt_mixing(transforms) -> np.ndarray:
+def _t8_lt_mixing() -> np.ndarray:
     """T8_LT's 4-D group mixing from :data:`T8_LT_ANGLES`; other angle
     conventions reach it by passing it to GcltSpec(groups, matrices)."""
     factors = [(i, k, math.radians(deg)) for (i, k), deg in T8_LT_ANGLES]
@@ -231,21 +182,20 @@ def t8_cr_angles(steps) -> tuple:
                         for k, sym in enumerate(family)))
 
 
-#: every catalog code's recipe, a function of the transforms module (which
-#: imports this one): a base code's dispersion stack; for a ``_CR`` variant
-#: the (symbol, angle) pairs rotated in its base code, for an ``_LT`` one
-#: the orthogonal mixing of every group of its base code
+#: every catalog code's recipe: a base code's dispersion stack; for a
+#: ``_CR`` variant the (symbol, angle) pairs rotated in its base code, for an
+#: ``_LT`` one the orthogonal mixing of every group of its base code
 _RECIPES = {
-    "Q4": lambda t: _Q4_DISPERSION,
-    "Q4_CR": lambda t: [(s, CR_ANGLE_DEFAULT) for s in CR_SYMBOLS["Q4_CR"]],
-    "Q4_LT": lambda t: t.rotation_2d(OPT_THETA_2D),
-    "Q8": lambda t: _dispersion_from_encoder(_q8_codeword, 6),
-    "Q8_CR": lambda t: [(s, CR_ANGLE_DEFAULT) for s in CR_SYMBOLS["Q8_CR"]],
-    "Q8_LT": lambda t: t.rotation_2d(OPT_THETA_2D),
-    "T8": lambda t: _dispersion_from_encoder(_t8_codeword, 8),
-    "T8_CR": lambda t: t8_cr_angles((T8_CR_STEP, T8_CR_STEP)),
+    "Q4": lambda: _Q4_DISPERSION,
+    "Q4_CR": lambda: [(s, CR_ANGLE_DEFAULT) for s in CR_SYMBOLS["Q4_CR"]],
+    "Q4_LT": lambda: transforms.rotation_2d(OPT_THETA_2D),
+    "Q8": lambda: _dispersion_from_encoder(_q8_codeword, 6),
+    "Q8_CR": lambda: [(s, CR_ANGLE_DEFAULT) for s in CR_SYMBOLS["Q8_CR"]],
+    "Q8_LT": lambda: transforms.rotation_2d(OPT_THETA_2D),
+    "T8": lambda: _dispersion_from_encoder(_t8_codeword, 8),
+    "T8_CR": lambda: t8_cr_angles((T8_CR_STEP, T8_CR_STEP)),
     "T8_LT": _t8_lt_mixing,
-    "G4C": lambda t: _dispersion_from_encoder(_g4c_codeword, 4),
+    "G4C": lambda: _dispersion_from_encoder(_g4c_codeword, 4),
 }
 
 CODE_NAMES = tuple(_RECIPES)
@@ -258,9 +208,7 @@ def build(name: str) -> CodeDefinition:
         raise ValueError(
             f"unknown code {name!r}; valid names: {', '.join(CODE_NAMES)}"
         )
-    from . import transforms
-
-    made = _RECIPES[name](transforms)
+    made = _RECIPES[name]()
     base, _, variant = name.partition("_")
     if not variant:
         return CodeDefinition(name, made)

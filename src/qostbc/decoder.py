@@ -23,19 +23,20 @@ class's representative entry, -2 z_g] times a (R + g, C) feature matrix
 whose row for a class is the signed sum of its pair products s_i s_j
 (doubled off the diagonal), followed by the candidate rails. In exact
 arithmetic this is the same metric, so the argmin and its tie-break are
-unchanged. The candidates and features depend only on the group's size, its
-classes and the PAM levels; they are built once per plan, shared by the
-plan's groups with equal classes, and read-only.
+unchanged. The candidates and features depend only on the group's classes
+(their sign array) and the PAM levels; they are built once per plan, shared
+by the plan's groups with equal classes, and read-only.
 
 A :class:`DetectionPlan` (:func:`detection_plan`, cached per code and
-constellation) holds every group's tables and its columns of one weight
-array; :meth:`DetectionPlan.decide` is the one decision core. Two routes
-feed it each frame's class values and z:
+constellation) computes the code's pair products P_ab = A_a^H A_b
+(:func:`analysis.pair_products`) once and reads each group's classes off
+its (g, g, Nt, Nt) block of that tensor. It holds every group's tables and
+its columns of one weight array; :meth:`DetectionPlan.decide` is the one
+decision core. Two routes feed it each frame's class values and z:
 
 - :meth:`DetectionPlan.detect`, the simulator's, through
   :meth:`DetectionPlan.statistics`: G_ab = Re tr(P_ab R) is linear in the
-  channel covariance R = h h^H (P_ab = A_a^H A_b, from
-  :func:`analysis.pair_products`), and z = sqrt(rho/Nt) G s + H^T n with
+  channel covariance R = h h^H, and z = sqrt(rho/Nt) G s + H^T n with
   H^T n linear in W = N h^H, N the complex noise. Fixed real maps give both
   from R and W, so no equivalent channel, received vector or full Gram is
   formed;
@@ -68,9 +69,8 @@ import math
 
 import numpy as np
 
-from .analysis import (QO_TOL, equivalent_channel, joint_detection_size,
-                       pair_products)
-from .catalog import CodeDefinition
+from .analysis import (QO_TOL, CodeDefinition, equivalent_channel,
+                       joint_detection_size, pair_products)
 from .modem import Constellation, lex_vectors
 
 #: candidate budget guard for the exhaustive oracle
@@ -111,86 +111,66 @@ def group_candidates(constellation: Constellation, size: int) -> np.ndarray:
     return lex_vectors(np.sort(constellation.pam_levels), size)
 
 
-def check_candidate_budget(code: CodeDefinition,
-                           constellation: Constellation) -> None:
-    """Raise :class:`CandidateBudgetError` when the largest symbol group of
-    ``code`` has more than :data:`GROUP_CANDIDATE_CAP` candidates."""
-    count = constellation.levels_per_rail ** joint_detection_size(code)
-    if count > GROUP_CANDIDATE_CAP:
-        raise CandidateBudgetError(count)
-
-
-def gram_classes(sub_stack):
+def gram_classes(products):
     """The distinct Gram functionals of a symbol group.
 
-    ``sub_stack`` is the group's (g, T, Nt) dispersion sub-stack. Gram entry
-    (i, j) is the sum over receive antennas of x^T Q_ij x, x the antenna's
-    channel rails and Q_ij the real expansion of N_ij / 2 (N_ij the pair
-    anticommutator), so entries whose forms vanish are zero for every channel
-    and entries whose forms agree up to sign are equal up to sign. Forms
-    within QO_TOL (max-norm, so 2 QO_TOL on N_ij's real and imaginary parts)
-    of zero or of each other are treated as such. Returns ``reps``, the
-    (R, 2) group-local index pairs of each class's first upper-triangle
-    entry, and ``merge``, the (R, g(g+1)/2) matrix whose row r holds the sign
-    (+1 or -1) of every upper-triangle entry of class r relative to its
-    representative.
+    ``products`` is the group's (g, g, Nt, Nt) block of the code's pair
+    products (:func:`analysis.pair_products`). Gram entry (i, j) is the sum
+    over receive antennas of x^T Q_ij x, x the antenna's channel rails and
+    Q_ij the real expansion of N_ij / 2 (N_ij the pair anticommutator), so
+    entries whose forms vanish are zero for every channel and entries whose
+    forms agree up to sign are equal up to sign. Forms within QO_TOL
+    (max-norm, so 2 QO_TOL on N_ij's real and imaginary parts) of zero or of
+    each other are treated as such. Returns ``reps``, the (R, 2) group-local
+    index pairs of each class's first upper-triangle entry, and ``signs``,
+    the symmetric (R, g, g) array whose [r, i, j] is the sign (+1 or -1) of
+    Gram entry (i, j) relative to class r's representative, 0 outside the
+    class.
     """
-    prods = pair_products(sub_stack)
-    anti = prods + prods.transpose(1, 0, 2, 3)
+    anti = products + products.transpose(1, 0, 2, 3)
     forms = np.concatenate([anti.real, anti.imag], axis=-1)
-    rows, cols = np.triu_indices(len(forms))
-    reps, merge = [], []
-    for k, form in enumerate(forms[rows, cols]):
+    g = len(forms)
+    reps, signs = [], []
+    for i, j in zip(*np.triu_indices(g)):
+        form = forms[i, j]
         if np.abs(form).max() < 2 * QO_TOL:
             continue
-        for r, (a, b) in enumerate(reps):
+        for (a, b), member in zip(reps, signs):
             if np.abs(form - forms[a, b]).max() < 2 * QO_TOL:
-                merge[r][k] = 1.0
+                member[i, j] = member[j, i] = 1.0
                 break
             if np.abs(form + forms[a, b]).max() < 2 * QO_TOL:
-                merge[r][k] = -1.0
+                member[i, j] = member[j, i] = -1.0
                 break
         else:
-            reps.append((rows[k], cols[k]))
-            merge.append(np.zeros(len(rows)))
-            merge[-1][k] = 1.0
+            reps.append((i, j))
+            signs.append(np.zeros((g, g)))
+            signs[-1][i, j] = signs[-1][j, i] = 1.0
     return (np.array(reps, dtype=np.intp).reshape(-1, 2),
-            np.array(merge).reshape(len(reps), len(rows)))
+            np.array(signs).reshape(len(reps), g, g))
 
 
-def _class_tables(constellation: Constellation, size: int, merge):
-    """Read-only (candidates (C, g), features (R + g, C)) of a group of
-    ``size`` rails whose Gram classes have the sign matrix ``merge``
+def _class_tables(constellation: Constellation, signs):
+    """Read-only (candidates (C, g), features (R + g, C)) of a group whose
+    Gram classes have the (R, g, g) sign array ``signs``
     (:func:`gram_classes`).
 
     Feature row r < R is class r's signed sum of pair products s_i s_j
-    (doubled off the diagonal), filled one pair at a time so that the build
-    holds little beyond the two tables.
+    over its upper-triangle entries (doubled off the diagonal), filled one
+    pair at a time so that the build holds little beyond the two tables.
     """
-    rows, cols = np.triu_indices(size)
-    cands = group_candidates(constellation, size)
-    features = np.zeros((len(merge) + size, len(cands)))
+    cands = group_candidates(constellation, signs.shape[1])
+    features = np.zeros((len(signs) + cands.shape[1], len(cands)))
     pair = np.empty(len(cands))
-    for r, signs in enumerate(merge):
-        for k in np.flatnonzero(signs):
-            i, j = rows[k], cols[k]
+    for r, member in enumerate(signs):
+        for i, j in zip(*np.nonzero(np.triu(member))):
             np.multiply(cands[:, i], cands[:, j], out=pair)
-            pair *= signs[k] * (1.0 if i == j else 2.0)
+            pair *= member[i, j] * (1.0 if i == j else 2.0)
             features[r] += pair
-    features[len(merge):] = cands.T
+    features[len(signs):] = cands.T
     cands.flags.writeable = False
     features.flags.writeable = False
     return cands, features
-
-
-def balanced_blocks(n: int, parts: int) -> list:
-    """``parts`` (at least one) consecutive slices covering range(n), the
-    first n % parts of them one longer than the rest (the split of
-    ``np.array_split``)."""
-    parts = max(1, parts)
-    size, extra = divmod(n, parts)
-    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_batch(code: CodeDefinition, H: np.ndarray, batch, rho: float,
@@ -225,25 +205,25 @@ class DetectionPlan:
     """
 
     def __init__(self, code: CodeDefinition, constellation: Constellation):
-        check_candidate_budget(code, constellation)
+        count = constellation.levels_per_rail ** joint_detection_size(code)
+        if count > GROUP_CANDIDATE_CAP:
+            raise CandidateBudgetError(count)
         self.code = code
+        prods = pair_products(code.dispersion)
         groups, pairs, classes, rails, signal = [], [], [], [], []
         tables = {}
         width = 0
         for group in code.grouping:
             idx = np.array(group) - 1
-            reps, merge = gram_classes(code.dispersion[idx])
-            # groups with equal classes share one table
-            key = (len(idx), merge.tobytes())
+            reps, signs = gram_classes(prods[np.ix_(idx, idx)])
+            # groups with equal classes (shape and signs) share one table
+            key = (signs.shape, signs.tobytes())
             if key not in tables:
-                tables[key] = _class_tables(constellation, len(idx), merge)
+                tables[key] = _class_tables(constellation, signs)
             cands, features = tables[key]
             groups.append((idx, cands, features,
                            slice(width, width + len(reps) + len(idx))))
             # signs[r, q, p]: the sign of class r in Gram entry (p, q)
-            signs = np.zeros((len(reps), len(idx), len(idx)))
-            upper = np.triu_indices(len(idx))
-            signs[:, upper[0], upper[1]] = signs[:, upper[1], upper[0]] = merge
             block = np.zeros((signs.size // len(idx), 2 * code.K))
             block[:, idx] = signs.reshape(-1, len(idx))
             signal.append(block)
@@ -260,7 +240,7 @@ class DetectionPlan:
             [np.arange(c.start, c.stop - len(i)) for i, _, _, c in groups])
         self.rail_cols = np.concatenate(
             [np.arange(c.stop - len(i), c.stop) for i, _, _, c in groups])
-        herm = np.conj(pair_products(code.dispersion)[tuple(self.pairs.T)])
+        herm = np.conj(prods[tuple(self.pairs.T)])
         self.class_map = np.ascontiguousarray(herm.swapaxes(1, 2)).view(
             np.float64).reshape(len(pairs), -1).T.copy()
         self.noise_map = code.dispersion.view(np.float64).reshape(
@@ -322,8 +302,13 @@ class DetectionPlan:
 
     def blocks(self, n: int) -> list:
         """Balanced slices of n frames, each of at most ``block_frames``
-        frames and, when n > 1, at least two."""
-        return balanced_blocks(n, -(-n // self.block_frames))
+        frames and, when n > 1, at least two: ceil(n / block_frames) slices
+        (one when n is 0), the first n % parts of them one frame longer
+        (the split of ``np.array_split``)."""
+        parts = max(1, -(-n // self.block_frames))
+        size, extra = divmod(n, parts)
+        bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def detect(self, h: np.ndarray, noise: np.ndarray, s: np.ndarray,
                rho: float) -> np.ndarray:

@@ -86,8 +86,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .analysis import pair_products
-from .catalog import CR_SYMBOLS, CodeDefinition, build, t8_cr_angles
+from .analysis import CodeDefinition, pair_products
+from .catalog import CR_SYMBOLS, build, t8_cr_angles
 from .modem import Constellation, lex_vectors, make_qam
 from .simulate import MAX_WORKERS
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CodeDefinition, build
+from .analysis import CodeDefinition
+from .catalog import build
 from .decoder import _check_batch, detection_plan
 from .modem import Constellation, make_qam, modulation_name
 
@@ -192,9 +193,9 @@ def _run_point(code: CodeDefinition, constellation: Constellation,
 def run_ber(config: SimConfig) -> BerCurve:
     """Run the Monte Carlo campaign described by ``config``.
 
-    Each SNR point loops deterministic chunks (draw channel, random bits,
-    modulate, encode, transmit, grouped ML detection, demap, count) until
-    the bit-error or channel-use budget is met. Workers parallelise across
+    Each SNR point loops deterministic chunks (draw bits, channel, noise;
+    modulate; detect from the channel covariance; demap; count) until the
+    bit-error or channel-use budget is met. Workers parallelise across
     SNR points; the curve is bit-identical for any worker count. Raises
     :class:`~qostbc.decoder.CandidateBudgetError` before any chunk runs when
     a symbol group has too many candidates for grouped detection.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CodeDefinition
+from .analysis import CodeDefinition
 
 #: orthogonality tolerance for mixing matrices
 ORTHO_TOL = 1e-12

@@ -43,8 +43,9 @@ def dfs_components(stack):
 
 
 def expansion_gram_classes(stack_rows):
-    """Gram classes (reps, merge) of a group's (g, 2T, 2Nt) real expansion
-    sub-stack, from Q_ij = sym(S_i^T S_j) within QO_TOL (max-norm)."""
+    """Gram classes (reps, signs) of a group's (g, 2T, 2Nt) real expansion
+    sub-stack, from Q_ij = sym(S_i^T S_j) within QO_TOL (max-norm); signs
+    is the symmetric (R, g, g) sign array."""
     stack_rows = np.asarray(stack_rows, dtype=np.float64)
     prods = np.einsum("iab,jac->ijbc", stack_rows, stack_rows)
     forms = 0.5 * (prods + prods.transpose(1, 0, 2, 3))
@@ -64,8 +65,11 @@ def expansion_gram_classes(stack_rows):
             reps.append((rows[k], cols[k]))
             merge.append(np.zeros(len(rows)))
             merge[-1][k] = 1.0
-    return (np.array(reps, dtype=np.intp).reshape(-1, 2),
-            np.array(merge).reshape(len(reps), len(rows)))
+    g = len(stack_rows)
+    signs = np.zeros((len(reps), g, g))
+    merge = np.reshape(merge, (len(reps), len(rows)))
+    signs[:, rows, cols] = signs[:, cols, rows] = merge
+    return np.array(reps, dtype=np.intp).reshape(-1, 2), signs
 
 
 def einsum_factor_forms(sub):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qostbc import decoder
-from qostbc.analysis import equivalent_channel, expansion_stack
+from qostbc.analysis import equivalent_channel, expansion_stack, pair_products
 from qostbc.catalog import CODE_NAMES, build
 from qostbc.modem import make_qam
 from qostbc.simulate import draw_channel, transmit
@@ -285,8 +285,10 @@ def random_batch(code, constellation, n, seed, snr_db=6.0, nr=1):
     return H, transmit(code, H, constellation.modulate(bits), rho, noise), rho
 
 
-def group_stack(code, group):
-    return code.dispersion[np.array(group) - 1]
+def group_products(code, group):
+    """The group's (g, g, Nt, Nt) block of the code's pair products."""
+    idx = np.array(group) - 1
+    return pair_products(code.dispersion)[np.ix_(idx, idx)]
 
 
 def group_metric(code, constellation, group, H, r, rho):
@@ -294,7 +296,7 @@ def group_metric(code, constellation, group, H, r, rho):
     idx = np.array(group) - 1
     plan = decoder.detection_plan(code, constellation)
     _, cands, features, _ = plan.groups[code.grouping.index(group)]
-    reps = decoder.gram_classes(group_stack(code, group))[0]
+    reps = decoder.gram_classes(group_products(code, group))[0]
     gram, z = H.T @ H, H.T @ r
     weights = np.concatenate([
         np.sqrt(rho / code.nt) * gram[idx[reps[:, 0]], idx[reps[:, 1]]],
@@ -312,12 +314,13 @@ class TestCompressedMetric:
         # sign and T8_CR's 36 are 6; T8_LT keeps all 10
         code = build(name)
         for group in code.grouping:
-            reps, merge = decoder.gram_classes(group_stack(code, group))
+            reps, signs = decoder.gram_classes(group_products(code, group))
             g = len(group)
             assert reps.shape == (classes, 2)
-            assert merge.shape == (classes, g * (g + 1) // 2)
-            assert set(np.unique(merge)) <= {-1.0, 0.0, 1.0}
-            assert np.all(np.count_nonzero(merge, axis=0) <= 1)
+            assert signs.shape == (classes, g, g)
+            assert np.array_equal(signs, signs.transpose(0, 2, 1))
+            assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
+            assert np.all(np.count_nonzero(signs, axis=0) <= 1)
 
     @pytest.mark.parametrize("name, mod, nr, top", [
         ("T8_CR", 4, 1, 12.0), ("Q4_CR", 16, 1, 24.0),
@@ -361,10 +364,10 @@ class TestPairProductClasses:
         rows = expansion_stack(code)
         for group in code.grouping:
             idx = np.array(group) - 1
-            reps, merge = decoder.gram_classes(code.dispersion[idx])
-            want_reps, want_merge = expansion_gram_classes(rows[idx])
+            reps, signs = decoder.gram_classes(group_products(code, group))
+            want_reps, want_signs = expansion_gram_classes(rows[idx])
             assert np.array_equal(reps, want_reps), group
-            assert np.array_equal(merge, want_merge), group
+            assert np.array_equal(signs, want_signs), group
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_catalog_groups(self, name):
@@ -375,6 +378,22 @@ class TestPairProductClasses:
         gclt, cr = mixed_codes(name, 20, CODE_NAMES.index(name))
         for code in gclt + cr:
             self.assert_classes_match(code)
+
+    def test_a_block_of_the_code_tensor_gives_the_group_classes(self):
+        # the plan reads each group's block of the code's one pair-product
+        # tensor; its classes are those of the group's own pair products
+        codes = [build(name) for name in CODE_NAMES]
+        for name in ("Q4", "Q8", "T8"):
+            gclt, cr = mixed_codes(name, 20, CODE_NAMES.index(name))
+            codes += gclt + cr
+        for code in codes:
+            for group in code.grouping:
+                own = pair_products(code.dispersion[np.array(group) - 1])
+                got = decoder.gram_classes(group_products(code, group))
+                want = decoder.gram_classes(own)
+                for part, want_part in zip(got, want):
+                    assert np.array_equal(part, want_part), (code.name,
+                                                             group)
 
 
 class TestMetricMemory:
@@ -451,9 +470,12 @@ class TestMetricMemory:
     @pytest.mark.parametrize("n, parts", [(0, 1), (1, 1), (7, 3), (4096, 5),
                                           (4096, 16)])
     def test_balanced_blocks_split_like_array_split(self, n, parts):
+        # a fresh plan whose block size makes n frames ``parts`` blocks
+        plan = decoder.DetectionPlan(build("G4C"), QAM4)
+        plan.block_frames = max(1, -(-n // parts))
         want = [(len(a), a[0] if len(a) else 0)
                 for a in np.array_split(np.arange(n), parts)]
-        got = decoder.balanced_blocks(n, parts)
+        got = plan.blocks(n)
         assert [(b.stop - b.start, b.start) for b in got] == want
 
     # the six benchmark curves, the two 65 536-candidate cells and Q4_CR at
@@ -501,7 +523,9 @@ class TestMetricMemory:
     def test_groups_with_equal_classes_share_one_table(self):
         # T8_CR at 16-QAM: two groups of 65 536 candidates share one 11 MiB
         # table; two would take about 22 MiB. The build peaked at 11.52 MiB
-        # when the tables came from a content-keyed cache.
+        # when the tables came from a content-keyed cache and each group
+        # formed its own pair products; the plan now holds the code's one
+        # pair-product tensor, (16, 16, 8, 8) complex, through the build.
         qam = make_qam(16)
         code = build("T8_CR")
         tracemalloc.start()
@@ -513,17 +537,19 @@ class TestMetricMemory:
         (_, cands, features, _), (_, cands2, features2, _) = plan.groups
         assert features2 is features and cands2 is cands
         assert features.nbytes + cands.nbytes == 11 * 2 ** 20
-        assert peak <= 11.52 * 2 ** 20
+        tensor = 16 * (2 * code.K) ** 2 * code.nt ** 2
+        assert peak <= 11.52 * 2 ** 20 + tensor
 
     def test_table_build_is_lean_and_unchanged(self):
         # T8_CR at 16-QAM: 65 536 candidates of 8 rails, 11 MiB of tables
         qam = make_qam(16)
         levels = tuple(np.sort(qam.pam_levels))
         code = build("T8_CR")
-        reps, merge = decoder.gram_classes(group_stack(code, code.grouping[0]))
+        reps, signs = decoder.gram_classes(
+            group_products(code, code.grouping[0]))
         tracemalloc.start()
         try:
-            cands, features = decoder._class_tables(qam, 8, merge)
+            cands, features = decoder._class_tables(qam, signs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -534,7 +560,8 @@ class TestMetricMemory:
         pairs[:, rows != cols] *= 2.0
         assert np.array_equal(cands, want)
         assert np.array_equal(features[len(reps):], want.T)
-        assert np.allclose(features[:len(reps)], merge @ pairs.T,
+        assert np.allclose(features[:len(reps)],
+                           signs[:, rows, cols] @ pairs.T,
                            rtol=0, atol=1e-14)
 
     def test_features_score_the_grouped_metric(self):
@@ -564,13 +591,19 @@ class TestMetricMemory:
         ("T8_CR", 16, True), ("Q4_CR", 256, True), ("T8_LT", 256, True),
         ("T8_CR", 64, False), ("T8_CR", 256, False),
     ])
-    def test_candidate_cap(self, name, order, admitted):
+    def test_candidate_cap(self, monkeypatch, name, order, admitted):
         code, qam = build(name), make_qam(order)
         if admitted:
-            decoder.check_candidate_budget(code, qam)
+            decoder.detection_plan(code, qam)
             return
+
+        def no_tables(*_):
+            raise AssertionError("a table was built over the cap")
+
+        # the plan raises before it builds any table
+        monkeypatch.setattr(decoder, "_class_tables", no_tables)
         with pytest.raises(decoder.CandidateBudgetError, match="cap"):
-            decoder.check_candidate_budget(code, qam)
+            decoder.DetectionPlan(code, qam)
         H = np.zeros((1, 2 * code.T, 2 * code.K))
         with pytest.raises(decoder.CandidateBudgetError):
             decoder.detect_from_equivalent_batch(code, qam, H,

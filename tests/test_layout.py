@@ -1,7 +1,8 @@
 """Layout guard: every public top-level function or class and every
 upper-case module-level constant of the package has a reader in the library
 or the benchmark, and the package's caches and its reads of another
-module's private names are the listed ones.
+module's private names are the listed ones; the package's own imports
+form no cycle.
 
 A name counts as referenced when some file under ``src/`` or ``bench/``
 reads it (a bare name, an attribute or an import) outside its own
@@ -236,3 +237,33 @@ def _private_reads():
 
 def test_private_names_are_read_only_where_listed():
     assert set(_private_reads()) == PRIVATE_READS
+
+
+def _imports() -> dict:
+    """Map each module of the package to the package modules it imports,
+    at module level or inside a function (``from .module import name`` and
+    ``from . import module``)."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                deps.update([node.module] if node.module else
+                            [a.name for a in node.names if a.name in modules])
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    # drop, until none is left to drop, every module that imports no
+    # remaining module or that no remaining module imports; what is left
+    # lies on a cycle (an import cycle is what forces an import into a
+    # function, or a module passed as an argument)
+    graph = _imports()
+    while True:
+        imported = set().union(*graph.values())
+        left = {m for m, deps in graph.items() if deps and m in imported}
+        if left == graph.keys():
+            break
+        graph = {m: graph[m] & left for m in left}
+    assert graph == {}

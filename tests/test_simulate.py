@@ -341,7 +341,7 @@ class TestFrameBlocks:
 
         whole = stages(slice(None))
         for parts in (2, 7, n // 3, n // 2):
-            for rows in decoder.balanced_blocks(n, parts):
+            for rows in split(n, parts):
                 for got, want in zip(stages(rows), whole):
                     assert got.tobytes() == want[rows].tobytes()
 
@@ -407,6 +407,13 @@ class TestFrameBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2 ** 20
+
+
+def split(n, parts):
+    """``parts`` consecutive slices covering range(n), cut as
+    ``np.array_split`` cuts it (the plan's blocks are cut so too)."""
+    return [slice(a[0], a[-1] + 1)
+            for a in np.array_split(np.arange(n), parts)]
 
 
 def received_form(code, h, noise, s, rho):
@@ -485,14 +492,13 @@ class TestCovarianceRoute:
         members = []  # (column, p, q, sign)
         column = 0
         for idx, *_ in plan.groups:
-            _, merge = decoder.gram_classes(code.dispersion[idx])
-            rows, cols = np.triu_indices(len(idx))
-            for signs in merge:
+            _, signs = decoder.gram_classes(prods[np.ix_(idx, idx)])
+            for member in signs:
                 a, b = plan.pairs[column]
-                for k in np.flatnonzero(signs):
-                    p, q = idx[rows[k]], idx[cols[k]]
-                    members.append((column, p, q, signs[k]))
-                    implied[p, q] = implied[q, p] = signs[k] * anti[a, b]
+                for i, j in zip(*np.nonzero(np.triu(member))):
+                    p, q = idx[i], idx[j]
+                    members.append((column, p, q, member[i, j]))
+                    implied[p, q] = implied[q, p] = member[i, j] * anti[a, b]
                 column += 1
         diff = anti - implied
         form_error = np.maximum(np.abs(diff.real),
@@ -503,7 +509,7 @@ class TestCovarianceRoute:
         K2, T, nt = 2 * code.K, code.T, code.nt
         d = 2 * T + 2 * nr + 2 * nt * nt + 2 + 2 * nt + 2 * T * nr + 2
         factor = math.sqrt(rho / nt)
-        for rows in decoder.balanced_blocks(n, -(-n // 256)):
+        for rows in split(n, -(-n // 256)):
             gram, want_z = received_form(code, h[rows], noise[rows], s[rows],
                                          rho)
             B, a = rounding_majorant(code, h[rows])
@@ -534,7 +540,7 @@ class TestCovarianceRoute:
         h, noise, s = self.draws(code, nr, n, 19)
         whole = plan.statistics(h, noise, s, 2.5)
         for parts in (2, 7, n // 3, n // 2):
-            for rows in decoder.balanced_blocks(n, parts):
+            for rows in split(n, parts):
                 got = plan.statistics(h[rows], noise[rows], s[rows], 2.5)
                 for part, want in zip(got, whole):
                     assert part.tobytes() == want[rows].tobytes()
